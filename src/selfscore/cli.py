@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globmod
+import io
 import json
 import math
 import os
@@ -37,7 +38,7 @@ from .evaluation import (attributes_diagram, atomic_write_text, bootstrap_ci,
                          performance_diagram)
 from .fourier import NumericError
 from .grid import GridField, read_grid, write_grid
-from .losses import (apply_filter, enumerate_configs, grad_check, metric_table,
+from .losses import (apply_filter, enumerate_configs, grad_check, metric_tables,
                      parse_filter_id, parse_spec_id, prepare_target)
 from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
                       overall_mean_ranks, rank_models)
@@ -65,12 +66,34 @@ def _expand_paths(text: str) -> list[str]:
     return out
 
 
-def _read_fields(paths: list[str]) -> list[GridField]:
-    return [read_grid(p) for p in paths]
+PRED_KINDS = ("prob", "mask")
+OBS_KINDS = ("mask",)
+
+
+def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
+    """Read a GRID1 file, refusing it unless its kind is one of ``kinds``."""
+    field = read_grid(path)
+    if field.kind not in kinds:
+        raise ValueError(f"{path}: {role} has kind {field.kind!r}; "
+                         f"{role}s must be of kind {' or '.join(kinds)}")
+    return field
+
+
+def _read_fields(paths: list[str], kinds: tuple[str, ...], role: str) -> list[GridField]:
+    return [_read_kind(p, kinds, role) for p in paths]
 
 
 def _float_cell(x: float) -> str:
     return repr(float(x))
+
+
+def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
+    """Write a CSV atomically, quoting cells that hold a comma or a quote."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write_text(path, buf.getvalue())
 
 
 # ---------------------------------------------------------------------------
@@ -159,40 +182,33 @@ def cmd_score(args) -> int:
     specs = sorted(specs, key=lambda s: s.spec_id)
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs)
-    obs_fields = _read_fields(obs_paths)
+    obs_fields = _read_fields(obs_paths, OBS_KINDS, "observation")
     for name, paths in models:
         if len(paths) != len(obs_paths):
             raise ValueError(f"model {name!r} has {len(paths)} fields but "
                              f"there are {len(obs_paths)} observations")
 
-    model_paths = dict(models)
+    def step_tables(i: int) -> list[dict]:
+        preds = [_read_kind(paths[i], PRED_KINDS, "prediction") for _, paths in models]
+        return metric_tables(specs, preds, obs_fields[i])
 
-    def step_table(task: tuple[str, int]) -> dict:
-        name, i = task
-        pred = read_grid(model_paths[name][i])
-        return metric_table(specs, pred, obs_fields[i])
-
-    tasks = [(name, i) for name, paths in models for i in range(len(obs_paths))]
+    steps = range(len(obs_paths))
     if args.jobs > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            tables = list(pool.map(step_table, tasks))
+            tables = list(pool.map(step_tables, steps))
     else:
-        tables = [step_table(t) for t in tasks]
+        tables = [step_tables(i) for i in steps]
 
     rows = []
-    for name, paths in models:
-        per_model = [tbl for (mname, _), tbl in zip(tasks, tables) if mname == name]
+    for m, (name, _) in enumerate(models):
         for spec in specs:
-            values = [tbl[spec.spec_id].value for tbl in per_model]
-            flags = sorted({f for tbl in per_model for f in tbl[spec.spec_id].fallbacks})
-            rows.append([name, spec.spec_id, _float_cell(float(np.mean(values))),
+            results = [step[m][spec.spec_id] for step in tables]
+            flags = sorted({f for r in results for f in r.fallbacks})
+            rows.append([name, spec.spec_id,
+                         _float_cell(float(np.mean([r.value for r in results]))),
                          ";".join(flags)])
     rows.sort(key=lambda r: (r[0], r[1]))
-    out_lines = [["model", "spec_id", "value", "fallbacks"]] + rows
-    buf = []
-    for row in out_lines:
-        buf.append(",".join(row))
-    atomic_write_text(args.out, "\n".join(buf) + "\n")
+    _write_csv(args.out, ["model", "spec_id", "value", "fallbacks"], rows)
     print(f"wrote {len(rows)} rows ({len(models)} model(s) x {len(specs)} configs) "
           f"to {args.out}")
     return 0
@@ -234,8 +250,8 @@ def cmd_eval(args) -> int:
     obs_paths = _expand_paths(args.obs)
     if len(pred_paths) != len(obs_paths):
         raise ValueError(f"{len(pred_paths)} prediction files vs {len(obs_paths)} observations")
-    preds = _read_fields(pred_paths)
-    obs = _read_fields(obs_paths)
+    preds = _read_fields(pred_paths, PRED_KINDS, "prediction")
+    obs = _read_fields(obs_paths, OBS_KINDS, "observation")
 
     attr = attributes_diagram(preds, obs)
     consistency_bars(attr, n_boot=args.n_boot_bars, seed=args.seed)
@@ -254,7 +270,8 @@ def cmd_eval(args) -> int:
         cmp_paths = _expand_paths(args.compare)
         if len(cmp_paths) != len(obs_paths):
             raise ValueError("--compare file count does not match observations")
-        cmp_parts = [_step_brier_parts(read_grid(p), y) for p, y in zip(cmp_paths, obs)]
+        cmp_preds = _read_fields(cmp_paths, PRED_KINDS, "prediction")
+        cmp_parts = [_step_brier_parts(p, y) for p, y in zip(cmp_preds, obs)]
         paired = [(a, b) for a, b in zip(parts, cmp_parts)]
         result = paired_bootstrap_test(
             lambda s: _pooled_bs([a for a, _ in s]),
@@ -307,11 +324,8 @@ def cmd_rank(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def write_csv(name: str, header: list[str], rows: list[list[str]]) -> str:
-        path = os.path.join(args.out_dir, name)
-        lines = [",".join(header)] + [",".join(r) for r in rows]
-        atomic_write_text(path, "\n".join(lines) + "\n")
-        return path
+    def write_csv(name: str, header: list[str], rows: list[list[str]]) -> None:
+        _write_csv(os.path.join(args.out_dir, name), header, rows)
 
     write_csv("ranks.csv", ["model"] + [s.spec_id for s in matrix.specs],
               [[m] + [_float_cell(ranks[i, j]) for j in range(len(spec_ids))]
@@ -443,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-336", action="store_true", dest="all_336",
                    help="use the full 336-config census")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over (model, step)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers over time steps")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser(

@@ -6,32 +6,48 @@ The pipeline for one field is:
    the patch edge move away from the data);
 2. multiply by a radially symmetric Blackman-Harris window that falls from 1
    at the grid center to 0 at the nearest edge;
-3. forward 2-D DFT (unnormalised);
-4. multiply the complex coefficients by a real Butterworth gain built from
-   the wavelength band;
-5. inverse DFT (scaled by 1/(rows*cols)), keep the real part;
+3. forward 2-D real DFT (unnormalised), which keeps the half plane of
+   columns 0..cols//2; the other half is the complex conjugate mirror of it;
+4. multiply the half-plane coefficients by a real Butterworth gain built
+   from the wavelength band;
+5. inverse real DFT (scaled by 1/(rows*cols)) back to the padded grid;
 6. crop the centered original-shape window back out.
 
-The inverse of a real-input forward transform with a real gain is real up to
-rounding; the imaginary residue is asserted to be tiny and then dropped.
+Steps 1-3 depend on the field only and steps 4-6 on the band, so a field is
+transformed once (:func:`fourier_spectrum`) and then filtered under any
+number of bands; :func:`fourier_band_passes` applies one band's gain to
+several spectra, building the gain once.  :func:`fourier_band_pass` is the
+one-field, one-band case of the same code.
+
+The gain depends on the wavenumber magnitude only, so it is the same at a
+wavenumber and at its mirror; the filtered spectrum keeps the conjugate
+symmetry of a real field's and the inverse real DFT returns its real
+output exactly, with no imaginary residue to drop.  The window and the
+wavenumber grid depend on the padded shape (and spacing) alone; they are
+built once per shape and shared read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, crop_taper, taper_zero_pad
+from .grid import GridField, WavelengthBand, _pad_amounts, taper_zero_pad
 
 TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
-IMAG_RESIDUE_TOL = 1e-9
 
 
 class NumericError(RuntimeError):
-    """An internal numeric sanity check failed (not a usage error)."""
+    """An internal numeric sanity check failed (not a usage error).
+
+    The CLI maps it to exit code 2.  Nothing in the package raises it at
+    present; ``selfscore gradcheck`` exits 2 on its own failures.
+    """
 
 
 @dataclass(frozen=True)
@@ -54,12 +70,44 @@ def _axis_frequencies(n: int, spacing_deg: float) -> np.ndarray:
     return signed / (n * spacing_deg)
 
 
-def frequency_grid(shape: tuple[int, int], spacing_deg: float) -> FrequencyGrid:
-    """Wavenumber grid for an unshifted 2-D DFT of the given shape."""
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+@functools.lru_cache(maxsize=8)
+def _frequency_grid(shape: tuple[int, int], spacing_deg: float) -> FrequencyGrid:
     nu_r = _axis_frequencies(shape[0], spacing_deg)
     nu_c = _axis_frequencies(shape[1], spacing_deg)
     nu_total = np.sqrt(nu_r[:, None] ** 2 + nu_c[None, :] ** 2)
-    return FrequencyGrid(nu_r, nu_c, nu_total)
+    return FrequencyGrid(_read_only(nu_r), _read_only(nu_c), _read_only(nu_total))
+
+
+def frequency_grid(shape: tuple[int, int], spacing_deg: float) -> FrequencyGrid:
+    """Wavenumber grid for an unshifted 2-D DFT of the given shape.
+
+    Built once per (shape, spacing); the arrays are shared and read-only.
+    """
+    return _frequency_grid((int(shape[0]), int(shape[1])), float(spacing_deg))
+
+
+@functools.lru_cache(maxsize=8)
+def _blackman_harris(shape: tuple[int, int]) -> np.ndarray:
+    rows, cols = shape
+    center_r, center_c = (rows - 1) / 2.0, (cols - 1) / 2.0
+    radius = min(rows - 1, cols - 1) / 2.0
+    rr = np.arange(rows)[:, None] - center_r
+    cc = np.arange(cols)[None, :] - center_c
+    dist = np.sqrt(rr ** 2 + cc ** 2)
+    if radius == 0:
+        return _read_only((dist == 0).astype(np.float64))
+    phase = np.pi * (1.0 + dist / radius)
+    weights = 0.42 - 0.5 * np.cos(phase) + 0.08 * np.cos(2.0 * phase)
+    # The continuous window is non-negative; rounding can leave ~-1e-17 at
+    # the boundary circle, so clamp before zeroing the outside.
+    np.maximum(weights, 0.0, out=weights)
+    weights[dist > radius] = 0.0
+    return _read_only(weights)
 
 
 def blackman_harris_weights(shape: tuple[int, int]) -> np.ndarray:
@@ -71,26 +119,14 @@ def blackman_harris_weights(shape: tuple[int, int]) -> np.ndarray:
 
     for r_g <= R and 0 beyond, where R is the half-width of the grid
     (half the smaller of rows-1, cols-1), so w(0) = 1 and w(R) = 0.
+    Built once per shape; the array is shared and read-only.
     """
-    rows, cols = shape
-    center_r, center_c = (rows - 1) / 2.0, (cols - 1) / 2.0
-    radius = min(rows - 1, cols - 1) / 2.0
-    rr = np.arange(rows)[:, None] - center_r
-    cc = np.arange(cols)[None, :] - center_c
-    dist = np.sqrt(rr ** 2 + cc ** 2)
-    if radius == 0:
-        return (dist == 0).astype(np.float64)
-    phase = np.pi * (1.0 + dist / radius)
-    weights = 0.42 - 0.5 * np.cos(phase) + 0.08 * np.cos(2.0 * phase)
-    # The continuous window is non-negative; rounding can leave ~-1e-17 at
-    # the boundary circle, so clamp before zeroing the outside.
-    np.maximum(weights, 0.0, out=weights)
-    weights[dist > radius] = 0.0
-    return weights
+    return _blackman_harris((int(shape[0]), int(shape[1])))
 
 
 def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
-                     band: WavelengthBand, order: int = BUTTERWORTH_ORDER) -> np.ndarray:
+                     band: WavelengthBand, order: int = BUTTERWORTH_ORDER,
+                     half_plane: bool = False) -> np.ndarray:
     """Real band-pass gain grid for the given wavelength band.
 
     The band [lo, hi] in wavelength maps to wavenumbers [1/hi, 1/lo].  The
@@ -99,9 +135,14 @@ def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
     1 - 1/(1 + (nu/nu_min)^(2*order)) removes wavenumbers below
     nu_min = 1/hi (skipped when hi = inf).  Gains of complementary bands
     [0, x] and [x, inf] sum to 1 at every wavenumber.
+
+    With ``half_plane=True`` only the columns 0..cols//2 that a real DFT
+    keeps are built; they equal those columns of the full grid exactly.
     """
     nu = frequency_grid(shape, spacing_deg).nu_total
-    gain = np.ones(shape, dtype=np.float64)
+    if half_plane:
+        nu = nu[:, :shape[1] // 2 + 1]
+    gain = np.ones(nu.shape, dtype=np.float64)
     if band.lo_deg > 0:
         nu_max = 1.0 / band.lo_deg
         gain *= 1.0 / (1.0 + (nu / nu_max) ** (2 * order))
@@ -111,40 +152,94 @@ def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
     return gain
 
 
+@dataclass(frozen=True)
+class FourierSpectrum:
+    """Steps 1-3 of the pipeline for one field: the real DFT of its
+    windowed taper, ``coeffs`` of shape (3*rows, 3*cols//2 + 1)."""
+
+    field: GridField
+    coeffs: np.ndarray
+
+    @property
+    def target(self) -> tuple[int, int]:
+        """The padded grid shape."""
+        return TAPER_FACTOR * self.field.rows, TAPER_FACTOR * self.field.cols
+
+
+def _windowed(field: GridField) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-2: (tapered, windowed) arrays on the padded grid."""
+    target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
+    tapered = taper_zero_pad(field, target).values
+    return tapered, blackman_harris_weights(target) * tapered
+
+
+def fourier_spectrum(field: GridField) -> FourierSpectrum:
+    """Pad, window and transform a field once, for any number of bands."""
+    coeffs = np.fft.rfft2(_windowed(field)[1])
+    return FourierSpectrum(field, _read_only(coeffs))
+
+
+def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray) -> GridField:
+    """Steps 4-6.  The inverse runs down the columns over the whole padded
+    grid, then along the rows only for the rows the crop keeps; per row
+    that is the same transform as ``irfft2`` runs, so the kept values are
+    those of a full ``irfft2`` bit for bit."""
+    field = spectrum.field
+    rows, cols = spectrum.target
+    top = _pad_amounts(field.rows, rows)[0]
+    left = _pad_amounts(field.cols, cols)[0]
+    by_col = np.fft.ifft(spectrum.coeffs * gain, axis=0)[top:top + field.rows]
+    out = np.fft.irfft(by_col, n=cols, axis=1)[:, left:left + field.cols]
+    return GridField(out, field.spacing_deg, "real", field.eval_mask)
+
+
+def fourier_band_passes(spectra: Sequence[FourierSpectrum], band: WavelengthBand,
+                        order: int = BUTTERWORTH_ORDER) -> list[GridField]:
+    """Band-pass every transformed field under one band.
+
+    The fields must share shape and spacing; the band's gain is built once
+    and applied to each spectrum.  Returns "real"-kind fields of the
+    original shape, in input order (window attenuation is not undone).
+    """
+    if not spectra:
+        return []
+    first = spectra[0].field
+    for spectrum in spectra[1:]:
+        if (spectrum.field.shape != first.shape
+                or spectrum.field.spacing_deg != first.spacing_deg):
+            raise ValueError("spectra must share shape and spacing")
+    gain = butterworth_gain(spectra[0].target, first.spacing_deg, band, order=order,
+                            half_plane=True)
+    return [_inverse_cropped(spectrum, gain) for spectrum in spectra]
+
+
 def fourier_band_pass(field: GridField, band: WavelengthBand,
                       order: int = BUTTERWORTH_ORDER,
                       return_stages: bool = False) -> GridField | tuple[GridField, dict]:
     """Band-pass filter a field with the taper/window/Butterworth pipeline.
 
     Returns a "real"-kind field of the original shape (window attenuation is
-    not undone).  With ``return_stages=True`` also returns a dict of
-    intermediate arrays for inspection: tapered, window, windowed, gain,
+    not undone); the same values as :func:`fourier_band_passes`.  With
+    ``return_stages=True`` also returns a dict of full padded-grid arrays
+    for inspection, built on request: tapered, window, windowed, gain,
     spectrum_mag, filtered_mag, full (uncropped output).
     """
-    target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
-    tapered = taper_zero_pad(field, target)
-    window = blackman_harris_weights(target)
-    windowed = window * tapered.values
-    spectrum = np.fft.fft2(windowed)
-    gain = butterworth_gain(target, field.spacing_deg, band, order=order)
-    filtered = spectrum * gain
-    back = np.fft.ifft2(filtered)
-    residue = float(np.abs(back.imag).max())
-    scale = max(1.0, float(np.abs(back.real).max()))
-    if residue > IMAG_RESIDUE_TOL * scale:
-        raise NumericError(f"inverse DFT imaginary residue {residue:g} too large")
-    full = GridField(back.real, field.spacing_deg, "real")
-    out = crop_taper(full, field.shape)
-    out = GridField(out.values, field.spacing_deg, "real", field.eval_mask)
+    spectrum = fourier_spectrum(field)
+    out = fourier_band_passes([spectrum], band, order=order)[0]
     if not return_stages:
         return out
+    target = spectrum.target
+    tapered, windowed = _windowed(field)
+    gain = butterworth_gain(target, field.spacing_deg, band, order=order)
+    spectrum_mag = np.abs(np.fft.fft2(windowed))
+    half_gain = gain[:, :target[1] // 2 + 1]
     stages = {
-        "tapered": tapered.values,
-        "window": window,
+        "tapered": tapered,
+        "window": blackman_harris_weights(target),
         "windowed": windowed,
         "gain": gain,
-        "spectrum_mag": np.abs(spectrum),
-        "filtered_mag": np.abs(filtered),
-        "full": back.real,
+        "spectrum_mag": spectrum_mag,
+        "filtered_mag": spectrum_mag * gain,
+        "full": np.fft.irfft2(spectrum.coeffs * half_gain, s=target),
     }
     return out, stages

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import fourier_band_pass
+from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum
 from .grid import GridField, WavelengthBand
 from .neighbourhood import (max_filter, max_filter_array, mean_filter,
                             mean_filter_array)
@@ -40,7 +40,7 @@ from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
                      ScoreResult, _nbhd_arrays, _nbhd_contingency_arrays,
                      _pixelwise_arrays, nbhd_score_detail,
                      pixelwise_score_detail, scored_weights)
-from .wavelet import wavelet_band_pass
+from .wavelet import wavelet_band_pass, wavelet_band_passes, wavelet_decompose
 
 NBHD_HALF_WIDTHS = (0, 1, 2, 3, 4, 6, 8, 12)
 
@@ -279,13 +279,9 @@ def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
     return loss_detail(spec, p, target).value
 
 
-def _filtered_clamped_pair(spec: LossSpec, p: GridField,
-                           y: GridField) -> tuple[GridField, GridField]:
-    pf = band_pass(p, spec.filter_kind, spec.band)
-    yf = band_pass(y, spec.filter_kind, spec.band)
-    p2 = GridField(np.clip(pf.values, 0.0, 1.0), p.spacing_deg, "prob", p.eval_mask)
-    y2 = GridField(np.clip(yf.values, 0.0, 1.0), y.spacing_deg, "prob", y.eval_mask)
-    return p2, y2
+def _clamped(filtered: GridField) -> GridField:
+    return GridField(np.clip(filtered.values, 0.0, 1.0), filtered.spacing_deg, "prob",
+                     filtered.eval_mask)
 
 
 def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
@@ -297,7 +293,7 @@ def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
     """
     if spec.filter_kind == "nbhd":
         return nbhd_score_detail(spec.score, p, y, spec.half_width)
-    p2, y2 = _filtered_clamped_pair(spec, p, y)
+    p2, y2 = (_clamped(band_pass(f, spec.filter_kind, spec.band)) for f in (p, y))
     return pixelwise_score_detail(spec.score, p2, y2)
 
 
@@ -305,21 +301,58 @@ def metric_table(specs: list[LossSpec], p: GridField,
                  y: GridField) -> dict[str, ScoreResult]:
     """``metric_value`` for many configs at once, filtering once per filter.
 
-    Configs sharing a spectral filter reuse the same filtered field pair,
-    which turns the 288-config census into 32 transform passes per field.
-    Keys are spec ids; values match ``metric_value`` exactly.
+    The one-prediction case of :func:`metric_tables`.  Keys are spec ids in
+    the order of ``specs``; values match ``metric_value`` exactly.
     """
-    cache: dict[str, tuple[GridField, GridField]] = {}
-    out: dict[str, ScoreResult] = {}
+    return metric_tables(specs, [p], y)[0]
+
+
+def _transform(method: str, field: GridField):
+    """The band-independent half of a spectral filter, done once per field."""
+    return fourier_spectrum(field) if method == "F" else wavelet_decompose(field)
+
+
+def _band_passes(method: str, transforms: list, band: WavelengthBand) -> list[GridField]:
+    if method == "F":
+        return fourier_band_passes(transforms, band)
+    return wavelet_band_passes(transforms, band)
+
+
+def metric_tables(specs: list[LossSpec], preds: list[GridField],
+                  y: GridField) -> list[dict[str, ScoreResult]]:
+    """``metric_table`` for several predictions of one observation.
+
+    The loop is step-major: the observation and every prediction are
+    transformed once per spectral method (one real DFT, one Haar pyramid
+    each).  Then, band by band, the band's filter (for Fourier, its gain,
+    built once) is applied to the observation and to every prediction; the
+    filtered pair is clamped to [0, 1], every config of that filter is
+    scored for each prediction, and the band's filtered fields are dropped
+    before the next band, so at most one band's fields are held at a time.
+    Returns one table per prediction, in input order, keyed by spec id in
+    the order of ``specs``; values match ``metric_value`` exactly.
+    """
+    tables: list[dict[str, ScoreResult]] = [{} for _ in preds]
+    by_filter: dict[str, list[LossSpec]] = {}
     for spec in specs:
         if spec.filter_kind == "nbhd":
-            out[spec.spec_id] = nbhd_score_detail(spec.score, p, y, spec.half_width)
+            for p, table in zip(preds, tables):
+                table[spec.spec_id] = nbhd_score_detail(spec.score, p, y, spec.half_width)
+        else:
+            by_filter.setdefault(spec.filter_id, []).append(spec)
+    for method in SPECTRAL_METHODS:
+        groups = [group for group in by_filter.values() if group[0].filter_kind == method]
+        if not groups:
             continue
-        if spec.filter_id not in cache:
-            cache[spec.filter_id] = _filtered_clamped_pair(spec, p, y)
-        p2, y2 = cache[spec.filter_id]
-        out[spec.spec_id] = pixelwise_score_detail(spec.score, p2, y2)
-    return out
+        transforms = [_transform(method, field) for field in (y, *preds)]
+        for group in groups:
+            y_band, *p_bands = _band_passes(method, transforms, group[0].band)
+            y2 = _clamped(y_band)
+            for p_band, table in zip(p_bands, tables):
+                p2 = _clamped(p_band)
+                for spec in group:
+                    table[spec.spec_id] = pixelwise_score_detail(spec.score, p2, y2)
+    return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]
 
 
 # ---------------------------------------------------------------------------

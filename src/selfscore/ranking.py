@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .losses import LossSpec
 from .scores import ORIENTATION
@@ -58,6 +57,19 @@ class MetricMatrix:
         return len(self.models)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ascending ranks of a 1-D array, ties given the mean of the
+    positions they span (``scipy.stats.rankdata``'s default method)."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    new_group = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    starts = np.flatnonzero(new_group)         # first position of each tie group
+    ends = np.append(starts[1:], values.size)  # one past its last position
+    ranks = np.empty(values.size)
+    ranks[order] = (0.5 * (starts + ends + 1))[np.cumsum(new_group) - 1]
+    return ranks
+
+
 def rank_models(matrix: MetricMatrix) -> np.ndarray:
     """Per-config ranks (1 = best), ties averaged.
 
@@ -68,7 +80,7 @@ def rank_models(matrix: MetricMatrix) -> np.ndarray:
     for j, spec in enumerate(matrix.specs):
         col = matrix.values[:, j]
         key = col if ORIENTATION[spec.score] < 0 else -col
-        ranks[:, j] = rankdata(key)
+        ranks[:, j] = _average_ranks(key)
     return ranks
 
 

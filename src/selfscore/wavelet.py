@@ -34,12 +34,17 @@ top edge), and the two filtered outputs sum to the padded input.  That
 partition holds for any edge from the finest detail wavelength 2d up to
 the padded-domain scale; edges outside that range follow the procedural
 rules above (a top edge below 2d still passes the level-1 details).
+
+Steps 1-2 depend on the field only, so a field is decomposed once
+(:func:`wavelet_decompose`) and steps 3-4 run per band from that shared
+pyramid (:func:`wavelet_band_passes`), which they never modify.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -91,9 +96,6 @@ class WaveletLevel:
     hl: np.ndarray
     hh: np.ndarray
 
-    def copy(self) -> "WaveletLevel":
-        return WaveletLevel(self.ll.copy(), self.lh.copy(), self.hl.copy(), self.hh.copy())
-
 
 @dataclass
 class WaveletPyramid:
@@ -137,53 +139,93 @@ def pyramid_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:
     return haar_inverse(level1.ll, level1.lh, level1.hl, level1.hh)
 
 
+@dataclass(frozen=True)
+class WaveletDecomposition:
+    """Steps 1-2 of the band-pass for one field: its power-of-two padding
+    and the full Haar pyramid of it, shared by every band."""
+
+    field: GridField
+    padded: np.ndarray
+    pyramid: WaveletPyramid
+
+
+def wavelet_decompose(field: GridField) -> WaveletDecomposition:
+    """Pad a field to power-of-two dims and decompose it fully, once."""
+    target = next_pow2_dims(field.shape)
+    if min(target) < 2:
+        raise ValueError("grid too small for a 2-D wavelet decomposition")
+    padded = taper_zero_pad(field, target).values
+    n_levels = int(math.log2(min(target)))
+    return WaveletDecomposition(field, padded,
+                                haar_pyramid(padded, n_levels, field.spacing_deg))
+
+
+def _filtered_pyramid(pyramid: WaveletPyramid, band: WavelengthBand) -> WaveletPyramid:
+    """Step 3: the pyramid with the module rules applied for one band.
+
+    The input is left untouched; subbands the band keeps are shared with it.
+    Levels are built deepest first, so each rebuilt LL sees the final state
+    below.  A level whose larger wavelength exceeds the band top ("above")
+    gets a zero LL and is never rebuilt: that cuts the chain to deeper
+    levels, whose scales are larger still.  Every other level but the
+    deepest rebuilds LL from the level below, so the filtering propagates.
+    """
+    n_levels = pyramid.n_levels
+    levels: list[WaveletLevel] = []
+    for k in range(n_levels, 0, -1):
+        level = pyramid.levels[k - 1]
+        small, large = level_wavelengths(k, pyramid.spacing_deg)
+        if large > band.hi_deg:
+            ll = np.zeros_like(level.ll)
+        elif k == n_levels:
+            ll = level.ll
+        else:
+            deeper = levels[-1]
+            ll = haar_inverse(deeper.ll, deeper.lh, deeper.hl, deeper.hh)
+        if small <= band.lo_deg:
+            zero = np.zeros_like(level.lh)
+            levels.append(WaveletLevel(ll, zero, zero, zero))
+        else:
+            levels.append(WaveletLevel(ll, level.lh, level.hl, level.hh))
+    return WaveletPyramid(levels[::-1], pyramid.spacing_deg)
+
+
+def _crop(decomposition: WaveletDecomposition, full: np.ndarray) -> GridField:
+    """Step 4's crop back to the original shape, keeping the eval mask."""
+    field = decomposition.field
+    out = crop_taper(GridField(full, field.spacing_deg, "real"), field.shape)
+    return GridField(out.values, field.spacing_deg, "real", field.eval_mask)
+
+
+def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],
+                        band: WavelengthBand) -> list[GridField]:
+    """Band-pass every decomposed field under one band, in input order.
+
+    Each output is inverted once from the level-1 subbands of the filtered
+    pyramid and cropped; the all-pass band reproduces the input exactly.
+    """
+    return [_crop(d, pyramid_reconstruct(_filtered_pyramid(d.pyramid, band)))
+            for d in decompositions]
+
+
 def wavelet_band_pass(field: GridField, band: WavelengthBand,
                       return_stages: bool = False) -> GridField | tuple[GridField, dict]:
     """Band-pass filter a field by zeroing out-of-band Haar coefficients.
 
     The field is padded (centered) to power-of-two dims, fully decomposed,
-    filtered per the module rules, inverted once from level 1, and cropped.
-    The all-pass band reproduces the input exactly.
+    filtered per the module rules, inverted once from level 1, and cropped;
+    the same values as :func:`wavelet_band_passes`.  The all-pass band
+    reproduces the input exactly.
     """
-    target = next_pow2_dims(field.shape)
-    if min(target) < 2:
-        raise ValueError("grid too small for a 2-D wavelet decomposition")
-    padded = taper_zero_pad(field, target)
-    n_levels = int(math.log2(min(target)))
-    pyramid = haar_pyramid(padded.values, n_levels, field.spacing_deg)
-    filtered = WaveletPyramid([lev.copy() for lev in pyramid.levels], field.spacing_deg)
-
-    # Step 3a: kill the smooth image wherever it only holds too-large scales.
-    for k in range(1, n_levels + 1):
-        if level_wavelengths(k, field.spacing_deg)[1] > band.hi_deg:
-            filtered.levels[k - 1].ll[:] = 0.0
-
-    # Steps 3b/3c, deepest level first so each rebuild sees final state below.
-    # A level whose larger wavelength exceeds the band top ("above") keeps
-    # its zeroed LL and is never rebuilt: that cuts the chain to deeper
-    # levels, whose scales are larger still.  All other levels rebuild LL
-    # from the (already final) level below so the filtering propagates.
-    for k in range(n_levels, 0, -1):
-        small, large = level_wavelengths(k, field.spacing_deg)
-        above = large > band.hi_deg
-        if not above and k < n_levels:
-            deeper = filtered.levels[k]
-            filtered.levels[k - 1].ll = haar_inverse(deeper.ll, deeper.lh,
-                                                     deeper.hl, deeper.hh)
-        if small <= band.lo_deg:
-            filtered.levels[k - 1].lh[:] = 0.0
-            filtered.levels[k - 1].hl[:] = 0.0
-            filtered.levels[k - 1].hh[:] = 0.0
-
-    full = pyramid_reconstruct(filtered)
-    out = crop_taper(GridField(full, field.spacing_deg, "real"), field.shape)
-    out = GridField(out.values, field.spacing_deg, "real", field.eval_mask)
+    decomposition = wavelet_decompose(field)
     if not return_stages:
-        return out
+        return wavelet_band_passes([decomposition], band)[0]
+    filtered = _filtered_pyramid(decomposition.pyramid, band)
+    full = pyramid_reconstruct(filtered)
     stages = {
-        "padded": padded.values,
-        "pyramid": pyramid,
+        "padded": decomposition.padded,
+        "pyramid": decomposition.pyramid,
         "filtered_pyramid": filtered,
         "full": full,
     }
-    return out, stages
+    return _crop(decomposition, full), stages

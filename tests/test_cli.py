@@ -4,6 +4,7 @@ Each subcommand is driven through ``main(argv)`` in-process; files go to
 pytest tmp dirs.  Determinism is asserted byte-for-byte.
 """
 
+import csv
 import json
 import os
 
@@ -267,6 +268,81 @@ def test_rank_rejects_malformed_csv(tmp_path):
                    "a,brier_nbhd_r0,0.5\n"
                    "a,brier_nbhd_r0,0.6\n")
     assert run("rank", "--scores", dup, "--out-dir", tmp_path / "r") == 1
+
+
+def test_score_model_name_with_comma_is_read_back_by_rank(scored_pipeline, tmp_path):
+    scores = tmp_path / "scores.csv"
+    rank_dir = tmp_path / "ranks"
+    assert run("score", "--pred", f"a,b={scored_pipeline}/a_*.grid",
+               "--pred", f"c={scored_pipeline}/b_*.grid",
+               "--obs", f"{scored_pipeline}/obs_*.grid",
+               "--specs", "brier_nbhd_r1,fss_nbhd_r0", "--out", scores) == 0
+    with open(scores, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model"], r["spec_id"]) for r in rows] == [
+        ("a,b", "brier_nbhd_r1"), ("a,b", "fss_nbhd_r0"),
+        ("c", "brier_nbhd_r1"), ("c", "fss_nbhd_r0")]
+    assert run("rank", "--scores", scores, "--out-dir", rank_dir) == 0
+    with open(rank_dir / "ranks.csv", newline="") as fh:
+        ranks = list(csv.reader(fh))
+    assert ranks == [["model", "brier_nbhd_r1", "fss_nbhd_r0"],
+                     ["a,b", "2.0", "2.0"], ["c", "1.0", "1.0"]]
+
+
+# ---------------------------------------------------------------------------
+# kind contract of score and eval
+
+
+@pytest.fixture()
+def filtered_preds(scored_pipeline, tmp_path):
+    """Model 'a' band-passed: 'real'-kind fields with values outside [0, 1]."""
+    out = tmp_path / "filtered"
+    assert run("filter", "--spec", "F0.2-inf", f"{scored_pipeline}/a_*.grid",
+               "--out-dir", out) == 0
+    assert read_grid(out / "a_0.grid").kind == "real"
+    return out
+
+
+def test_score_and_eval_refuse_real_predictions(scored_pipeline, filtered_preds,
+                                                 tmp_path, capsys):
+    obs = f"{scored_pipeline}/obs_*.grid"
+    capsys.readouterr()
+    assert run("score", "--pred", f"m={filtered_preds}/a_*.grid", "--obs", obs,
+               "--specs", "brier_nbhd_r0", "--out", tmp_path / "s.csv") == 1
+    err = capsys.readouterr().err
+    assert "a_0.grid" in err and "prediction has kind 'real'" in err
+    assert not (tmp_path / "s.csv").exists()
+
+    assert run("eval", "--pred", f"{filtered_preds}/a_*.grid", "--obs", obs,
+               "--out-dir", tmp_path / "rep") == 1
+    err = capsys.readouterr().err
+    assert "a_0.grid" in err and "prediction has kind 'real'" in err
+    assert run("eval", "--pred", f"{scored_pipeline}/a_*.grid", "--obs", obs,
+               "--compare", f"{filtered_preds}/a_*.grid", "--out-dir", tmp_path / "rep") == 1
+    assert "prediction has kind 'real'" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
+def test_score_and_eval_refuse_non_mask_observations(scored_pipeline, tmp_path, capsys):
+    preds, probs = f"{scored_pipeline}/a_*.grid", f"{scored_pipeline}/b_*.grid"
+    capsys.readouterr()
+    assert run("score", "--pred", f"a={preds}", "--obs", probs,
+               "--specs", "brier_nbhd_r0", "--out", tmp_path / "s.csv") == 1
+    err = capsys.readouterr().err
+    assert "b_0.grid" in err and "observation has kind 'prob'" in err
+    assert run("eval", "--pred", preds, "--obs", probs, "--out-dir", tmp_path / "rep") == 1
+    assert "observation has kind 'prob'" in capsys.readouterr().err
+
+
+def test_score_accepts_mask_and_prob_predictions(scored_pipeline, tmp_path):
+    # A mask relabelled 'prob' and the mask itself both score as perfect.
+    obs = f"{scored_pipeline}/obs_*.grid"
+    out = tmp_path / "s.csv"
+    assert run("score", "--pred", f"prob={scored_pipeline}/b_*.grid",
+               "--pred", f"mask={obs}", "--obs", obs,
+               "--specs", "brier_nbhd_r0", "--out", out) == 0
+    with open(out, newline="") as fh:
+        assert [r["value"] for r in csv.DictReader(fh)] == ["0.0", "0.0"]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from selfscore.losses import enumerate_configs, parse_spec_id
 from selfscore.ranking import (
     MetricMatrix,
+    _average_ranks,
     best_per_filter,
     filter_ids,
     filter_mean_ranks,
@@ -144,3 +148,14 @@ def test_non_finite_values_refused_naming_offender():
     vals = np.array([[0.1, 0.2], [0.3, np.nan]])
     with pytest.raises(ValueError, match=r"'worse'.*'fss_nbhd_r2'.*refusing to rank"):
         MetricMatrix(("better", "worse"), specs, vals)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from((-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, 2.5)), min_size=1,
+                max_size=12))
+def test_average_ranks_match_scipy_rankdata(column):
+    # Few distinct values, so most columns hold ties (and -0.0 ties 0.0).
+    values = np.array(column)
+    ranks = _average_ranks(values)
+    assert np.array_equal(ranks, rankdata(values))
+    assert ranks.sum() == len(column) * (len(column) + 1) / 2
