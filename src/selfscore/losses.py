@@ -31,6 +31,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum
 from .grid import GridField, WavelengthBand
@@ -361,13 +362,11 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
 _LN2 = math.log(2.0)
 
 
-def _grad_pixelwise(kind: str, pv: np.ndarray, tv: np.ndarray,
+def _grad_pixelwise(kind: str, p: np.ndarray, y: np.ndarray,
                     w: np.ndarray) -> np.ndarray:
     """d(score)/dp for the pixelwise formulas; zero on unscored pixels."""
     wf = w.astype(np.float64)
     g = float(wf.sum())
-    p = pv
-    y = tv
     zeros = np.zeros_like(p)
 
     if kind == "brier":
@@ -425,28 +424,41 @@ def _grad_pixelwise(kind: str, pv: np.ndarray, tv: np.ndarray,
     raise ValueError(f"no gradient for kind {kind!r}")
 
 
-def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
-                         r: int) -> np.ndarray:
+#: Events per block of the window gather: 512 windows, 2.5 MB at r = 12.
+_WINDOW_BLOCK = 512
+
+
+def _near_window_max(pv: np.ndarray, events: np.ndarray, r: int, margin: float):
+    """Pixels within ``margin`` of each event's (2r+1)^2 window maximum.
+
+    The windows of a block of events are gathered from ``pv`` padded with
+    -inf, so each sees only its in-grid pixels.  Yields ``(k, (rows, cols),
+    count)`` per block: each near pixel's event and place, event-major and
+    row-major, and each event's count."""
+    view = sliding_window_view(np.pad(pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
+    rows, cols = np.nonzero(events)
+    for s in range(0, rows.size, _WINDOW_BLOCK):
+        i, j = rows[s:s + _WINDOW_BLOCK], cols[s:s + _WINDOW_BLOCK]
+        windows = view[i, j]  # a copy, overwritten with the distance to the max
+        near = np.subtract(windows.max(axis=(1, 2), keepdims=True), windows, out=windows) <= margin
+        k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)
+        yield k, (i[k] - r + a, j[k] - r + b), np.count_nonzero(near, axis=(1, 2))
+
+
+def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
     """d(a_obs)/dp: each observed event routes weight to its window argmax.
 
     Exact ties within a window split the unit weight equally.
     """
     grad = np.zeros_like(pv)
-    rows, cols = pv.shape
-    for i, j in zip(*np.nonzero(w & (yv == 1.0))):
-        sl = (slice(max(0, i - r), min(rows, i + r + 1)),
-              slice(max(0, j - r), min(cols, j + r + 1)))
-        window = pv[sl]
-        m = window.max()
-        ties = window == m
-        grad[sl] += ties / float(ties.sum())
+    for k, at, ties in _near_window_max(pv, w & (yv == 1.0), r, 0.0):
+        np.add.at(grad, at, (1.0 / ties)[k])  # in event order, as a loop adds
     return grad
 
 
 def _grad_nbhd_csi(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
                    r: int) -> np.ndarray:
     """d(CSI)/dp for the two-sided neighbourhood contingency CSI."""
-    wf = w.astype(np.float64)
     a_obs, a_pred, b, c = _nbhd_contingency_arrays(pv, yv, w, r)
     zeros = np.zeros_like(pv)
     pod_den = a_obs + c
@@ -456,14 +468,10 @@ def _grad_nbhd_csi(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
     e = (w & event_near).astype(np.float64)
     not_e = (w & ~event_near).astype(np.float64)
 
-    def sr_grad() -> np.ndarray:
-        # SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e.
-        return (e * sr_den - a_pred * not_e) / sr_den ** 2
-
     if pod_den == 0.0 and sr_den == 0.0:
         return zeros  # CSI == 1, constant
-    if pod_den == 0.0:
-        return zeros if a_pred == 0.0 else sr_grad()  # CSI == SR
+    if pod_den == 0.0:  # CSI == SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e
+        return zeros if a_pred == 0.0 else (e * sr_den - a_pred * not_e) / sr_den ** 2
     if a_obs == 0.0:
         return zeros  # CSI == 0, constant branch
     if sr_den == 0.0:
@@ -497,8 +505,7 @@ def _grad_score(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
         d_sse = 2.0 * mean_filter_array(wf * (pbar - ybar), r)
         d_ref = 2.0 * mean_filter_array(wf * pbar, r)
         return -(d_sse * ref - sse * d_ref) / ref ** 2
-    ymax = max_filter_array(tv, r)
-    return _grad_pixelwise(spec.score, pv, ymax, w)
+    return _grad_pixelwise(spec.score, pv, max_filter_array(tv, r), w)
 
 
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
@@ -547,16 +554,8 @@ def _excluded_pixels(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
         target = tv if spec.filter_kind != "nbhd" else max_filter_array(tv, spec.half_width)
         excluded |= np.abs(pv - target) <= margin
     if spec.filter_kind == "nbhd" and spec.score == "csi":
-        rows, cols = pv.shape
-        r = spec.half_width
-        for i, j in zip(*np.nonzero(w & (tv == 1.0))):
-            sl = (slice(max(0, i - r), min(rows, i + r + 1)),
-                  slice(max(0, j - r), min(cols, j + r + 1)))
-            window = pv[sl]
-            m = window.max()
-            near = m - window <= margin
-            if near.sum() > 1:
-                excluded[sl] |= near  # argmax may change under perturbation
+        for k, (i, j), n in _near_window_max(pv, w & (tv == 1.0), spec.half_width, margin):
+            excluded[i[n[k] > 1], j[n[k] > 1]] = True  # argmax may move
     return excluded
 
 

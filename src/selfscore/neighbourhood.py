@@ -13,7 +13,6 @@ Both accept ``r = 0`` (identity).
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .grid import GridField
 
@@ -29,6 +28,7 @@ def max_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
     r = _check_half_width(half_width)
     if r == 0:
         return np.array(values, dtype=np.float64)
+    from scipy import ndimage  # imported on first use: ~0.4 s that most commands skip
     return ndimage.maximum_filter(
         np.asarray(values, dtype=np.float64), size=2 * r + 1, mode="constant", cval=0.0)
 
@@ -38,6 +38,7 @@ def mean_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
     r = _check_half_width(half_width)
     if r == 0:
         return np.array(values, dtype=np.float64)
+    from scipy import ndimage
     ones = np.ones(2 * r + 1, dtype=np.float64)
     acc = ndimage.correlate1d(
         np.asarray(values, dtype=np.float64), ones, axis=0, mode="constant", cval=0.0)

@@ -1,0 +1,176 @@
+"""The neighbourhood-CSI window argmax: gradient and grad-check exclusions.
+
+Each observed event routes its unit weight to the maximum of its
+(2r+1) x (2r+1) window of the prediction, clipped to the grid, and exact
+ties split it equally.  ``_obs_window_max_grad`` and ``_excluded_pixels``
+gather the windows of many events at once; these tests check them by hand
+on small grids, against the per-event loops they replaced (kept here as the
+reference) bit for bit, and for a bounded working set on a large grid.
+"""
+
+import tracemalloc
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_array_equal
+
+from selfscore.losses import (NBHD_HALF_WIDTHS, LossSpec, _excluded_pixels,
+                              _obs_window_max_grad)
+
+
+def window_max_grad_loop(pv, yv, w, r):
+    """Reference: one event at a time, slicing its window out of the grid."""
+    grad = np.zeros_like(pv)
+    rows, cols = pv.shape
+    for i, j in zip(*np.nonzero(w & (yv == 1.0))):
+        sl = (slice(max(0, i - r), min(rows, i + r + 1)),
+              slice(max(0, j - r), min(cols, j + r + 1)))
+        window = pv[sl]
+        m = window.max()
+        ties = window == m
+        grad[sl] += ties / float(ties.sum())
+    return grad
+
+
+def excluded_loop(pv, yv, w, r, margin):
+    """Reference: pixels near a window maximum that more than one pixel is near."""
+    excluded = np.zeros(pv.shape, dtype=bool)
+    rows, cols = pv.shape
+    for i, j in zip(*np.nonzero(w & (yv == 1.0))):
+        sl = (slice(max(0, i - r), min(rows, i + r + 1)),
+              slice(max(0, j - r), min(cols, j + r + 1)))
+        window = pv[sl]
+        m = window.max()
+        near = m - window <= margin
+        if near.sum() > 1:
+            excluded[sl] |= near
+    return excluded
+
+
+# ---------------------------------------------------------------------------
+# Tie splitting by hand.
+
+PV = np.array([
+    [0.1, 0.2, 0.3, 0.1, 0.1, 0.1],
+    [0.2, 0.9, 0.1, 0.1, 0.1, 0.1],
+    [0.9, 0.1, 0.1, 0.1, 0.1, 0.1],
+    [0.1, 0.1, 0.1, 0.1, 0.0, 0.0],
+    [0.1, 0.1, 0.1, 0.1, 0.0, 0.0],
+])
+
+
+def hand_case():
+    """Events at (1, 1) and (2, 1), whose 3x3 windows tie between (1, 1) and
+    (2, 0); a corner event at (4, 5), whose window is clipped to four zeros
+    (pixels beyond the edge are not candidates); and an event at (0, 4) that
+    the eval mask leaves unscored."""
+    yv = np.zeros(PV.shape)
+    yv[1, 1] = yv[2, 1] = yv[4, 5] = yv[0, 4] = 1.0
+    w = np.ones(PV.shape, dtype=bool)
+    w[0, 4] = False
+    return yv, w
+
+
+def test_ties_split_the_unit_weight_equally():
+    yv, w = hand_case()
+    want = np.zeros(PV.shape)
+    want[1, 1] = want[2, 0] = 0.5 + 0.5  # two events, a 2-way tie each
+    want[3:5, 4:6] = 0.25  # the corner event, a 4-way tie
+    assert_array_equal(_obs_window_max_grad(PV, yv, w, 1), want)
+
+
+def test_window_larger_than_the_grid_sees_the_whole_grid():
+    yv, w = hand_case()
+    for r in (5, 6, 12):
+        want = np.zeros(PV.shape)
+        want[1, 1] = want[2, 0] = 1.5  # three scored events, each split in two
+        assert_array_equal(_obs_window_max_grad(PV, yv, w, r), want)
+
+
+def test_no_scored_event_gives_a_zero_gradient():
+    yv, w = hand_case()
+    for r in (0, 1, 12):
+        assert_array_equal(_obs_window_max_grad(PV, np.zeros(PV.shape), w, r),
+                           np.zeros(PV.shape))
+        assert_array_equal(_obs_window_max_grad(PV, yv, w & (yv == 0.0), r),
+                           np.zeros(PV.shape))
+
+
+def test_hand_case_exclusions():
+    yv, w = hand_case()
+    spec = LossSpec("csi", "nbhd", half_width=1)
+    want = np.zeros(PV.shape, dtype=bool)
+    want[1, 1] = want[2, 0] = True
+    want[3:5, 4:6] = True
+    assert_array_equal(_excluded_pixels(spec, PV, yv, w, 1e-5), want)
+
+
+# ---------------------------------------------------------------------------
+# Against the per-event loops.
+
+STEP = 1e-5
+
+
+@st.composite
+def window_cases(draw):
+    """A 1-20 px grid whose values are quantised to force ties, some moved by
+    less or more than the grad-check margin, with events and an eval mask."""
+    shape = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    levels = draw(st.integers(1, 5))
+    pv = np.round(rng.uniform(size=shape) * levels) / levels
+    nudge = rng.choice([0.0, 0.0, STEP, 1.5 * STEP, 3.0 * STEP], size=shape)
+    pv = np.clip(pv + nudge * rng.choice([-1.0, 1.0], size=shape), 0.0, 1.0)
+    if draw(st.booleans()):
+        pv[rng.uniform(size=shape) < 0.7] = 0.0  # all-zero windows at the edges
+    yv = (rng.uniform(size=shape) < draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))).astype(float)
+    w = rng.uniform(size=shape) < 0.8 if draw(st.booleans()) else np.ones(shape, dtype=bool)
+    return pv, yv, w, draw(st.sampled_from(NBHD_HALF_WIDTHS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(window_cases())
+def test_gather_matches_the_per_event_loops(case):
+    pv, yv, w, r = case
+    assert (_obs_window_max_grad(pv, yv, w, r).tobytes()
+            == window_max_grad_loop(pv, yv, w, r).tobytes())
+    spec = LossSpec("csi", "nbhd", half_width=r)
+    assert_array_equal(_excluded_pixels(spec, pv, yv, w, STEP),
+                       excluded_loop(pv, yv, w, r, 2.0 * STEP))
+
+
+def test_gather_matches_the_loops_across_blocks():
+    # More events than one block of the gather holds.
+    rng = np.random.default_rng(7)
+    pv = np.round(rng.uniform(size=(60, 70)) * 4) / 4
+    yv = (rng.uniform(size=pv.shape) < 0.4).astype(float)
+    w = rng.uniform(size=pv.shape) < 0.9
+    for r in (1, 4):
+        assert (_obs_window_max_grad(pv, yv, w, r).tobytes()
+                == window_max_grad_loop(pv, yv, w, r).tobytes())
+        spec = LossSpec("csi", "nbhd", half_width=r)
+        assert_array_equal(_excluded_pixels(spec, pv, yv, w, STEP),
+                           excluded_loop(pv, yv, w, r, 2.0 * STEP))
+
+
+# ---------------------------------------------------------------------------
+# Working set.
+
+def test_window_gather_memory_is_bounded():
+    # 36,000 events at r = 12: gathering every window at once would take
+    # 36,000 x 625 float64, about 180 MB.
+    rng = np.random.default_rng(5)
+    pv = rng.uniform(size=(600, 600))
+    yv = (rng.uniform(size=pv.shape) < 0.1).astype(float)
+    w = np.ones(pv.shape, dtype=bool)
+    spec = LossSpec("csi", "nbhd", half_width=12)
+    for run in (lambda: _obs_window_max_grad(pv, yv, w, 12),
+                lambda: _excluded_pixels(spec, pv, yv, w, STEP)):
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2 ** 20, peak

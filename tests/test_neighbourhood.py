@@ -1,9 +1,14 @@
 """Neighbourhood filters against brute-force window oracles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+import selfscore
 from selfscore.grid import GridField
 from selfscore.neighbourhood import (max_filter, max_filter_array, mean_filter,
                                      mean_filter_array)
@@ -99,3 +104,18 @@ def test_bad_half_width_rejected():
             max_filter_array(values, bad)
         with pytest.raises(ValueError):
             mean_filter_array(values, bad)
+
+
+def test_scipy_ndimage_is_imported_on_first_filter():
+    # Commands that never filter (rank, eval, ...) do not pay for scipy.
+    src = os.path.dirname(os.path.dirname(selfscore.__file__))
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "import selfscore.cli\n"
+            "from selfscore.neighbourhood import max_filter_array\n"
+            "assert 'scipy.ndimage' not in sys.modules\n"
+            "max_filter_array(np.zeros((3, 3)), 1)\n"
+            "assert 'scipy.ndimage' in sys.modules\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
