@@ -16,7 +16,7 @@ synth      deterministic synthetic event masks and forecast fields
 
 All randomness is seeded (``--seed``); outputs are written atomically and
 carry no timestamps, so a repeated invocation is byte-identical.  Exit
-codes: 0 success, 1 validation/usage error, 2 numeric failure.
+codes: 0 success, 1 validation/usage error, 2 a ``gradcheck`` failure.
 """
 
 from __future__ import annotations
@@ -24,20 +24,17 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globmod
-import io
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .evaluation import (attributes_diagram, atomic_write_text, bootstrap_ci,
-                         consistency_bars, emit_report, paired_bootstrap_test,
-                         performance_diagram)
-from .fourier import NumericError
-from .grid import GridField, read_grid, write_grid
+from .evaluation import (attributes_diagram, bootstrap_ci, consistency_bars,
+                         emit_report, paired_bootstrap_test, performance_diagram,
+                         write_csv)
+from .grid import GridField, atomic_write, read_grid, write_grid
 from .losses import (apply_filter, enumerate_configs, grad_check, metric_tables,
                      parse_filter_id, parse_spec_id, prepare_target)
 from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
@@ -87,15 +84,6 @@ def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    """Write a CSV atomically, quoting cells that hold a comma or a quote."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write_text(path, buf.getvalue())
-
-
 # ---------------------------------------------------------------------------
 # filter
 
@@ -139,7 +127,7 @@ def cmd_filter(args) -> int:
             "spacing_deg": out.spacing_deg,
             "pixel_sum": float(out.values.sum()),
         }
-        atomic_write_text(dst + ".json", json.dumps(sidecar, indent=2) + "\n")
+        atomic_write(dst + ".json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
 
     if args.jobs > 1 and len(pairs) > 1:
         with ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -208,7 +196,7 @@ def cmd_score(args) -> int:
                          _float_cell(float(np.mean([r.value for r in results]))),
                          ";".join(flags)])
     rows.sort(key=lambda r: (r[0], r[1]))
-    _write_csv(args.out, ["model", "spec_id", "value", "fallbacks"], rows)
+    write_csv(args.out, ["model", "spec_id", "value", "fallbacks"], rows)
     print(f"wrote {len(rows)} rows ({len(models)} model(s) x {len(specs)} configs) "
           f"to {args.out}")
     return 0
@@ -294,7 +282,7 @@ def cmd_eval(args) -> int:
 # rank
 
 def cmd_rank(args) -> int:
-    with open(args.scores, newline="") as fh:
+    with open(args.scores, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         needed = {"model", "spec_id", "value"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
@@ -324,16 +312,16 @@ def cmd_rank(args) -> int:
 
     os.makedirs(args.out_dir, exist_ok=True)
 
-    def write_csv(name: str, header: list[str], rows: list[list[str]]) -> None:
-        _write_csv(os.path.join(args.out_dir, name), header, rows)
+    def out(name: str) -> str:
+        return os.path.join(args.out_dir, name)
 
-    write_csv("ranks.csv", ["model"] + [s.spec_id for s in matrix.specs],
+    write_csv(out("ranks.csv"), ["model"] + [s.spec_id for s in matrix.specs],
               [[m] + [_float_cell(ranks[i, j]) for j in range(len(spec_ids))]
                for i, m in enumerate(matrix.models)])
-    write_csv("filter_summary.csv", ["model"] + list(fids),
+    write_csv(out("filter_summary.csv"), ["model"] + list(fids),
               [[m] + [_float_cell(means[i, k]) for k in range(len(fids))]
                for i, m in enumerate(matrix.models)])
-    write_csv("winners.csv", ["filter_id", "model", "mean_rank"],
+    write_csv(out("winners.csv"), ["filter_id", "model", "mean_rank"],
               [[w.filter_id, w.model, _float_cell(w.mean_rank)] for w in winners])
 
     order = np.argsort(overall, kind="stable")
@@ -530,13 +518,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Model names read back from a CSV can hold characters that the stdout
+    # of an ASCII locale cannot encode: escape them, as stderr does.
+    if hasattr(sys.stdout, "reconfigure"):
+        sys.stdout.reconfigure(errors="backslashreplace")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NumericError as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -30,13 +30,12 @@ import io
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, atomic_write
 
 N_PROB_BINS = 20
 PROB_BIN_EDGES = np.linspace(0.0, 1.0, N_PROB_BINS + 1)
@@ -287,18 +286,15 @@ def paired_bootstrap_test(stat_a: Callable[[list], float],
 # ---------------------------------------------------------------------------
 # Report serialisation.
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write text to a file via a temp file + rename."""
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_csv(path: str | os.PathLike, header: list[str], rows: list[list[str]]) -> None:
+    """Write a CSV atomically in UTF-8, quoting cells that hold a comma or a
+    quote.  Text that came from undecodable command-line bytes is written
+    back as those bytes (``surrogateescape``), as ``os.fsencode`` does."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode("utf-8", "surrogateescape"))
 
 
 def _listify(arr) -> list:
@@ -354,15 +350,15 @@ def emit_report(attr: AttributesData, perf: PerformanceData,
     if extra_sections:
         data.update(extra_sections)
     json_path = os.path.join(out_dir, f"{stem}.json")
-    atomic_write_text(json_path, json.dumps(data, indent=2, allow_nan=False) + "\n")
+    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
+    atomic_write(json_path, text.encode("utf-8"))
 
     def cell(x) -> str:
         if x is None or (isinstance(x, float) and math.isnan(x)):
             return ""
         return repr(x) if isinstance(x, float) else str(x)
 
-    rows = [["row_type", "label", "count", "mean_forecast", "event_freq",
-             "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"]]
+    rows = []
     att = data["attributes"]
     for k in range(N_PROB_BINS):
         lo = att["consistency_lo"][k] if att["consistency_lo"] else None
@@ -378,11 +374,9 @@ def emit_report(attr: AttributesData, perf: PerformanceData,
     for key in SUMMARY_KEYS:
         rows.append(["summary", key, "", "", "", "", "", "", "", "", "",
                      cell(data["summary"][key])])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
     csv_path = os.path.join(out_dir, f"{stem}.csv")
-    atomic_write_text(csv_path, buf.getvalue())
+    write_csv(csv_path, ["row_type", "label", "count", "mean_forecast", "event_freq",
+                         "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"], rows)
     return json_path, csv_path
 
 

@@ -42,14 +42,6 @@ TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
 
 
-class NumericError(RuntimeError):
-    """An internal numeric sanity check failed (not a usage error).
-
-    The CLI maps it to exit code 2.  Nothing in the package raises it at
-    present; ``selfscore gradcheck`` exits 2 on its own failures.
-    """
-
-
 @dataclass(frozen=True)
 class FrequencyGrid:
     """DFT wavenumbers (cycles per degree) for a rows x cols grid.
@@ -193,8 +185,8 @@ def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray) -> GridField:
     return GridField(out, field.spacing_deg, "real", field.eval_mask)
 
 
-def fourier_band_passes(spectra: Sequence[FourierSpectrum], band: WavelengthBand,
-                        order: int = BUTTERWORTH_ORDER) -> list[GridField]:
+def fourier_band_passes(spectra: Sequence[FourierSpectrum],
+                        band: WavelengthBand) -> list[GridField]:
     """Band-pass every transformed field under one band.
 
     The fields must share shape and spacing; the band's gain is built once
@@ -208,13 +200,11 @@ def fourier_band_passes(spectra: Sequence[FourierSpectrum], band: WavelengthBand
         if (spectrum.field.shape != first.shape
                 or spectrum.field.spacing_deg != first.spacing_deg):
             raise ValueError("spectra must share shape and spacing")
-    gain = butterworth_gain(spectra[0].target, first.spacing_deg, band, order=order,
-                            half_plane=True)
+    gain = butterworth_gain(spectra[0].target, first.spacing_deg, band, half_plane=True)
     return [_inverse_cropped(spectrum, gain) for spectrum in spectra]
 
 
 def fourier_band_pass(field: GridField, band: WavelengthBand,
-                      order: int = BUTTERWORTH_ORDER,
                       return_stages: bool = False) -> GridField | tuple[GridField, dict]:
     """Band-pass filter a field with the taper/window/Butterworth pipeline.
 
@@ -225,12 +215,12 @@ def fourier_band_pass(field: GridField, band: WavelengthBand,
     spectrum_mag, filtered_mag, full (uncropped output).
     """
     spectrum = fourier_spectrum(field)
-    out = fourier_band_passes([spectrum], band, order=order)[0]
+    out = fourier_band_passes([spectrum], band)[0]
     if not return_stages:
         return out
     target = spectrum.target
     tapered, windowed = _windowed(field)
-    gain = butterworth_gain(target, field.spacing_deg, band, order=order)
+    gain = butterworth_gain(target, field.spacing_deg, band)
     spectrum_mag = np.abs(np.fft.fft2(windowed))
     half_gain = gain[:, :target[1] // 2 + 1]
     stages = {

@@ -154,22 +154,28 @@ def _format_header(field: GridField) -> bytes:
     return MAGIC + b"\n" + " ".join(tokens).encode("ascii") + b"\n"
 
 
+def atomic_write(path: str | os.PathLike, data: bytes) -> None:
+    """Write bytes to a file via a temp file in its directory + rename, so
+    the file holds either its old content or all of ``data``."""
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def write_grid(path: str | os.PathLike, field: GridField) -> None:
     """Write a field to a GRID1 file (atomically: temp file + rename)."""
     payload = np.ascontiguousarray(field.values, dtype="<f4").tobytes()
     blob = _format_header(field) + payload
     if field.eval_mask is not None:
         blob += np.ascontiguousarray(field.eval_mask, dtype=np.uint8).tobytes()
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 def read_grid(path: str | os.PathLike) -> GridField:

@@ -62,7 +62,36 @@ SPECTRAL_METHODS = ("F", "W")
 
 
 def _format_edge(x: float) -> str:
-    return "inf" if math.isinf(x) else f"{x:g}"
+    """The shortest positional form that reads back as ``x`` (no exponent,
+    which the id grammar has no room for)."""
+    return "inf" if math.isinf(x) else np.format_float_positional(x, trim="-")
+
+
+def _band_id(method: str, band: WavelengthBand) -> str:
+    return f"{method}{_format_edge(band.lo_deg)}-{_format_edge(band.hi_deg)}"
+
+
+def _check_filter_args(spectral: bool, half_width: int | None,
+                       band: WavelengthBand | None) -> None:
+    """A spectral filter takes a band only, a neighbourhood filter a
+    half-width >= 0 only."""
+    if spectral:
+        if band is None or half_width is not None:
+            raise ValueError("spectral filters take a wavelength band and no half_width")
+    elif half_width is None or half_width < 0 or band is not None:
+        raise ValueError("neighbourhood filters take a half_width >= 0 and no band")
+
+
+_BAND_RE = re.compile(r"([FW])([0-9.]+|inf)-([0-9.]+|inf)", flags=re.IGNORECASE)
+
+
+def _parse_band(text: str) -> tuple[str, WavelengthBand] | None:
+    """``F<lo>-<hi>`` or ``W<lo>-<hi>`` as (method, band); None for any
+    other form.  Raises ValueError for edges that make no band."""
+    m = _BAND_RE.fullmatch(text)
+    if m is None:
+        return None
+    return m.group(1).upper(), WavelengthBand(float(m.group(2)), float(m.group(3)))
 
 
 @dataclass(frozen=True)
@@ -77,24 +106,18 @@ class LossSpec:
     def __post_init__(self):
         if self.score not in SCORE_KINDS:
             raise ValueError(f"unknown score {self.score!r}; valid: {SCORE_KINDS}")
-        if self.filter_kind == "nbhd":
-            if self.score not in NBHD_SCORE_KINDS:
-                raise ValueError(
-                    f"{self.score} has no neighbourhood form; valid: {NBHD_SCORE_KINDS}")
-            if self.half_width is None or self.half_width < 0 or self.band is not None:
-                raise ValueError("nbhd spec needs half_width >= 0 and no band")
-        elif self.filter_kind in SPECTRAL_METHODS:
-            if self.band is None or self.half_width is not None:
-                raise ValueError("spectral spec needs a band and no half_width")
-        else:
+        if self.filter_kind not in ("nbhd", *SPECTRAL_METHODS):
             raise ValueError(f"filter_kind must be 'nbhd', 'F' or 'W', got {self.filter_kind!r}")
+        if self.filter_kind == "nbhd" and self.score not in NBHD_SCORE_KINDS:
+            raise ValueError(
+                f"{self.score} has no neighbourhood form; valid: {NBHD_SCORE_KINDS}")
+        _check_filter_args(self.is_spectral, self.half_width, self.band)
 
     @property
     def filter_id(self) -> str:
         if self.filter_kind == "nbhd":
             return f"nbhd_r{self.half_width}"
-        return (f"{self.filter_kind}{_format_edge(self.band.lo_deg)}"
-                f"-{_format_edge(self.band.hi_deg)}")
+        return _band_id(self.filter_kind, self.band)
 
     @property
     def spec_id(self) -> str:
@@ -112,30 +135,21 @@ _SPEC_GRAMMAR = ("<score>_nbhd_r<half_width> | <score>_F<lo>-<hi> | "
 
 def parse_spec_id(spec_id: str) -> LossSpec:
     """Parse a spec id like ``fss_nbhd_r4`` or ``brier_W0.1-inf``."""
-    def bad(why: str) -> ValueError:
-        return ValueError(f"bad spec id {spec_id!r} ({why}); grammar: {_SPEC_GRAMMAR}")
-
-    parts = spec_id.strip().split("_")
-    if len(parts) < 2:
-        raise bad("missing filter part")
-    score = parts[0].lower()
-    if score not in SCORE_KINDS:
-        raise bad(f"unknown score {parts[0]!r}")
-    rest = "_".join(parts[1:])
-    m = re.fullmatch(r"nbhd_r(\d+)", rest, flags=re.IGNORECASE)
-    if m:
-        return LossSpec(score, "nbhd", half_width=int(m.group(1)))
-    m = re.fullmatch(r"([FW])([0-9.]+|inf)-([0-9.]+|inf)", rest, flags=re.IGNORECASE)
-    if m:
-        method = m.group(1).upper()
-        try:
-            lo = float(m.group(2))
-            hi = float(m.group(3))
-            band = WavelengthBand(lo, hi)
-        except ValueError as exc:
-            raise bad(str(exc)) from exc
-        return LossSpec(score, method, band=band)
-    raise bad("unrecognised filter part")
+    score, sep, rest = spec_id.strip().partition("_")
+    try:
+        if not sep:
+            raise ValueError("missing filter part")
+        if score.lower() not in SCORE_KINDS:
+            raise ValueError(f"unknown score {score!r}")
+        m = re.fullmatch(r"nbhd_r(\d+)", rest, flags=re.IGNORECASE)
+        if m:
+            return LossSpec(score.lower(), "nbhd", half_width=int(m.group(1)))
+        spectral = _parse_band(rest)
+        if spectral is None:
+            raise ValueError("unrecognised filter part")
+        return LossSpec(score.lower(), spectral[0], band=spectral[1])
+    except ValueError as exc:
+        raise ValueError(f"bad spec id {spec_id!r} ({exc}); grammar: {_SPEC_GRAMMAR}") from exc
 
 
 _FILTER_GRAMMAR = ("nbhd_max_r<half_width> | nbhd_mean_r<half_width> | "
@@ -152,40 +166,41 @@ class FilterSpec:
     band: WavelengthBand | None = None
 
     def __post_init__(self):
-        if self.kind in ("nbhd_max", "nbhd_mean"):
-            if self.half_width is None or self.half_width < 0 or self.band is not None:
-                raise ValueError("neighbourhood filters take a non-negative half_width only")
-        elif self.kind in SPECTRAL_METHODS:
-            if self.band is None or self.half_width is not None:
-                raise ValueError("spectral filters take a wavelength band only")
-        else:
+        if self.kind not in ("nbhd_max", "nbhd_mean", *SPECTRAL_METHODS):
             raise ValueError(f"kind must be 'nbhd_max', 'nbhd_mean', 'F' or 'W', got {self.kind!r}")
+        _check_filter_args(self.kind in SPECTRAL_METHODS, self.half_width, self.band)
 
     @property
     def filter_id(self) -> str:
-        if self.kind in ("nbhd_max", "nbhd_mean"):
-            return f"{self.kind}_r{self.half_width}"
-        return (f"{self.kind}{_format_edge(self.band.lo_deg)}"
-                f"-{_format_edge(self.band.hi_deg)}")
+        if self.kind in SPECTRAL_METHODS:
+            return _band_id(self.kind, self.band)
+        return f"{self.kind}_r{self.half_width}"
 
 
 def parse_filter_id(filter_id: str) -> FilterSpec:
     """Parse a standalone filter id like ``nbhd_max_r4`` or ``F0.5-2``."""
-    def bad(why: str) -> ValueError:
-        return ValueError(f"bad filter id {filter_id!r} ({why}); grammar: {_FILTER_GRAMMAR}")
-
     text = filter_id.strip()
-    m = re.fullmatch(r"nbhd_(max|mean)_r(\d+)", text, flags=re.IGNORECASE)
-    if m:
-        return FilterSpec(f"nbhd_{m.group(1).lower()}", half_width=int(m.group(2)))
-    m = re.fullmatch(r"([FW])([0-9.]+|inf)-([0-9.]+|inf)", text, flags=re.IGNORECASE)
-    if m:
-        try:
-            band = WavelengthBand(float(m.group(2)), float(m.group(3)))
-        except ValueError as exc:
-            raise bad(str(exc)) from exc
-        return FilterSpec(m.group(1).upper(), band=band)
-    raise bad("unrecognised filter id")
+    try:
+        m = re.fullmatch(r"nbhd_(max|mean)_r(\d+)", text, flags=re.IGNORECASE)
+        if m:
+            return FilterSpec(f"nbhd_{m.group(1).lower()}", half_width=int(m.group(2)))
+        spectral = _parse_band(text)
+        if spectral is None:
+            raise ValueError("unrecognised filter id")
+        return FilterSpec(spectral[0], band=spectral[1])
+    except ValueError as exc:
+        raise ValueError(f"bad filter id {filter_id!r} ({exc}); grammar: {_FILTER_GRAMMAR}") from exc
+
+
+def _spectral(method: str):
+    """(one-field band-pass, per-field transform, many-field band-pass) of a
+    spectral method.  The names are looked up at each call, so a function
+    rebound on this module (a tracer's or a test's wrapper) is the one used."""
+    if method == "F":
+        return fourier_band_pass, fourier_spectrum, fourier_band_passes
+    if method == "W":
+        return wavelet_band_pass, wavelet_decompose, wavelet_band_passes
+    raise ValueError(f"unknown spectral method {method!r}")
 
 
 def apply_filter(field: GridField, fspec: FilterSpec,
@@ -196,15 +211,11 @@ def apply_filter(field: GridField, fspec: FilterSpec,
     ``return_stages`` is set (spectral filters expose their pipeline
     stages; neighbourhood filters have none and return an empty dict).
     """
-    if fspec.kind == "nbhd_max":
-        out = max_filter(field, fspec.half_width)
-        return (out, {}) if return_stages else out
-    if fspec.kind == "nbhd_mean":
-        out = mean_filter(field, fspec.half_width)
-        return (out, {}) if return_stages else out
-    if fspec.kind == "F":
-        return fourier_band_pass(field, fspec.band, return_stages=return_stages)
-    return wavelet_band_pass(field, fspec.band, return_stages=return_stages)
+    if fspec.kind in SPECTRAL_METHODS:
+        return _spectral(fspec.kind)[0](field, fspec.band, return_stages=return_stages)
+    nbhd_filter = max_filter if fspec.kind == "nbhd_max" else mean_filter
+    out = nbhd_filter(field, fspec.half_width)
+    return (out, {}) if return_stages else out
 
 
 def enumerate_configs() -> list[LossSpec]:
@@ -220,11 +231,12 @@ def enumerate_configs() -> list[LossSpec]:
 
 def band_pass(field: GridField, method: str, band: WavelengthBand) -> GridField:
     """Dispatch to the Fourier or wavelet band-pass."""
-    if method == "F":
-        return fourier_band_pass(field, band)
-    if method == "W":
-        return wavelet_band_pass(field, band)
-    raise ValueError(f"unknown spectral method {method!r}")
+    return _spectral(method)[0](field, band)
+
+
+def _clamped(filtered: GridField) -> GridField:
+    return GridField(np.clip(filtered.values, 0.0, 1.0), filtered.spacing_deg, "prob",
+                     filtered.eval_mask)
 
 
 @dataclass(frozen=True)
@@ -249,40 +261,33 @@ def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
     if not spec.is_spectral:
         return PreparedTarget(spec, y, y)
     raw = band_pass(y, spec.filter_kind, spec.band)
-    clamped = np.clip(raw.values, 0.0, 1.0)
-    clamp_max = float(np.max(np.abs(raw.values - clamped)))
-    filtered = GridField(clamped, y.spacing_deg, "prob", y.eval_mask)
+    filtered = _clamped(raw)
+    clamp_max = float(np.max(np.abs(raw.values - filtered.values)))
     return PreparedTarget(spec, y, filtered, clamp_max)
 
 
 def _loss_from_arrays(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
-                      w: np.ndarray) -> float:
+                      w: np.ndarray) -> tuple[float, list[str]]:
+    """(loss, fallbacks): the spec's score of ``pv`` against the prepared
+    target ``tv`` over the scored pixels ``w``, negatively oriented."""
     if spec.filter_kind == "nbhd":
-        score, _ = _nbhd_arrays(spec.score, pv, tv, w, spec.half_width)
+        score, fallbacks = _nbhd_arrays(spec.score, pv, tv, w, spec.half_width)
     else:
-        score, _ = _pixelwise_arrays(spec.score, pv, tv, w)
-    return score if ORIENTATION[spec.score] < 0 else 1.0 - score
+        score, fallbacks = _pixelwise_arrays(spec.score, pv, tv, w)
+    return (score if ORIENTATION[spec.score] < 0 else 1.0 - score), fallbacks
 
 
 def loss_detail(spec: LossSpec, p: GridField, target: PreparedTarget) -> ScoreResult:
     """Loss value plus fallback flags for one prediction field."""
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    if spec.filter_kind == "nbhd":
-        result = nbhd_score_detail(spec.score, p, target.filtered, spec.half_width)
-    else:
-        result = pixelwise_score_detail(spec.score, p, target.filtered)
-    value = result.value if ORIENTATION[spec.score] < 0 else 1.0 - result.value
-    return ScoreResult(value, result.fallbacks)
+    w = scored_weights(p, target.filtered)
+    value, fallbacks = _loss_from_arrays(spec, p.values, target.filtered.values, w)
+    return ScoreResult(value, tuple(fallbacks))
 
 
 def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
     return loss_detail(spec, p, target).value
-
-
-def _clamped(filtered: GridField) -> GridField:
-    return GridField(np.clip(filtered.values, 0.0, 1.0), filtered.spacing_deg, "prob",
-                     filtered.eval_mask)
 
 
 def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
@@ -306,17 +311,6 @@ def metric_table(specs: list[LossSpec], p: GridField,
     the order of ``specs``; values match ``metric_value`` exactly.
     """
     return metric_tables(specs, [p], y)[0]
-
-
-def _transform(method: str, field: GridField):
-    """The band-independent half of a spectral filter, done once per field."""
-    return fourier_spectrum(field) if method == "F" else wavelet_decompose(field)
-
-
-def _band_passes(method: str, transforms: list, band: WavelengthBand) -> list[GridField]:
-    if method == "F":
-        return fourier_band_passes(transforms, band)
-    return wavelet_band_passes(transforms, band)
 
 
 def metric_tables(specs: list[LossSpec], preds: list[GridField],
@@ -345,9 +339,10 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
         groups = [group for group in by_filter.values() if group[0].filter_kind == method]
         if not groups:
             continue
-        transforms = [_transform(method, field) for field in (y, *preds)]
+        _, transform, band_passes = _spectral(method)
+        transforms = [transform(field) for field in (y, *preds)]
         for group in groups:
-            y_band, *p_bands = _band_passes(method, transforms, group[0].band)
+            y_band, *p_bands = band_passes(transforms, group[0].band)
             y2 = _clamped(y_band)
             for p_band, table in zip(p_bands, tables):
                 p2 = _clamped(p_band)
@@ -576,7 +571,7 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     pv = p.values.copy()
     tv = target.filtered.values
     excluded = _excluded_pixels(spec, pv, tv, w, step)
-    loss_scale = max(1.0, abs(_loss_from_arrays(spec, pv, tv, w)))
+    loss_scale = max(1.0, abs(_loss_from_arrays(spec, pv, tv, w)[0]))
     fd_noise = 64.0 * np.finfo(np.float64).eps * loss_scale / step
 
     fd = np.zeros_like(pv)
@@ -586,9 +581,9 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
                 continue
             orig = pv[i, j]
             pv[i, j] = orig + step
-            up = _loss_from_arrays(spec, pv, tv, w)
+            up = _loss_from_arrays(spec, pv, tv, w)[0]
             pv[i, j] = orig - step
-            down = _loss_from_arrays(spec, pv, tv, w)
+            down = _loss_from_arrays(spec, pv, tv, w)[0]
             pv[i, j] = orig
             fd[i, j] = (up - down) / (2.0 * step)
 

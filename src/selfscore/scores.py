@@ -99,15 +99,19 @@ def scored_weights(p: GridField, y: GridField) -> np.ndarray:
     return w
 
 
-def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
-    """Accumulate the probabilistic contingency table over scored pixels."""
-    w = scored_weights(p, y)
-    pv, yv = p.values[w], y.values[w]
+def _contingency_sums(pv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float, float]:
+    """(a, b, c, d) of the probabilistic table over the given scored pixels."""
     a = float(np.sum(pv * yv))
     b = float(np.sum(pv * (1.0 - yv)))
     c = float(np.sum((1.0 - pv) * yv))
     d = float(np.sum((1.0 - pv) * (1.0 - yv)))
-    return ContingencyCounts(a, b, c, d)
+    return a, b, c, d
+
+
+def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
+    """Accumulate the probabilistic contingency table over scored pixels."""
+    w = scored_weights(p, y)
+    return ContingencyCounts(*_contingency_sums(p.values[w], y.values[w]))
 
 
 def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdContingency:
@@ -175,10 +179,7 @@ def _pixelwise_arrays(kind: str, pv: np.ndarray, yv: np.ndarray,
         total = float(np.sum(yv * np.log2(ph) + (1.0 - yv) * np.log2(1.0 - ph)))
         return -total / g, fallbacks
 
-    a = float(np.sum(pv * yv))
-    b = float(np.sum(pv * (1.0 - yv)))
-    c = float(np.sum((1.0 - pv) * yv))
-    d = float(np.sum((1.0 - pv) * (1.0 - yv)))
+    a, b, c, d = _contingency_sums(pv, yv)
     n = g
 
     if kind == "csi":
