@@ -100,8 +100,14 @@ def cmd_filter(args) -> int:
         inputs = []
         for text in args.paths:
             inputs.extend(_expand_paths(text))
-        os.makedirs(args.out_dir, exist_ok=True)
         pairs = [(p, os.path.join(args.out_dir, os.path.basename(p))) for p in inputs]
+        sources: dict[str, str] = {}
+        for src, dst in pairs:
+            if dst in sources:
+                raise ValueError(f"{dst}: inputs {sources[dst]} and {src} would both "
+                                 f"be written here; nothing was written")
+            sources[dst] = src
+        os.makedirs(args.out_dir, exist_ok=True)
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
@@ -167,7 +173,8 @@ def cmd_score(args) -> int:
         specs = [parse_spec_id(s) for s in args.specs.split(",") if s.strip()]
     else:
         raise ValueError("give --specs or --all-336")
-    specs = sorted(specs, key=lambda s: s.spec_id)
+    # A config named twice (``brier_nbhd_r1,BRIER_nbhd_r1``) is scored once.
+    specs = sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs)
     obs_fields = _read_fields(obs_paths, OBS_KINDS, "observation")

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -156,9 +155,11 @@ def _format_header(field: GridField) -> bytes:
 
 def atomic_write(path: str | os.PathLike, data: bytes) -> None:
     """Write bytes to a file via a temp file in its directory + rename, so
-    the file holds either its old content or all of ``data``."""
+    the file holds either its old content or all of ``data``.  The temp file
+    is created as ``open`` creates a file, so its mode follows the umask."""
     path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)
@@ -179,9 +180,17 @@ def write_grid(path: str | os.PathLike, field: GridField) -> None:
 
 
 def read_grid(path: str | os.PathLike) -> GridField:
-    """Read a GRID1 file; raises ValueError on any malformed content."""
+    """Read a GRID1 file; raises ValueError, starting with the path, on any
+    malformed content."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_grid(blob)
+    except ValueError as exc:
+        raise ValueError(f"{os.fspath(path)}: {exc}") from exc
+
+
+def _parse_grid(blob: bytes) -> GridField:
     nl1 = blob.find(b"\n")
     if nl1 < 0 or blob[:nl1] != MAGIC:
         raise ValueError("not a GRID1 file (bad magic line)")

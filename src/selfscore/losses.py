@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -38,9 +38,8 @@ from .grid import GridField, WavelengthBand
 from .neighbourhood import (max_filter, max_filter_array, mean_filter,
                             mean_filter_array)
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
-                     ScoreResult, _nbhd_arrays, _nbhd_contingency_arrays,
-                     _pixelwise_arrays, nbhd_score_detail,
-                     pixelwise_score_detail, scored_weights)
+                     NbhdObs, NbhdPair, PairSums, ScoreResult,
+                     nbhd_score_detail, pixelwise_score_detail, scored_weights)
 from .wavelet import wavelet_band_pass, wavelet_band_passes, wavelet_decompose
 
 NBHD_HALF_WIDTHS = (0, 1, 2, 3, 4, 6, 8, 12)
@@ -102,6 +101,8 @@ class LossSpec:
     filter_kind: str  # "nbhd", "F", or "W"
     half_width: int | None = None
     band: WavelengthBand | None = None
+    filter_id: str = field(init=False, repr=False, compare=False)  # formatted once
+    spec_id: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.score not in SCORE_KINDS:
@@ -112,16 +113,10 @@ class LossSpec:
             raise ValueError(
                 f"{self.score} has no neighbourhood form; valid: {NBHD_SCORE_KINDS}")
         _check_filter_args(self.is_spectral, self.half_width, self.band)
-
-    @property
-    def filter_id(self) -> str:
-        if self.filter_kind == "nbhd":
-            return f"nbhd_r{self.half_width}"
-        return _band_id(self.filter_kind, self.band)
-
-    @property
-    def spec_id(self) -> str:
-        return f"{self.score}_{self.filter_id}"
+        filter_id = (_band_id(self.filter_kind, self.band) if self.is_spectral
+                     else f"nbhd_r{self.half_width}")
+        object.__setattr__(self, "filter_id", filter_id)
+        object.__setattr__(self, "spec_id", f"{self.score}_{filter_id}")
 
     @property
     def is_spectral(self) -> bool:
@@ -245,13 +240,19 @@ class PreparedTarget:
     steps and across every score that shares the filter.
 
     ``clamp_max_abs`` records how far the spectral filter output had to be
-    clamped to return to [0, 1] (0 for neighbourhood specs).
+    clamped to return to [0, 1] (0 for neighbourhood specs).  ``nbhd`` holds
+    a neighbourhood spec's filtered masks, made on first use (else None).
     """
 
     spec: LossSpec
     observed: GridField
     filtered: GridField
     clamp_max_abs: float = 0.0
+    nbhd: NbhdObs | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "nbhd", None if self.spec.is_spectral
+                           else NbhdObs(self.observed.values, self.spec.half_width))
 
 
 def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
@@ -266,24 +267,23 @@ def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
     return PreparedTarget(spec, y, filtered, clamp_max)
 
 
-def _loss_from_arrays(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
-                      w: np.ndarray) -> tuple[float, list[str]]:
-    """(loss, fallbacks): the spec's score of ``pv`` against the prepared
-    target ``tv`` over the scored pixels ``w``, negatively oriented."""
+def _loss(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
+          w: np.ndarray) -> ScoreResult:
+    """The spec's score of ``pv`` against the prepared target over the
+    scored pixels ``w``, negatively oriented."""
     if spec.filter_kind == "nbhd":
-        score, fallbacks = _nbhd_arrays(spec.score, pv, tv, w, spec.half_width)
+        result = NbhdPair(pv, target.nbhd, w).score(spec.score)
     else:
-        score, fallbacks = _pixelwise_arrays(spec.score, pv, tv, w)
-    return (score if ORIENTATION[spec.score] < 0 else 1.0 - score), fallbacks
+        result = PairSums(pv, target.filtered.values, w).score(spec.score)
+    value = result.value if ORIENTATION[spec.score] < 0 else 1.0 - result.value
+    return ScoreResult(value, result.fallbacks)
 
 
 def loss_detail(spec: LossSpec, p: GridField, target: PreparedTarget) -> ScoreResult:
     """Loss value plus fallback flags for one prediction field."""
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    w = scored_weights(p, target.filtered)
-    value, fallbacks = _loss_from_arrays(spec, p.values, target.filtered.values, w)
-    return ScoreResult(value, tuple(fallbacks))
+    return _loss(spec, p.values, target, scored_weights(p, target.filtered))
 
 
 def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
@@ -317,24 +317,33 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
                   y: GridField) -> list[dict[str, ScoreResult]]:
     """``metric_table`` for several predictions of one observation.
 
-    The loop is step-major: the observation and every prediction are
-    transformed once per spectral method (one real DFT, one Haar pyramid
-    each).  Then, band by band, the band's filter (for Fourier, its gain,
-    built once) is applied to the observation and to every prediction; the
-    filtered pair is clamped to [0, 1], every config of that filter is
-    scored for each prediction, and the band's filtered fields are dropped
-    before the next band, so at most one band's fields are held at a time.
-    Returns one table per prediction, in input order, keyed by spec id in
-    the order of ``specs``; values match ``metric_value`` exactly.
+    The loop is step-major: the observation is filtered once per
+    neighbourhood half-width, and it and every prediction are transformed
+    once per spectral method (one real DFT, one Haar pyramid each).  Band
+    by band, the band's filter (for Fourier, its gain, built once) is
+    applied to all of them; each filtered pair is clamped to [0, 1] and
+    reduced once for every config of that filter, and the band's fields are
+    dropped before the next band.  Returns one table per prediction, in
+    input order, keyed by spec id in the order of ``specs``; values match
+    ``metric_value`` exactly.
     """
     tables: list[dict[str, ScoreResult]] = [{} for _ in preds]
     by_filter: dict[str, list[LossSpec]] = {}
     for spec in specs:
-        if spec.filter_kind == "nbhd":
-            for p, table in zip(preds, tables):
-                table[spec.spec_id] = nbhd_score_detail(spec.score, p, y, spec.half_width)
-        else:
-            by_filter.setdefault(spec.filter_id, []).append(spec)
+        by_filter.setdefault(spec.filter_id, []).append(spec)
+    # Band-passed fields keep their eval masks, so one weight array per
+    # prediction serves every filter.
+    weights = [scored_weights(p, y) for p in preds]
+    for group in by_filter.values():
+        if group[0].filter_kind != "nbhd":
+            continue
+        if y.kind != "mask":
+            raise ValueError("neighbourhood scores need a binary observation mask")
+        obs = NbhdObs(y.values, group[0].half_width)
+        for p, w, table in zip(preds, weights, tables):
+            pair = NbhdPair(p.values, obs, w)
+            for spec in group:
+                table[spec.spec_id] = pair.score(spec.score)
     for method in SPECTRAL_METHODS:
         groups = [group for group in by_filter.values() if group[0].filter_kind == method]
         if not groups:
@@ -343,11 +352,11 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
         transforms = [transform(field) for field in (y, *preds)]
         for group in groups:
             y_band, *p_bands = band_passes(transforms, group[0].band)
-            y2 = _clamped(y_band)
-            for p_band, table in zip(p_bands, tables):
-                p2 = _clamped(p_band)
+            yv = np.clip(y_band.values, 0.0, 1.0)
+            for p_band, w, table in zip(p_bands, weights, tables):
+                sums = PairSums(np.clip(p_band.values, 0.0, 1.0), yv, w)
                 for spec in group:
-                    table[spec.spec_id] = pixelwise_score_detail(spec.score, p2, y2)
+                    table[spec.spec_id] = sums.score(spec.score)
     return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]
 
 
@@ -451,17 +460,15 @@ def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) 
     return grad
 
 
-def _grad_nbhd_csi(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
-                   r: int) -> np.ndarray:
+def _grad_nbhd_csi(pv: np.ndarray, obs: NbhdObs, w: np.ndarray) -> np.ndarray:
     """d(CSI)/dp for the two-sided neighbourhood contingency CSI."""
-    a_obs, a_pred, b, c = _nbhd_contingency_arrays(pv, yv, w, r)
+    a_obs, a_pred, b, c = NbhdPair(pv, obs, w).contingency()
     zeros = np.zeros_like(pv)
     pod_den = a_obs + c
     sr_den = a_pred + b
 
-    event_near = max_filter_array(yv, r) == 1.0
-    e = (w & event_near).astype(np.float64)
-    not_e = (w & ~event_near).astype(np.float64)
+    e = (w & obs.event_near).astype(np.float64)
+    not_e = (w & ~obs.event_near).astype(np.float64)
 
     if pod_den == 0.0 and sr_den == 0.0:
         return zeros  # CSI == 1, constant
@@ -470,10 +477,10 @@ def _grad_nbhd_csi(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
     if a_obs == 0.0:
         return zeros  # CSI == 0, constant branch
     if sr_den == 0.0:
-        return _obs_window_max_grad(pv, yv, w, r) / pod_den  # CSI == POD
+        return _obs_window_max_grad(pv, obs.yv, w, obs.r) / pod_den  # CSI == POD
     if a_pred == 0.0:
         return zeros
-    da_obs = _obs_window_max_grad(pv, yv, w, r)
+    da_obs = _obs_window_max_grad(pv, obs.yv, w, obs.r)
     inv = pod_den / a_obs + sr_den / a_pred - 1.0
     csi = 1.0 / inv
     dinv = (-pod_den / a_obs ** 2 * da_obs
@@ -481,18 +488,18 @@ def _grad_nbhd_csi(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
     return -(csi ** 2) * dinv
 
 
-def _grad_score(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
+def _grad_score(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
                 w: np.ndarray) -> np.ndarray:
     """d(score)/dp for the score underlying a spec."""
     if spec.filter_kind != "nbhd":
-        return _grad_pixelwise(spec.score, pv, tv, w)
-    r = spec.half_width
+        return _grad_pixelwise(spec.score, pv, target.filtered.values, w)
+    obs, r = target.nbhd, spec.half_width
     if spec.score == "csi":
-        return _grad_nbhd_csi(pv, tv, w, r)
+        return _grad_nbhd_csi(pv, obs, w)
     if spec.score == "fss":
         wf = w.astype(np.float64)
         pbar = mean_filter_array(pv, r)
-        ybar = mean_filter_array(tv, r)
+        ybar = obs.mean
         sse = float(np.sum(wf * (pbar - ybar) ** 2))
         ref = float(np.sum(wf * (pbar ** 2 + ybar ** 2)))
         if ref == 0.0:
@@ -500,7 +507,7 @@ def _grad_score(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
         d_sse = 2.0 * mean_filter_array(wf * (pbar - ybar), r)
         d_ref = 2.0 * mean_filter_array(wf * pbar, r)
         return -(d_sse * ref - sse * d_ref) / ref ** 2
-    return _grad_pixelwise(spec.score, pv, max_filter_array(tv, r), w)
+    return _grad_pixelwise(spec.score, pv, obs.dilated, w)
 
 
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
@@ -514,9 +521,7 @@ def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.nd
     """
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    w = scored_weights(p, target.filtered)
-    pv, tv = p.values, target.filtered.values
-    d_score = _grad_score(spec, pv, tv, w)
+    d_score = _grad_score(spec, p.values, target, scored_weights(p, target.filtered))
     return d_score if ORIENTATION[spec.score] < 0 else -d_score
 
 
@@ -569,9 +574,8 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     analytic = loss_gradient(spec, p, target)
     w = scored_weights(p, target.filtered)
     pv = p.values.copy()
-    tv = target.filtered.values
-    excluded = _excluded_pixels(spec, pv, tv, w, step)
-    loss_scale = max(1.0, abs(_loss_from_arrays(spec, pv, tv, w)[0]))
+    excluded = _excluded_pixels(spec, pv, target.filtered.values, w, step)
+    loss_scale = max(1.0, abs(_loss(spec, pv, target, w).value))
     fd_noise = 64.0 * np.finfo(np.float64).eps * loss_scale / step
 
     fd = np.zeros_like(pv)
@@ -581,9 +585,9 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
                 continue
             orig = pv[i, j]
             pv[i, j] = orig + step
-            up = _loss_from_arrays(spec, pv, tv, w)[0]
+            up = _loss(spec, pv, target, w).value
             pv[i, j] = orig - step
-            down = _loss_from_arrays(spec, pv, tv, w)[0]
+            down = _loss(spec, pv, target, w).value
             pv[i, j] = orig
             fd[i, j] = (up - down) / (2.0 * step)
 

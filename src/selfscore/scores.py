@@ -20,6 +20,11 @@ consequence is that the neighbourhood CSI at half-width 0 is NOT the
 pixelwise CSI (it double-counts misses into b).  The rule is kept because
 it is the documented accumulation; treat neighbourhood CSI as its own score.
 
+Scores that meet share their work: ``PairSums`` reduces each sum of a
+(prediction, target) pair once, for all its scores, and ``NbhdObs`` filters
+an observation once per half-width, for every prediction (``NbhdPair``).
+Each sum is the reduction its score would run alone, so no bit changes.
+
 Degenerate denominators never return NaN; each defined fallback is recorded
 by name in the returned ``ScoreResult``.
 """
@@ -99,19 +104,164 @@ def scored_weights(p: GridField, y: GridField) -> np.ndarray:
     return w
 
 
-def _contingency_sums(pv: np.ndarray, yv: np.ndarray) -> tuple[float, float, float, float]:
-    """(a, b, c, d) of the probabilistic table over the given scored pixels."""
-    a = float(np.sum(pv * yv))
-    b = float(np.sum(pv * (1.0 - yv)))
-    c = float(np.sum((1.0 - pv) * yv))
-    d = float(np.sum((1.0 - pv) * (1.0 - yv)))
-    return a, b, c, d
+def _kept(obj, name: str, make):
+    """``obj``'s attribute ``name``, made by ``make()`` on first use and kept;
+    unlike ``functools.cached_property`` before Python 3.12, it takes no lock."""
+    if name not in vars(obj):
+        setattr(obj, name, make())
+    return vars(obj)[name]
+
+
+# ---------------------------------------------------------------------------
+# Pixelwise scores: one sums record per pair, shared with the loss path.
+
+def _xent_sum(pv: np.ndarray, yv: np.ndarray) -> float:
+    ph = np.clip(pv, XENT_EPS, 1.0 - XENT_EPS)
+    return np.sum(yv * np.log2(ph) + (1.0 - yv) * np.log2(1.0 - ph))
+
+
+# Each sum is the reduction its score would run alone, so sharing changes no bit.
+_SUMS = {
+    "sse": lambda pv, yv: np.sum((pv - yv) ** 2),
+    "ref": lambda pv, yv: np.sum(pv ** 2 + yv ** 2),
+    "a": lambda pv, yv: np.sum(pv * yv),
+    "b": lambda pv, yv: np.sum(pv * (1.0 - yv)),
+    "c": lambda pv, yv: np.sum((1.0 - pv) * yv),
+    "d": lambda pv, yv: np.sum((1.0 - pv) * (1.0 - yv)),
+    "union": lambda pv, yv: np.sum(np.maximum(pv, yv)),
+    "xent": _xent_sum,
+}
+
+
+class PairSums:
+    """Sums of a prediction ``pv`` against a target ``yv`` in [0, 1] over the
+    scored pixels ``w``: the pixels are gathered once, and each sum named in
+    ``_SUMS`` is reduced on first use and kept."""
+
+    def __init__(self, pv: np.ndarray, yv: np.ndarray, w: np.ndarray):
+        self.g = float(w.sum())
+        self.pv, self.yv = pv[w], yv[w]
+
+    def _sum(self, name: str) -> float:
+        return _kept(self, name, lambda: float(_SUMS[name](self.pv, self.yv)))
+
+    def score(self, kind: str) -> ScoreResult:
+        """The pixelwise score ``kind`` of the pair."""
+        s, g = self._sum, self.g
+        if kind == "brier":
+            return ScoreResult(s("sse") / g)
+        if kind == "fss":
+            if s("ref") == 0.0:
+                return ScoreResult(1.0, ("fss_zero_reference",))
+            return ScoreResult(1.0 - s("sse") / s("ref"))
+        if kind == "iou":
+            if s("union") == 0.0:
+                return ScoreResult(1.0, ("iou_zero_union",))
+            return ScoreResult(s("a") / s("union"))
+        if kind == "dice":
+            return ScoreResult((s("a") + s("d")) / g)
+        if kind == "xent":
+            return ScoreResult(-s("xent") / g)
+        if kind == "csi":
+            denom = s("a") + s("b") + s("c")
+            if denom == 0.0:
+                return ScoreResult(1.0, ("csi_zero_denominator",))
+            return ScoreResult(s("a") / denom)
+        if kind not in SCORE_KINDS:
+            raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
+
+        a, b, c, d, n = s("a"), s("b"), s("c"), s("d"), g
+        if kind == "heidke":
+            n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
+            if n - n_rand == 0.0:
+                return ScoreResult(0.0, ("heidke_zero_denominator",))
+            return ScoreResult((a + d - n_rand) / (n - n_rand))
+        if kind == "peirce":
+            if a + c == 0.0 or b + d == 0.0:
+                return ScoreResult(0.0, ("peirce_empty_class",))
+            return ScoreResult(a / (a + c) - b / (b + d))
+        # gerrity
+        if b + d == 0.0:
+            return ScoreResult(0.0, ("gerrity_zero_denominator",))
+        r = (a + c) / (b + d)
+        if r == 0.0:
+            # No observed events: a == 0 exactly, so a/r is taken as 0.
+            return ScoreResult((d * r - b - c) / n, ("gerrity_zero_event_ratio",))
+        return ScoreResult((a / r + d * r - b - c) / n)
 
 
 def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
     """Accumulate the probabilistic contingency table over scored pixels."""
-    w = scored_weights(p, y)
-    return ContingencyCounts(*_contingency_sums(p.values[w], y.values[w]))
+    sums = PairSums(p.values, y.values, scored_weights(p, y))
+    return ContingencyCounts(*(sums._sum(k) for k in "abcd"))
+
+
+def pixelwise_score_detail(kind: str, p: GridField, y: GridField) -> ScoreResult:
+    """Pixelwise score of a probability field against a target in [0, 1]."""
+    if kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
+    return PairSums(p.values, y.values, scored_weights(p, y)).score(kind)
+
+
+def pixelwise_score(kind: str, p: GridField, y: GridField) -> float:
+    return pixelwise_score_detail(kind, p, y).value
+
+
+# ---------------------------------------------------------------------------
+# Neighbourhood scores: one filtered observation per half-width.
+
+class NbhdObs:
+    """A binary observation mask ``yv`` at neighbourhood half-width ``r``: its
+    dilation, event-in-reach mask and window mean, each made on first use.
+    Filters see the full grid; only sums are restricted to scored pixels."""
+
+    def __init__(self, yv: np.ndarray, r: int):
+        self.yv, self.r = yv, r
+
+    @property
+    def dilated(self) -> np.ndarray:
+        return _kept(self, "_dilated", lambda: max_filter_array(self.yv, self.r))
+
+    @property
+    def event_near(self) -> np.ndarray:
+        return _kept(self, "_event_near", lambda: self.dilated == 1.0)
+
+    @property
+    def mean(self) -> np.ndarray:
+        return _kept(self, "_mean", lambda: mean_filter_array(self.yv, self.r))
+
+
+class NbhdPair:
+    """One prediction ``pv`` against an ``NbhdObs`` over the scored pixels
+    ``w``: brier, iou, dice and xent share one sums record against the
+    dilation; csi takes the prediction's window maximum, fss its mean."""
+
+    def __init__(self, pv: np.ndarray, obs: NbhdObs, w: np.ndarray):
+        self.pv, self.obs, self.w = pv, obs, w
+
+    def contingency(self) -> tuple[float, float, float, float]:
+        """(a_obs, a_pred, b, c) of the two-sided contingency."""
+        pv, w = self.pv, self.w
+        pmax = max_filter_array(pv, self.obs.r)
+        obs = w & (self.obs.yv == 1.0)
+        a_obs = float(np.sum(pmax[obs]))
+        c = float(np.sum(1.0 - pmax[obs]))
+        near = w & self.obs.event_near
+        far = w & ~self.obs.event_near
+        a_pred = float(np.sum(pv[near]))
+        b = float(np.sum(1.0 - pv[near]) + np.sum(pv[far]))
+        return a_obs, a_pred, b, c
+
+    def score(self, kind: str) -> ScoreResult:
+        """The neighbourhood score ``kind`` (one of ``NBHD_SCORE_KINDS``)."""
+        if kind == "csi":
+            value, fallbacks = _nbhd_csi_from_counts(*self.contingency())
+            return ScoreResult(value, tuple(fallbacks))
+        if kind == "fss":
+            pbar = mean_filter_array(self.pv, self.obs.r)
+            return PairSums(pbar, self.obs.mean, self.w).score("fss")
+        sums = _kept(self, "_sums", lambda: PairSums(self.pv, self.obs.dilated, self.w))
+        return sums.score(kind)
 
 
 def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdContingency:
@@ -123,114 +273,8 @@ def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdConting
     if y.kind != "mask":
         raise ValueError("nbhd_contingency needs a binary observation mask")
     w = scored_weights(p, y)
-    pv, yv = p.values, y.values
-    counts = _nbhd_contingency_arrays(pv, yv, w, half_width)
-    return NbhdContingency(*counts)
+    return NbhdContingency(*NbhdPair(p.values, NbhdObs(y.values, half_width), w).contingency())
 
-
-def _nbhd_contingency_arrays(pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
-                             half_width: int) -> tuple[float, float, float, float]:
-    pmax = max_filter_array(pv, half_width)
-    event_near = max_filter_array(yv, half_width) == 1.0
-    obs = w & (yv == 1.0)
-    a_obs = float(np.sum(pmax[obs]))
-    c = float(np.sum(1.0 - pmax[obs]))
-    near = w & event_near
-    far = w & ~event_near
-    a_pred = float(np.sum(pv[near]))
-    b = float(np.sum(1.0 - pv[near]) + np.sum(pv[far]))
-    return a_obs, a_pred, b, c
-
-
-# ---------------------------------------------------------------------------
-# Pixelwise scores (raw-array core shared with the loss gradients).
-
-def _pixelwise_arrays(kind: str, pv: np.ndarray, yv: np.ndarray,
-                      w: np.ndarray) -> tuple[float, list[str]]:
-    g = float(w.sum())
-    pv, yv = pv[w], yv[w]
-    fallbacks: list[str] = []
-
-    if kind == "brier":
-        return float(np.sum((pv - yv) ** 2)) / g, fallbacks
-
-    if kind == "fss":
-        sse = float(np.sum((pv - yv) ** 2))
-        ref = float(np.sum(pv ** 2 + yv ** 2))
-        if ref == 0.0:
-            fallbacks.append("fss_zero_reference")
-            return 1.0, fallbacks
-        return 1.0 - sse / ref, fallbacks
-
-    if kind == "iou":
-        inter = float(np.sum(pv * yv))
-        union = float(np.sum(np.maximum(pv, yv)))
-        if union == 0.0:
-            fallbacks.append("iou_zero_union")
-            return 1.0, fallbacks
-        return inter / union, fallbacks
-
-    if kind == "dice":
-        agree = float(np.sum(pv * yv) + np.sum((1.0 - pv) * (1.0 - yv)))
-        return agree / g, fallbacks
-
-    if kind == "xent":
-        ph = np.clip(pv, XENT_EPS, 1.0 - XENT_EPS)
-        total = float(np.sum(yv * np.log2(ph) + (1.0 - yv) * np.log2(1.0 - ph)))
-        return -total / g, fallbacks
-
-    a, b, c, d = _contingency_sums(pv, yv)
-    n = g
-
-    if kind == "csi":
-        denom = a + b + c
-        if denom == 0.0:
-            fallbacks.append("csi_zero_denominator")
-            return 1.0, fallbacks
-        return a / denom, fallbacks
-
-    if kind == "heidke":
-        n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
-        if n - n_rand == 0.0:
-            fallbacks.append("heidke_zero_denominator")
-            return 0.0, fallbacks
-        return (a + d - n_rand) / (n - n_rand), fallbacks
-
-    if kind == "peirce":
-        if a + c == 0.0 or b + d == 0.0:
-            fallbacks.append("peirce_empty_class")
-            return 0.0, fallbacks
-        return a / (a + c) - b / (b + d), fallbacks
-
-    if kind == "gerrity":
-        if b + d == 0.0:
-            fallbacks.append("gerrity_zero_denominator")
-            return 0.0, fallbacks
-        r = (a + c) / (b + d)
-        if r == 0.0:
-            # No observed events: a == 0 exactly, so a/r is taken as 0.
-            fallbacks.append("gerrity_zero_event_ratio")
-            return (d * r - b - c) / n, fallbacks
-        return (a / r + d * r - b - c) / n, fallbacks
-
-    raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
-
-
-def pixelwise_score_detail(kind: str, p: GridField, y: GridField) -> ScoreResult:
-    """Pixelwise score of a probability field against a target in [0, 1]."""
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
-    w = scored_weights(p, y)
-    value, fallbacks = _pixelwise_arrays(kind, p.values, y.values, w)
-    return ScoreResult(value, tuple(fallbacks))
-
-
-def pixelwise_score(kind: str, p: GridField, y: GridField) -> float:
-    return pixelwise_score_detail(kind, p, y).value
-
-
-# ---------------------------------------------------------------------------
-# Neighbourhood scores.
 
 def _nbhd_csi_from_counts(a_obs: float, a_pred: float, b: float,
                           c: float) -> tuple[float, list[str]]:
@@ -258,24 +302,6 @@ def _nbhd_csi_from_counts(a_obs: float, a_pred: float, b: float,
     return 1.0 / (inv - 1.0), fallbacks
 
 
-def _nbhd_arrays(kind: str, pv: np.ndarray, yv: np.ndarray, w: np.ndarray,
-                 half_width: int) -> tuple[float, list[str]]:
-    if kind == "csi":
-        counts = _nbhd_contingency_arrays(pv, yv, w, half_width)
-        return _nbhd_csi_from_counts(*counts)
-    if kind == "fss":
-        pbar = mean_filter_array(pv, half_width)
-        ybar = mean_filter_array(yv, half_width)
-        sse = float(np.sum((pbar[w] - ybar[w]) ** 2))
-        ref = float(np.sum(pbar[w] ** 2 + ybar[w] ** 2))
-        if ref == 0.0:
-            return 1.0, ["fss_zero_reference"]
-        return 1.0 - sse / ref, []
-    # brier, iou, dice, xent: pixelwise formula against the dilated mask.
-    ymax = max_filter_array(yv, half_width)
-    return _pixelwise_arrays(kind, pv, ymax, w)
-
-
 def nbhd_score_detail(kind: str, p: GridField, y: GridField,
                       half_width: int) -> ScoreResult:
     """Neighbourhood score of a probability field against a binary mask.
@@ -293,8 +319,7 @@ def nbhd_score_detail(kind: str, p: GridField, y: GridField,
     if y.kind != "mask":
         raise ValueError("neighbourhood scores need a binary observation mask")
     w = scored_weights(p, y)
-    value, fallbacks = _nbhd_arrays(kind, p.values, y.values, w, half_width)
-    return ScoreResult(value, tuple(fallbacks))
+    return NbhdPair(p.values, NbhdObs(y.values, half_width), w).score(kind)
 
 
 def nbhd_score(kind: str, p: GridField, y: GridField, half_width: int) -> float:

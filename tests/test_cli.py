@@ -7,6 +7,8 @@ pytest tmp dirs.  Determinism is asserted byte-for-byte.
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -133,6 +135,26 @@ def test_filter_usage_errors(tmp_path):
                tmp_path / "missing.grid", tmp_path / "o.grid") == 1
 
 
+def test_filter_refuses_clashing_outputs_before_writing(tmp_path, capsys):
+    # Two inputs with one basename would land on one output; with --jobs 2
+    # the two writes would race.
+    for seed, sub in enumerate(("a", "b")):
+        (tmp_path / sub).mkdir()
+        assert run(*synth_args(tmp_path / sub / "x.grid", seed=seed)) == 0
+    out = tmp_path / "o"
+    for jobs in (1, 2):
+        capsys.readouterr()
+        assert run("filter", "--spec", "F0.1-inf", tmp_path / "a" / "x.grid",
+                   tmp_path / "b" / "x.grid", "--out-dir", out, "--jobs", jobs) == 1
+        err = capsys.readouterr().err
+        assert str(out / "x.grid") in err and str(tmp_path / "b" / "x.grid") in err
+        assert not out.exists()
+    # The same input named twice clashes with itself.
+    assert run("filter", "--spec", "F0.1-inf", tmp_path / "a" / "x.grid",
+               str(tmp_path / "a" / "*.grid"), "--out-dir", out) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # score + rank
 
@@ -172,14 +194,28 @@ def test_score_csv_layout_and_values(scored_pipeline, tmp_path):
 
 
 def test_score_deterministic_and_parallel_identical(scored_pipeline, tmp_path):
-    argv = ["score", "--pred", f"a={scored_pipeline}/a_*.grid",
-            "--obs", f"{scored_pipeline}/obs_*.grid",
-            "--specs", "brier_nbhd_r1,xent_W0.1-0.4"]
-    assert run(*argv, "--out", tmp_path / "s1.csv") == 0
-    assert run(*argv, "--out", tmp_path / "s2.csv") == 0
-    assert run(*argv, "--out", tmp_path / "s3.csv", "--jobs", 3) == 0
-    b1 = read_bytes(tmp_path / "s1.csv")
-    assert b1 == read_bytes(tmp_path / "s2.csv") == read_bytes(tmp_path / "s3.csv")
+    # Two models share each step's filtered observation under --all-336.
+    for specs, n_rows in ((["--specs", "brier_nbhd_r1,xent_W0.1-0.4"], 2),
+                          (["--all-336", "--pred", f"b={scored_pipeline}/b_*.grid"], 2 * 336)):
+        argv = ["score", "--pred", f"a={scored_pipeline}/a_*.grid",
+                "--obs", f"{scored_pipeline}/obs_*.grid", *specs]
+        assert run(*argv, "--out", tmp_path / "s1.csv") == 0
+        assert run(*argv, "--out", tmp_path / "s2.csv") == 0
+        assert run(*argv, "--out", tmp_path / "s3.csv", "--jobs", 3) == 0
+        b1 = read_bytes(tmp_path / "s1.csv")
+        assert b1 == read_bytes(tmp_path / "s2.csv") == read_bytes(tmp_path / "s3.csv")
+        assert b1.count(b"\n") == 1 + n_rows
+
+
+def test_score_scores_a_config_named_twice_once(scored_pipeline, tmp_path):
+    out = tmp_path / "d.csv"
+    assert run("score", "--pred", f"m={scored_pipeline}/a_*.grid",
+               "--obs", f"{scored_pipeline}/obs_*.grid",
+               "--specs", "brier_nbhd_r1,BRIER_nbhd_r1,brier_F0.10-inf,brier_F0.1-inf",
+               "--out", out) == 0
+    lines = read_bytes(out).decode().splitlines()
+    assert [ln.split(",")[1] for ln in lines[1:]] == ["brier_F0.1-inf", "brier_nbhd_r1"]
+    assert run("rank", "--scores", out, "--out-dir", tmp_path / "r") == 0
 
 
 def test_score_all_336(scored_pipeline, tmp_path):
@@ -343,6 +379,47 @@ def test_score_accepts_mask_and_prob_predictions(scored_pipeline, tmp_path):
                "--specs", "brier_nbhd_r0", "--out", out) == 0
     with open(out, newline="") as fh:
         assert [r["value"] for r in csv.DictReader(fh)] == ["0.0", "0.0"]
+
+
+def test_truncated_grid_is_named_by_every_reader(scored_pipeline, tmp_path, capsys):
+    bad = tmp_path / "obs_1.grid"
+    bad.write_bytes(read_bytes(scored_pipeline / "obs_1.grid")[:60])
+    obs = f"{scored_pipeline}/obs_0.grid,{bad}"
+    preds = f"{scored_pipeline}/a_0.grid,{scored_pipeline}/a_1.grid"
+    capsys.readouterr()
+    for argv in (["score", "--pred", f"m={preds}", "--obs", obs, "--specs", "brier_nbhd_r1",
+                  "--out", tmp_path / "s.csv"],
+                 ["eval", "--pred", preds, "--obs", obs, "--out-dir", tmp_path / "rep"],
+                 ["filter", "--spec", "F0.1-inf", bad, tmp_path / "f.grid"]):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: GRID1 payload is"), argv[0]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_outputs_follow_the_umask(tmp_path, umask, mode):
+    # The umask is process-wide, so each case runs in a fresh interpreter
+    # that sets it first.
+    script = (
+        "import os, sys\n"
+        "os.umask(int(sys.argv[1], 8))\n"
+        "from selfscore.cli import main\n"
+        "d = sys.argv[2]\n"
+        "assert main(['synth', '--rows', '16', '--cols', '16', '--count', '2',\n"
+        "             '--out-dir', d, '--blur-r', '1']) == 0\n"
+        "assert main(['score', '--pred', f'm={d}/prob_*.grid', '--obs', f'{d}/mask_*.grid',\n"
+        "             '--specs', 'brier_nbhd_r1', '--out', f'{d}/d.csv']) == 0\n"
+        "assert main(['rank', '--scores', f'{d}/d.csv', '--out-dir', d]) == 0\n"
+        "assert main(['filter', '--spec', 'F0.1-inf', f'{d}/prob_000.grid',\n"
+        "             f'{d}/f.grid']) == 0\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    subprocess.run([sys.executable, "-c", script, oct(umask), str(tmp_path)],
+                   env=env, check=True, capture_output=True, timeout=120)
+    names = sorted(os.listdir(tmp_path))
+    assert len(names) == 10 and not [n for n in names if n.endswith(".tmp")]
+    assert {n: os.stat(tmp_path / n).st_mode & 0o777 for n in names} == dict.fromkeys(names, mode)
 
 
 # ---------------------------------------------------------------------------

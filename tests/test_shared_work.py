@@ -1,0 +1,243 @@
+"""Tests for the work that scores share within a pair and an observation.
+
+``PairSums`` reduces each sum of a filtered (prediction, target) pair once
+for all nine scores; ``NbhdObs`` filters an observation once per
+half-width for every prediction, score and prepared target.  These tests
+pin that the shared records give the values of the per-score code they
+replaced bit for bit (that code is kept here as the reference), and that
+the filters really run once.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from selfscore import losses, scores
+from selfscore.losses import (NBHD_HALF_WIDTHS, LossSpec, enumerate_configs,
+                              loss_gradient, loss_value, metric_tables, prepare_target)
+from selfscore.neighbourhood import max_filter_array, mean_filter_array
+from selfscore.scores import (NBHD_SCORE_KINDS, SCORE_KINDS, XENT_EPS, NbhdObs,
+                              NbhdPair, PairSums)
+from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
+
+SPACING = 0.05
+
+
+# ---------------------------------------------------------------------------
+# References: the per-score reductions that the records replaced.
+
+def contingency_sums_reference(pv, yv):
+    a = float(np.sum(pv * yv))
+    b = float(np.sum(pv * (1.0 - yv)))
+    c = float(np.sum((1.0 - pv) * yv))
+    d = float(np.sum((1.0 - pv) * (1.0 - yv)))
+    return a, b, c, d
+
+
+def pixelwise_reference(kind, pv, yv, w):
+    g = float(w.sum())
+    pv, yv = pv[w], yv[w]
+    fallbacks = []
+    if kind == "brier":
+        return float(np.sum((pv - yv) ** 2)) / g, fallbacks
+    if kind == "fss":
+        sse = float(np.sum((pv - yv) ** 2))
+        ref = float(np.sum(pv ** 2 + yv ** 2))
+        if ref == 0.0:
+            fallbacks.append("fss_zero_reference")
+            return 1.0, fallbacks
+        return 1.0 - sse / ref, fallbacks
+    if kind == "iou":
+        inter = float(np.sum(pv * yv))
+        union = float(np.sum(np.maximum(pv, yv)))
+        if union == 0.0:
+            fallbacks.append("iou_zero_union")
+            return 1.0, fallbacks
+        return inter / union, fallbacks
+    if kind == "dice":
+        agree = float(np.sum(pv * yv) + np.sum((1.0 - pv) * (1.0 - yv)))
+        return agree / g, fallbacks
+    if kind == "xent":
+        ph = np.clip(pv, XENT_EPS, 1.0 - XENT_EPS)
+        total = float(np.sum(yv * np.log2(ph) + (1.0 - yv) * np.log2(1.0 - ph)))
+        return -total / g, fallbacks
+    a, b, c, d = contingency_sums_reference(pv, yv)
+    n = g
+    if kind == "csi":
+        denom = a + b + c
+        if denom == 0.0:
+            fallbacks.append("csi_zero_denominator")
+            return 1.0, fallbacks
+        return a / denom, fallbacks
+    if kind == "heidke":
+        n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
+        if n - n_rand == 0.0:
+            fallbacks.append("heidke_zero_denominator")
+            return 0.0, fallbacks
+        return (a + d - n_rand) / (n - n_rand), fallbacks
+    if kind == "peirce":
+        if a + c == 0.0 or b + d == 0.0:
+            fallbacks.append("peirce_empty_class")
+            return 0.0, fallbacks
+        return a / (a + c) - b / (b + d), fallbacks
+    if kind == "gerrity":
+        if b + d == 0.0:
+            fallbacks.append("gerrity_zero_denominator")
+            return 0.0, fallbacks
+        r = (a + c) / (b + d)
+        if r == 0.0:
+            fallbacks.append("gerrity_zero_event_ratio")
+            return (d * r - b - c) / n, fallbacks
+        return (a / r + d * r - b - c) / n, fallbacks
+    raise ValueError(kind)
+
+
+def nbhd_reference(kind, pv, yv, w, r):
+    if kind == "csi":
+        pmax = max_filter_array(pv, r)
+        event_near = max_filter_array(yv, r) == 1.0
+        obs = w & (yv == 1.0)
+        a_obs = float(np.sum(pmax[obs]))
+        c = float(np.sum(1.0 - pmax[obs]))
+        near, far = w & event_near, w & ~event_near
+        a_pred = float(np.sum(pv[near]))
+        b = float(np.sum(1.0 - pv[near]) + np.sum(pv[far]))
+        value, fallbacks = scores._nbhd_csi_from_counts(a_obs, a_pred, b, c)
+        return value, fallbacks
+    if kind == "fss":
+        pbar, ybar = mean_filter_array(pv, r), mean_filter_array(yv, r)
+        sse = float(np.sum((pbar[w] - ybar[w]) ** 2))
+        ref = float(np.sum(pbar[w] ** 2 + ybar[w] ** 2))
+        if ref == 0.0:
+            return 1.0, ["fss_zero_reference"]
+        return 1.0 - sse / ref, []
+    return pixelwise_reference(kind, pv, max_filter_array(yv, r), w)
+
+
+@st.composite
+def pairs(draw):
+    """A prediction, a binary target and scored pixels: random, all-zero or
+    all-one fields, sometimes under an eval mask."""
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    make = {"random": lambda: rng.uniform(size=shape),
+            "quantised": lambda: np.round(rng.uniform(size=shape) * 2) / 2,
+            "zero": lambda: np.zeros(shape), "one": lambda: np.ones(shape)}
+    pv = make[draw(st.sampled_from(sorted(make)))]()
+    yv = (rng.uniform(size=shape) < draw(st.sampled_from((0.0, 0.2, 0.6, 1.0)))).astype(float)
+    w = np.ones(shape, dtype=bool)
+    if draw(st.booleans()):
+        w = rng.uniform(size=shape) < 0.7
+        w.flat[rng.integers(w.size)] = True
+    return pv, yv, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs())
+def test_one_sums_record_scores_every_kind_as_the_per_score_code(case):
+    pv, yv, w = case
+    sums = PairSums(pv, yv, w)
+    for kind in SCORE_KINDS:
+        value, fallbacks = pixelwise_reference(kind, pv, yv, w)
+        got = sums.score(kind)
+        assert (got.value, got.fallbacks) == (value, tuple(fallbacks)), kind
+        # A fresh record that reads one kind alone gives the same bits.
+        assert PairSums(pv, yv, w).score(kind) == got, kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs(), st.sampled_from(NBHD_HALF_WIDTHS))
+def test_one_observation_record_scores_every_kind_as_the_per_score_code(case, r):
+    pv, yv, w = case
+    pair = NbhdPair(pv, NbhdObs(yv, r), w)
+    for kind in NBHD_SCORE_KINDS:
+        value, fallbacks = nbhd_reference(kind, pv, yv, w, r)
+        got = pair.score(kind)
+        assert (got.value, got.fallbacks) == (value, tuple(fallbacks)), kind
+
+
+# ---------------------------------------------------------------------------
+# Each filter runs once.
+
+class FilterLog:
+    """Counting wrappers for the neighbourhood filters, rebound on each
+    module that binds them."""
+
+    def __init__(self, monkeypatch, *modules):
+        self.calls = []
+        for module in modules:
+            for name in ("max_filter_array", "mean_filter_array"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, self._wrap(name, getattr(module, name)))
+
+    def _wrap(self, name, fn):
+        def wrapper(values, r):
+            self.calls.append((name, values, r))
+            return fn(values, r)
+        return wrapper
+
+    def on(self, array):
+        """(filter, r) of every call whose input was ``array``."""
+        return [(name, r) for name, values, r in self.calls if values is array]
+
+
+def scene(n_preds=3, shape=(40, 44), seed=11):
+    y = synth_mask(SynthSpec(shape[0], shape[1], SPACING, n_cells=4, seed=seed))
+    preds = [synth_prob(y, blur_r=1 + i % 2, offset_px=(i, -i), noise_sd=0.05,
+                        seed=seed + 1 + i) for i in range(n_preds)]
+    return y, preds
+
+
+def test_metric_tables_filters_each_field_once_per_half_width(monkeypatch):
+    y, preds = scene()
+    nbhd = [s for s in enumerate_configs() if s.filter_kind == "nbhd"]
+    assert len(nbhd) == 48
+    log = FilterLog(monkeypatch, scores)
+    metric_tables(nbhd, preds, y)
+    obs_calls = log.on(y.values)
+    assert len(obs_calls) == len(set(obs_calls)) <= 2 * len(NBHD_HALF_WIDTHS)
+    assert {r for _, r in obs_calls} == set(NBHD_HALF_WIDTHS)
+    for p in preds:
+        calls = log.on(p.values)
+        assert len(calls) == len(set(calls)) == 2 * len(NBHD_HALF_WIDTHS)
+    assert len(log.calls) == len(obs_calls) + 2 * len(NBHD_HALF_WIDTHS) * len(preds)
+
+
+def test_prepared_target_is_filtered_on_first_use_only(monkeypatch):
+    y, (p, q) = scene(n_preds=2)
+    log = FilterLog(monkeypatch, scores, losses)
+    for r in (0, 2, 6):
+        specs = [LossSpec(kind, "nbhd", half_width=r) for kind in NBHD_SCORE_KINDS]
+        target = prepare_target(specs[0], y)
+        assert log.on(y.values) == []
+        for spec in specs:
+            loss_value(spec, p, target)
+            loss_gradient(spec, p, target)
+        first = log.on(y.values)
+        assert sorted(first) == [("max_filter_array", r), ("mean_filter_array", r)]
+        for field in (p, q, p):
+            for spec in specs:
+                loss_value(spec, field, target)
+                loss_gradient(spec, field, target)
+        assert log.on(y.values) == first
+        log.calls.clear()
+
+
+@pytest.mark.parametrize("spec_id", ["brier_nbhd_r3", "fss_W0.1-0.4"])
+def test_spec_ids_are_formatted_once(spec_id, monkeypatch):
+    spec = losses.parse_spec_id(spec_id)
+    monkeypatch.setattr(losses, "_band_id", None)  # any further formatting would fail
+    assert (spec.spec_id, spec.filter_id) == (spec_id, spec_id.partition("_")[2])
+
+
+def test_a_target_built_directly_scores_its_neighbourhood():
+    y, (p,) = scene(n_preds=1)
+    for kind in NBHD_SCORE_KINDS:
+        spec = LossSpec(kind, "nbhd", half_width=2)
+        direct = losses.PreparedTarget(spec, y, y)
+        assert direct.nbhd.r == 2 and direct.nbhd.yv is y.values
+        assert loss_value(spec, p, direct) == loss_value(spec, p, prepare_target(spec, y))
+        assert np.array_equal(loss_gradient(spec, p, direct),
+                              loss_gradient(spec, p, prepare_target(spec, y)))
+    assert prepare_target(losses.parse_spec_id("brier_F0.1-inf"), y).nbhd is None
