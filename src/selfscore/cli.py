@@ -26,6 +26,7 @@ import csv
 import glob as globmod
 import json
 import os
+import re
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -78,6 +79,30 @@ def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
 
 def _read_fields(paths: list[str], kinds: tuple[str, ...], role: str) -> list[GridField]:
     return [_read_kind(p, kinds, role) for p in paths]
+
+
+def _check_pairing(paths: list[str], obs_paths: list[str], what: str) -> None:
+    """Files pair by sorted position: refuse unequal counts and, when every
+    file on both sides has a step number (the last run of digits in its
+    stem), a pair whose numbers differ."""
+    if len(paths) != len(obs_paths):
+        raise ValueError(f"{what} has {len(paths)} files but there are "
+                         f"{len(obs_paths)} observations")
+    steps = [[re.findall(r"\d+", os.path.splitext(os.path.basename(p))[0]) for p in side]
+             for side in (paths, obs_paths)]
+    if all(steps[0] + steps[1]):
+        for path, obs_path, a, b in zip(paths, obs_paths, *steps):
+            if int(a[-1]) != int(b[-1]):
+                raise ValueError(f"{path} would be paired with {obs_path}, "
+                                 f"but their step numbers differ")
+
+
+def _select_specs(text: str | None) -> list:
+    """The configs named by comma-separated spec ids (all 336 for None),
+    one per canonical id (``brier_nbhd_r1,BRIER_nbhd_r1`` is one), sorted."""
+    specs = (enumerate_configs() if text is None
+             else [parse_spec_id(s) for s in text.split(",") if s.strip()])
+    return sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
 
 
 def _float_cell(x: float) -> str:
@@ -167,21 +192,14 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, list[str]]]:
 
 
 def cmd_score(args) -> int:
-    if args.all_336:
-        specs = enumerate_configs()
-    elif args.specs:
-        specs = [parse_spec_id(s) for s in args.specs.split(",") if s.strip()]
-    else:
+    if not (args.all_336 or args.specs):
         raise ValueError("give --specs or --all-336")
-    # A config named twice (``brier_nbhd_r1,BRIER_nbhd_r1``) is scored once.
-    specs = sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
+    specs = _select_specs(None if args.all_336 else args.specs)
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs)
-    obs_fields = _read_fields(obs_paths, OBS_KINDS, "observation")
     for name, paths in models:
-        if len(paths) != len(obs_paths):
-            raise ValueError(f"model {name!r} has {len(paths)} fields but "
-                             f"there are {len(obs_paths)} observations")
+        _check_pairing(paths, obs_paths, f"model {name!r}")
+    obs_fields = _read_fields(obs_paths, OBS_KINDS, "observation")
 
     def step_tables(i: int) -> list[dict]:
         preds = [_read_kind(paths[i], PRED_KINDS, "prediction") for _, paths in models]
@@ -243,8 +261,7 @@ def _pooled_bss(parts: list[tuple[float, float, float]]) -> float:
 def cmd_eval(args) -> int:
     pred_paths = _expand_paths(args.pred)
     obs_paths = _expand_paths(args.obs)
-    if len(pred_paths) != len(obs_paths):
-        raise ValueError(f"{len(pred_paths)} prediction files vs {len(obs_paths)} observations")
+    _check_pairing(pred_paths, obs_paths, "--pred")
     preds = _read_fields(pred_paths, PRED_KINDS, "prediction")
     obs = _read_fields(obs_paths, OBS_KINDS, "observation")
 
@@ -263,8 +280,7 @@ def cmd_eval(args) -> int:
 
     if args.compare is not None:
         cmp_paths = _expand_paths(args.compare)
-        if len(cmp_paths) != len(obs_paths):
-            raise ValueError("--compare file count does not match observations")
+        _check_pairing(cmp_paths, obs_paths, "--compare")
         cmp_preds = _read_fields(cmp_paths, PRED_KINDS, "prediction")
         cmp_parts = [_step_brier_parts(p, y) for p, y in zip(cmp_preds, obs)]
         paired = [(a, b) for a, b in zip(parts, cmp_parts)]
@@ -343,11 +359,7 @@ def cmd_rank(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
-    if args.specs is None:
-        specs = enumerate_configs()
-    else:
-        specs = [parse_spec_id(s) for s in args.specs.split(",") if s.strip()]
-    specs = sorted(specs, key=lambda s: s.spec_id)
+    specs = _select_specs(args.specs)
     rng = np.random.default_rng(args.seed)
     shape = (args.rows, args.cols)
     # Keep clear of the cross-entropy clamp so its exclusion set is empty.

@@ -166,21 +166,28 @@ def _windowed(field: GridField) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fourier_spectrum(field: GridField) -> FourierSpectrum:
-    """Pad, window and transform a field once, for any number of bands."""
-    coeffs = np.fft.rfft2(_windowed(field)[1])
+    """Pad, window and transform a field once, for any number of bands.
+    Equals ``np.fft.rfft2`` (rows, then columns) bit for bit; the padded
+    rows all take a zero row's transform (some of its zeros are -0.0)."""
+    rows, cols = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
+    top = _pad_amounts(field.rows, rows)[0]
+    coeffs = np.tile(np.fft.rfft(np.zeros(cols)), (rows, 1))
+    coeffs[top:top + field.rows] = np.fft.rfft(_windowed(field)[1][top:top + field.rows])
+    np.fft.fft(coeffs, axis=0, out=coeffs)
     return FourierSpectrum(field, _read_only(coeffs))
 
 
-def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray) -> GridField:
-    """Steps 4-6.  The inverse runs down the columns over the whole padded
-    grid, then along the rows only for the rows the crop keeps; per row
-    that is the same transform as ``irfft2`` runs, so the kept values are
-    those of a full ``irfft2`` bit for bit."""
+def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray, work: np.ndarray) -> GridField:
+    """Steps 4-6, in ``work`` (the spectrum's shape).  The inverse runs down
+    the columns over the whole padded grid, then along the rows the crop
+    keeps only; per row that is the transform ``irfft2`` runs, so the kept
+    values are those of a full ``irfft2`` bit for bit."""
     field = spectrum.field
     rows, cols = spectrum.target
     top = _pad_amounts(field.rows, rows)[0]
     left = _pad_amounts(field.cols, cols)[0]
-    by_col = np.fft.ifft(spectrum.coeffs * gain, axis=0)[top:top + field.rows]
+    np.multiply(spectrum.coeffs, gain, out=work)
+    by_col = np.fft.ifft(work, axis=0, out=work)[top:top + field.rows]
     out = np.fft.irfft(by_col, n=cols, axis=1)[:, left:left + field.cols]
     return GridField(out, field.spacing_deg, "real", field.eval_mask)
 
@@ -201,7 +208,8 @@ def fourier_band_passes(spectra: Sequence[FourierSpectrum],
                 or spectrum.field.spacing_deg != first.spacing_deg):
             raise ValueError("spectra must share shape and spacing")
     gain = butterworth_gain(spectra[0].target, first.spacing_deg, band, half_plane=True)
-    return [_inverse_cropped(spectrum, gain) for spectrum in spectra]
+    work = np.empty_like(spectra[0].coeffs)
+    return [_inverse_cropped(spectrum, gain, work) for spectrum in spectra]
 
 
 def fourier_band_pass(field: GridField, band: WavelengthBand,

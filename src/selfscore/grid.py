@@ -171,9 +171,13 @@ def atomic_write(path: str | os.PathLike, data: bytes) -> None:
 
 
 def write_grid(path: str | os.PathLike, field: GridField) -> None:
-    """Write a field to a GRID1 file (atomically: temp file + rename)."""
-    payload = np.ascontiguousarray(field.values, dtype="<f4").tobytes()
-    blob = _format_header(field) + payload
+    """Write a field to a GRID1 file (atomically: temp file + rename).
+    Refuses, before writing anything, values that float32 cannot hold."""
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(field.values, dtype="<f4")
+    if not np.isfinite(payload).all():
+        raise ValueError(f"{os.fspath(path)}: values exceed the float32 range of GRID1")
+    blob = _format_header(field) + payload.tobytes()
     if field.eval_mask is not None:
         blob += np.ascontiguousarray(field.eval_mask, dtype=np.uint8).tobytes()
     atomic_write(path, blob)

@@ -7,7 +7,7 @@ near the boundary are attenuated rather than reflected.
 
 ``max_filter`` turns an event mask into its binary dilation ("did anything
 happen within r pixels?"); ``mean_filter`` turns it into an event fraction.
-Both accept ``r = 0`` (identity).
+Both accept ``r = 0`` (identity), and equal ``scipy.ndimage``'s bit for bit.
 """
 
 from __future__ import annotations
@@ -23,27 +23,43 @@ def _check_half_width(half_width: int) -> int:
     return int(half_width)
 
 
+def _separable(values: np.ndarray, r: int, window) -> np.ndarray:
+    """Reduce down the columns, then along the rows, of the array zero-padded
+    by r; each pass on a C-ordered array (a transposed view ran 2x slower)."""
+    padded = np.pad(np.asarray(values, dtype=np.float64), r)
+    across = np.ascontiguousarray(window(padded, r).T)
+    return np.ascontiguousarray(window(across, r).T)
+
+
+def _window_max(padded: np.ndarray, r: int) -> np.ndarray:
+    """Maximum of every 2r + 1 consecutive rows; ``run[i]`` spans ``width``."""
+    size, run, width = 2 * r + 1, padded, 1
+    while 2 * width <= size:
+        run = np.maximum(run[:-width], run[width:])
+        width *= 2
+    n = len(padded) - 2 * r
+    return np.maximum(run[:n], run[size - width:size - width + n])
+
+
+def _window_sum(padded: np.ndarray, r: int) -> np.ndarray:
+    """Sum of every 2r + 1 consecutive rows, added as ``scipy.ndimage.correlate1d``
+    adds a symmetric kernel: the centre, then the pairs at j = r down to 1."""
+    n = len(padded) - 2 * r
+    acc = padded[r:r + n].copy()
+    for j in range(r, 0, -1):
+        acc += padded[r - j:r - j + n] + padded[r + j:r + j + n]
+    return acc
+
+
 def max_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
     """Window maximum of a raw array, zeros beyond the edges."""
-    r = _check_half_width(half_width)
-    if r == 0:
-        return np.array(values, dtype=np.float64)
-    from scipy import ndimage  # imported on first use: ~0.4 s that most commands skip
-    return ndimage.maximum_filter(
-        np.asarray(values, dtype=np.float64), size=2 * r + 1, mode="constant", cval=0.0)
+    return _separable(values, _check_half_width(half_width), _window_max)
 
 
 def mean_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
     """Window mean of a raw array with fixed divisor (2r+1)^2, zeros beyond edges."""
     r = _check_half_width(half_width)
-    if r == 0:
-        return np.array(values, dtype=np.float64)
-    from scipy import ndimage
-    ones = np.ones(2 * r + 1, dtype=np.float64)
-    acc = ndimage.correlate1d(
-        np.asarray(values, dtype=np.float64), ones, axis=0, mode="constant", cval=0.0)
-    acc = ndimage.correlate1d(acc, ones, axis=1, mode="constant", cval=0.0)
-    return acc / float((2 * r + 1) ** 2)
+    return _separable(values, r, _window_sum) / float((2 * r + 1) ** 2)
 
 
 def max_filter(field: GridField, half_width: int) -> GridField:

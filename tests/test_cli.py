@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from selfscore.cli import main
-from selfscore.grid import read_grid, write_grid
+from selfscore.grid import GridField, read_grid, write_grid
 from selfscore.neighbourhood import max_filter
 from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
 
@@ -422,6 +422,75 @@ def test_outputs_follow_the_umask(tmp_path, umask, mode):
     assert {n: os.stat(tmp_path / n).st_mode & 0o777 for n in names} == dict.fromkeys(names, mode)
 
 
+def test_filter_refuses_values_beyond_float32_before_writing(tmp_path, capsys):
+    # The detail band of [[M, M], [M, -M]] holds -1.5 M, past float32's
+    # largest value M: GRID1 could not hold it, so nothing is written.
+    big = float(np.finfo(np.float32).max)
+    src = tmp_path / "in.grid"
+    write_grid(src, GridField(np.array([[big, big], [big, -big]]), 1.0, "real"))
+    dst = tmp_path / "out" / "f.grid"
+    dst.parent.mkdir()
+    capsys.readouterr()
+    assert run("filter", "--spec", "W0-1", src, dst) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {dst}: ") and "float32" in err
+    assert os.listdir(dst.parent) == []
+
+
+@pytest.fixture()
+def gap_steps(tmp_path):
+    """Forecasts for steps 0 and 2 beside observations for steps 0 and 1."""
+    steps = tmp_path / "gap"
+    steps.mkdir()
+    for i in range(3):
+        m = synth_mask(SynthSpec(rows=16, cols=16, spacing_deg=0.05, n_cells=2, seed=40 + i))
+        write_grid(steps / f"mask_{i:03d}.grid", m)
+        write_grid(steps / f"prob_{i:03d}.grid", synth_prob(m, blur_r=1))
+    return steps
+
+
+def _assert_refused_as_misaligned(argv, steps, capsys):
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert f"{steps / 'prob_002.grid'}" in err and f"{steps / 'mask_001.grid'}" in err
+
+
+def test_score_refuses_steps_paired_across_numbers(gap_steps, tmp_path, capsys):
+    preds = f"{gap_steps}/prob_000.grid,{gap_steps}/prob_002.grid"
+    obs = f"{gap_steps}/mask_000.grid,{gap_steps}/mask_001.grid"
+    out = tmp_path / "s.csv"
+    _assert_refused_as_misaligned(["score", "--pred", f"m={preds}", "--obs", obs,
+                                   "--specs", "brier_nbhd_r1", "--out", out],
+                                  gap_steps, capsys)
+    assert not out.exists()
+    # Matching numbers, and names without numbers, still pair by position.
+    assert run("score", "--pred", f"m={gap_steps}/prob_00[01].grid", "--obs", obs,
+               "--specs", "brier_nbhd_r1", "--out", out) == 0
+    for i in (0, 2):
+        os.replace(gap_steps / f"prob_00{i}.grid", tmp_path / f"p{'ab'[i // 2]}.grid")
+    assert run("score", "--pred", f"m={tmp_path}/p?.grid", "--obs", obs,
+               "--specs", "brier_nbhd_r1", "--out", out) == 0
+
+
+def test_eval_refuses_steps_paired_across_numbers(gap_steps, tmp_path, capsys):
+    preds = f"{gap_steps}/prob_000.grid,{gap_steps}/prob_002.grid"
+    obs = f"{gap_steps}/mask_000.grid,{gap_steps}/mask_001.grid"
+    _assert_refused_as_misaligned(["eval", "--pred", preds, "--obs", obs,
+                                   "--out-dir", tmp_path / "r"], gap_steps, capsys)
+    assert not (tmp_path / "r").exists()
+
+
+def test_eval_compare_refuses_steps_paired_across_numbers(gap_steps, tmp_path, capsys):
+    preds = f"{gap_steps}/prob_000.grid,{gap_steps}/prob_001.grid"
+    other = f"{gap_steps}/prob_000.grid,{gap_steps}/prob_002.grid"
+    obs = f"{gap_steps}/mask_000.grid,{gap_steps}/mask_001.grid"
+    _assert_refused_as_misaligned(["eval", "--pred", preds, "--obs", obs, "--compare", other,
+                                   "--n-boot", 20, "--out-dir", tmp_path / "r"],
+                                  gap_steps, capsys)
+    assert not (tmp_path / "r").exists()
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -490,6 +559,14 @@ def test_gradcheck_fails_on_coarse_step(capsys):
     captured = capsys.readouterr()
     assert "exceeded rel tol" in captured.err
     assert "brier_F0-0.1" in captured.out and "ok" in captured.out
+
+
+def test_gradcheck_checks_a_config_named_twice_once(capsys):
+    assert run("gradcheck", "--specs", "brier_nbhd_r1,BRIER_nbhd_r1", "--rows", 6,
+               "--cols", 6) == 0
+    out = capsys.readouterr().out
+    assert out.count("brier_nbhd_r1") == 1
+    assert "all 1 configs within rel tol" in out
 
 
 def test_gradcheck_unknown_spec():

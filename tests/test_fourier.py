@@ -4,11 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from selfscore.fourier import (blackman_harris_weights, butterworth_gain,
-                               fourier_band_pass, frequency_grid)
-from selfscore.grid import GridField, WavelengthBand, taper_zero_pad
+                               fourier_band_pass, fourier_band_passes, fourier_spectrum,
+                               frequency_grid)
+from selfscore.grid import GridField, WavelengthBand, _pad_amounts, taper_zero_pad
 
 
 def _field(values, spacing=0.02, kind="real"):
@@ -191,3 +194,57 @@ def test_round_trip_forward_inverse_dft():
         values = rng.normal(size=(32, 32))
         back = np.fft.ifft2(np.fft.fft2(values))
         assert np.abs(back - values).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the transforms against numpy's own 2-D transforms, bit for bit
+
+@st.composite
+def field_groups(draw):
+    """One to three fields of one shape (odd sizes included), binary or
+    random, with spacing 0.02 deg."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    binary = draw(st.booleans())
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        values = rng.uniform(size=(rows, cols))
+        fields.append(_field((values < 0.2).astype(float) if binary else values, kind="prob"))
+    return fields
+
+
+BANDS = st.sampled_from([WavelengthBand(0.0, 0.1), WavelengthBand(0.1, math.inf),
+                         WavelengthBand(0.05, 0.4), WavelengthBand(0.0, math.inf)])
+
+
+def allocating_inverse(spectrum, gain):
+    """The inverse as each field ran it before ``fourier_band_passes``
+    reused one work array: a fresh product and a fresh column transform."""
+    field = spectrum.field
+    rows, cols = spectrum.target
+    top, left = _pad_amounts(field.rows, rows)[0], _pad_amounts(field.cols, cols)[0]
+    by_col = np.fft.ifft(spectrum.coeffs * gain, axis=0)[top:top + field.rows]
+    return np.fft.irfft(by_col, n=cols, axis=1)[:, left:left + field.cols]
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_groups())
+def test_spectrum_is_rfft2_of_the_windowed_taper(fields):
+    for field in fields:
+        target = (3 * field.rows, 3 * field.cols)
+        windowed = blackman_harris_weights(target) * taper_zero_pad(field, target).values
+        want = np.fft.rfft2(windowed)
+        got = fourier_spectrum(field).coeffs
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_groups(), BANDS)
+def test_band_passes_match_an_inverse_per_field(fields, band):
+    spectra = [fourier_spectrum(f) for f in fields]
+    gain = butterworth_gain(spectra[0].target, 0.02, band, half_plane=True)
+    outs = fourier_band_passes(spectra, band)
+    assert len(outs) == len(spectra)
+    for spectrum, out in zip(spectra, outs):
+        assert out.values.tobytes() == allocating_inverse(spectrum, gain).tobytes()
+        assert out.kind == "real" and out.shape == spectrum.field.shape

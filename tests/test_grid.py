@@ -2,8 +2,13 @@
 
 import math
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
 from selfscore.grid import (GridField, WavelengthBand, crop_taper,
@@ -192,3 +197,97 @@ def test_write_is_atomic_no_temp_left_behind(tmp_path):
     assert read_grid(path).values.sum() == 0.0
     leftovers = [p for p in tmp_path.iterdir() if p.suffix == ".tmp"]
     assert leftovers == []
+
+
+def test_write_refuses_values_beyond_float32(tmp_path):
+    big = float(np.finfo(np.float32).max)
+    path = tmp_path / "big.grid"
+    write_grid(path, _field([[big, -big]]))  # representable: written
+    assert_array_equal(read_grid(path).values, [[big, -big]])
+    for value in (2.0 * big, -1e300):
+        with pytest.raises(ValueError, match=f"^{path}: .*float32"):
+            write_grid(path, _field([[0.5, value]]))
+    assert os.listdir(tmp_path) == ["big.grid"]
+    assert_array_equal(read_grid(path).values, [[big, -big]])
+
+
+ELEMENTS = {
+    "mask": st.sampled_from([0.0, 1.0]),
+    "prob": st.floats(0.0, 1.0),
+    "real": st.floats(width=32, allow_nan=False, allow_infinity=False),
+}
+
+
+@st.composite
+def grid_fields(draw):
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(sorted(ELEMENTS)))
+    values = draw(hnp.arrays(np.float64, (rows, cols), elements=ELEMENTS[kind]))
+    eval_mask = draw(st.none() | hnp.arrays(np.bool_, (rows, cols)))
+    spacing = draw(st.floats(1e-6, 1e6))
+    return GridField(values, spacing, kind, eval_mask)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(grid_fields())
+def test_grid1_round_trips_any_field(tmp_path, field):
+    path = tmp_path / "f.grid"
+    write_grid(path, field)
+    back = read_grid(path)
+    assert (back.shape, back.kind, back.spacing_deg) == (field.shape, field.kind,
+                                                          field.spacing_deg)
+    assert back.values.tobytes() == field.values.astype("<f4").astype(np.float64).tobytes()
+    if field.eval_mask is None:
+        assert back.eval_mask is None
+    else:
+        assert_array_equal(back.eval_mask, field.eval_mask)
+    blob = path.read_bytes()
+    write_grid(path, back)
+    assert path.read_bytes() == blob
+
+
+def _valid_blob(rows, cols, kind, masked):
+    header = f"GRID1\n{rows} {cols} 0.02 {kind}{' masked' if masked else ''}\n".encode()
+    return header + b"\x00" * (rows * cols * (5 if masked else 4))
+
+
+@st.composite
+def fuzzed_blobs(draw):
+    """A valid GRID1 blob with bytes flipped, cut, inserted or swapped in
+    its header tokens, or arbitrary bytes."""
+    blob = bytearray(_valid_blob(draw(st.integers(1, 4)), draw(st.integers(1, 4)),
+                                 draw(st.sampled_from(sorted(ELEMENTS))), draw(st.booleans())))
+    edit = draw(st.sampled_from(["flip", "cut", "insert", "token", "random"]))
+    if edit == "random":
+        return draw(st.binary(max_size=120))
+    if edit == "token":
+        lines = bytes(blob).split(b"\n", 2)
+        tokens = lines[1].split(b" ")
+        i = draw(st.integers(0, len(tokens) - 1))
+        tokens[i] = draw(st.sampled_from([b"", b"-1", b"0", b"nan", b"inf", b"-0.0", b"1e400",
+                                          b"99999999999", b"1_0", b"masked", b"\xff",
+                                          b"2.5", b"0x10"]))
+        return b"\n".join([lines[0], b" ".join(tokens), lines[2]])
+    at = draw(st.integers(0, len(blob)))
+    if edit == "cut":
+        return bytes(blob[:at])
+    if edit == "insert":
+        return bytes(blob[:at]) + draw(st.binary(min_size=1, max_size=8)) + bytes(blob[at:])
+    for _ in range(draw(st.integers(1, 6))):
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+    return bytes(blob)
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(fuzzed_blobs())
+def test_read_grid_raises_only_value_error_on_fuzzed_files(tmp_path, blob):
+    path = tmp_path / "fuzz.grid"
+    path.write_bytes(blob)
+    try:
+        field = read_grid(path)
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert isinstance(field, GridField)

@@ -1,11 +1,16 @@
-"""Every module-level import in the package is used.
+"""What the package imports.
 
 A static check over ``src/selfscore/*.py``: a name a module imports at top
 level must appear in its code or in an annotation (the modules use
 ``from __future__ import annotations``, and some annotations are strings).
+And a run of every command with scipy blocked: the package needs numpy
+only.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -56,3 +61,39 @@ def test_no_unused_module_level_import(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert unused == {}, f"{path.name}: unused imports {unused}"
+
+
+NO_SCIPY_SCRIPT = """
+import sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+from selfscore.cli import main
+
+d = sys.argv[1]
+
+
+def ok(*argv):
+    assert main(list(argv)) == 0, argv
+
+
+ok("synth", "--rows", "24", "--cols", "24", "--count", "2", "--out-dir", d, "--blur-r", "1")
+for spec in ("nbhd_max_r2", "nbhd_mean_r1", "F0.1-inf", "W0-0.2"):
+    ok("filter", "--spec", spec, f"{d}/prob_000.grid", f"{d}/f_{spec}.grid")
+ok("score", "--pred", f"a={d}/prob_*.grid", "--pred", f"b={d}/mask_*.grid",
+   "--obs", f"{d}/mask_*.grid", "--all-336", "--out", f"{d}/scores.csv")
+ok("rank", "--scores", f"{d}/scores.csv", "--out-dir", f"{d}/rank")
+ok("eval", "--pred", f"{d}/prob_*.grid", "--obs", f"{d}/mask_*.grid",
+   "--compare", f"{d}/mask_*.grid", "--n-boot", "50", "--out-dir", f"{d}/eval")
+ok("gradcheck", "--specs", "fss_nbhd_r2,csi_nbhd_r1,brier_F0.1-inf,xent_W0-0.2",
+   "--rows", "8", "--cols", "8")
+loaded = [m for m, mod in sys.modules.items() if m.split(".")[0] == "scipy" and mod]
+assert loaded == [], loaded
+"""
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    src = Path(selfscore.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
