@@ -32,14 +32,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .evaluation import (attributes_diagram, bootstrap_ci, consistency_bars,
-                         emit_report, paired_bootstrap_test, performance_diagram,
-                         write_csv)
+from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
+                         consistency_bars, emit_report, paired_bootstrap_test,
+                         performance_diagram, pooled_bs, pooled_bss, write_csv)
 from .grid import GridField, atomic_write, read_grid, write_grid
 from .losses import (apply_filter, enumerate_configs, grad_check, metric_tables,
                      parse_filter_id, parse_spec_id, prepare_target)
 from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
                       overall_mean_ranks, rank_models)
+from .scores import scored_weights
 from .synthetic import SynthSpec, synth_mask, synth_prob
 
 
@@ -50,6 +51,26 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")
         sys.exit(1)
+
+
+def _bounded(cast, low, strict: bool = False):
+    """argparse ``type=``: ``cast(text)``, refused below ``low`` (or at it, if strict)."""
+    def parse(text: str):
+        value = cast(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__  # keeps argparse's "invalid int value" wording
+    return parse
+
+
+def _map(fn, items, jobs: int) -> list:
+    """``[fn(x) for x in items]``, on ``jobs`` threads when that is more than one."""
+    if jobs > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _expand_paths(text: str) -> list[str]:
@@ -77,8 +98,15 @@ def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
     return field
 
 
-def _read_fields(paths: list[str], kinds: tuple[str, ...], role: str) -> list[GridField]:
-    return [_read_kind(p, kinds, role) for p in paths]
+def _read_scored(path: str, obs_path: str, obs: GridField) -> GridField:
+    """Read the prediction at ``path``; refuse it, naming both files, unless
+    it and ``obs`` (from ``obs_path``) meet ``scores.scored_weights``."""
+    pred = _read_kind(path, PRED_KINDS, "prediction")
+    try:
+        scored_weights(pred, obs)
+    except ValueError as exc:
+        raise ValueError(f"{path} and {obs_path}: {exc}") from None
+    return pred
 
 
 def _check_pairing(paths: list[str], obs_paths: list[str], what: str) -> None:
@@ -132,13 +160,15 @@ def cmd_filter(args) -> int:
                 raise ValueError(f"{dst}: inputs {sources[dst]} and {src} would both "
                                  f"be written here; nothing was written")
             sources[dst] = src
-        os.makedirs(args.out_dir, exist_ok=True)
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
-    def run_one(pair: tuple[str, str]) -> None:
-        src, dst = pair
-        field = read_grid(src)
+    fields = [read_grid(src) for src, _ in pairs]  # every input parses before a write
+    if args.out_dir is not None:
+        os.makedirs(args.out_dir, exist_ok=True)
+
+    def run_one(job: tuple[tuple[str, str], GridField]) -> None:
+        (src, dst), field = job
         if args.dump_stages is not None:
             out, stages = apply_filter(field, fspec, return_stages=True)
             os.makedirs(args.dump_stages, exist_ok=True)
@@ -160,12 +190,7 @@ def cmd_filter(args) -> int:
         }
         atomic_write(dst + ".json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
 
-    if args.jobs > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            list(pool.map(run_one, pairs))
-    else:
-        for pair in pairs:
-            run_one(pair)
+    _map(run_one, list(zip(pairs, fields)), args.jobs)
     print(f"filtered {len(pairs)} field(s) with {fspec.filter_id}")
     return 0
 
@@ -199,18 +224,13 @@ def cmd_score(args) -> int:
     obs_paths = _expand_paths(args.obs)
     for name, paths in models:
         _check_pairing(paths, obs_paths, f"model {name!r}")
-    obs_fields = _read_fields(obs_paths, OBS_KINDS, "observation")
+    obs_fields = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
 
     def step_tables(i: int) -> list[dict]:
-        preds = [_read_kind(paths[i], PRED_KINDS, "prediction") for _, paths in models]
+        preds = [_read_scored(paths[i], obs_paths[i], obs_fields[i]) for _, paths in models]
         return metric_tables(specs, preds, obs_fields[i])
 
-    steps = range(len(obs_paths))
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            tables = list(pool.map(step_tables, steps))
-    else:
-        tables = [step_tables(i) for i in steps]
+    tables = _map(step_tables, range(len(obs_paths)), args.jobs)
 
     rows = []
     for m, (name, _) in enumerate(models):
@@ -230,64 +250,33 @@ def cmd_score(args) -> int:
 # ---------------------------------------------------------------------------
 # eval
 
-def _step_brier_parts(pred: GridField, obs: GridField) -> tuple[float, float, float]:
-    """(sum squared error, sum of events, scored pixel count) for one step."""
-    w = np.ones(pred.shape, dtype=bool)
-    if pred.eval_mask is not None:
-        w &= pred.eval_mask
-    if obs.eval_mask is not None:
-        w &= obs.eval_mask
-    pv, yv = pred.values[w], obs.values[w]
-    return float(np.sum((pv - yv) ** 2)), float(np.sum(yv)), float(pv.size)
-
-
-def _pooled_bs(parts: list[tuple[float, float, float]]) -> float:
-    sse = sum(p[0] for p in parts)
-    n = sum(p[2] for p in parts)
-    return sse / n
-
-
-def _pooled_bss(parts: list[tuple[float, float, float]]) -> float:
-    sse = sum(p[0] for p in parts)
-    events = sum(p[1] for p in parts)
-    n = sum(p[2] for p in parts)
-    base = events / n
-    bs_clim = base * (1.0 - base)  # mean((base - y)^2) for binary y
-    if bs_clim == 0.0:
-        return 0.0
-    return 1.0 - (sse / n) / bs_clim
-
-
 def cmd_eval(args) -> int:
-    pred_paths = _expand_paths(args.pred)
     obs_paths = _expand_paths(args.obs)
-    _check_pairing(pred_paths, obs_paths, "--pred")
-    preds = _read_fields(pred_paths, PRED_KINDS, "prediction")
-    obs = _read_fields(obs_paths, OBS_KINDS, "observation")
+    obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
+
+    def read_side(text: str, what: str) -> list[GridField]:
+        paths = _expand_paths(text)
+        _check_pairing(paths, obs_paths, what)
+        return [_read_scored(p, o, y) for p, o, y in zip(paths, obs_paths, obs)]
+
+    preds = read_side(args.pred, "--pred")
+    cmp_preds = None if args.compare is None else read_side(args.compare, "--compare")
 
     attr = attributes_diagram(preds, obs)
     consistency_bars(attr, n_boot=args.n_boot_bars, seed=args.seed)
     perf = performance_diagram(preds, obs, np.linspace(0.0, 1.0, args.thresholds))
 
-    parts = [_step_brier_parts(p, y) for p, y in zip(preds, obs)]
-    bs_ci = bootstrap_ci(_pooled_bs, parts, n_boot=args.n_boot, seed=args.seed)
-    bss_ci = bootstrap_ci(_pooled_bss, parts, n_boot=args.n_boot, seed=args.seed)
-    extra = {"bootstrap": {
-        "n_boot": args.n_boot, "seed": args.seed, "statistic_unit": "time step",
-        "bs": {"point": bs_ci[0], "lo": bs_ci[1], "hi": bs_ci[2]},
-        "bss": {"point": bss_ci[0], "lo": bss_ci[1], "hi": bss_ci[2]},
-    }}
+    parts = brier_parts(preds, obs)
+    extra = {"bootstrap": {"n_boot": args.n_boot, "seed": args.seed,
+                           "statistic_unit": "time step"}}
+    for name, stat in (("bs", pooled_bs), ("bss", pooled_bss)):
+        ci = bootstrap_ci(stat, parts, n_boot=args.n_boot, seed=args.seed)
+        extra["bootstrap"][name] = dict(zip(("point", "lo", "hi"), ci))
 
-    if args.compare is not None:
-        cmp_paths = _expand_paths(args.compare)
-        _check_pairing(cmp_paths, obs_paths, "--compare")
-        cmp_preds = _read_fields(cmp_paths, PRED_KINDS, "prediction")
-        cmp_parts = [_step_brier_parts(p, y) for p, y in zip(cmp_preds, obs)]
-        paired = [(a, b) for a, b in zip(parts, cmp_parts)]
+    if cmp_preds is not None:
         result = paired_bootstrap_test(
-            lambda s: _pooled_bs([a for a, _ in s]),
-            lambda s: _pooled_bs([b for _, b in s]),
-            paired, n_boot=args.n_boot, seed=args.seed)
+            lambda s: pooled_bs([a for a, _ in s]), lambda s: pooled_bs([b for _, b in s]),
+            list(zip(parts, brier_parts(cmp_preds, obs))), n_boot=args.n_boot, seed=args.seed)
         extra["compare"] = {
             "statistic": "pooled brier score", "diff": result.diff,
             "p_value": result.p_value, "significant_95": result.significant_95,
@@ -449,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="write outputs here, one per input")
     p.add_argument("--dump-stages", default=None, metavar="DIR",
                    help="also write each pipeline stage as a GRID1 field (single input only)")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for many files")
+    p.add_argument("--jobs", type=_bounded(int, 1), default=1,
+                   help="parallel workers for many files")
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser(
@@ -464,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-336", action="store_true", dest="all_336",
                    help="use the full 336-config census")
     p.add_argument("--out", required=True, help="output CSV path")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers over time steps")
+    p.add_argument("--jobs", type=_bounded(int, 1), default=1,
+                   help="parallel workers over time steps")
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser(
@@ -474,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="prediction files/globs")
     p.add_argument("--obs", required=True, help="observation mask files/globs")
     p.add_argument("--out-dir", required=True, help="report output directory")
-    p.add_argument("--thresholds", type=int, default=101,
+    p.add_argument("--thresholds", type=_bounded(int, 1), default=101,
                    help="number of probability thresholds (default 101)")
-    p.add_argument("--n-boot", type=int, default=1000, dest="n_boot",
+    p.add_argument("--n-boot", type=_bounded(int, 1), default=1000, dest="n_boot",
                    help="bootstrap resamples for confidence intervals")
-    p.add_argument("--n-boot-bars", type=int, default=100, dest="n_boot_bars",
+    p.add_argument("--n-boot-bars", type=_bounded(int, 1), default=100, dest="n_boot_bars",
                    help="resamples for reliability consistency bars")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--compare", default=None, metavar="PATHS",
@@ -506,8 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=int, default=16)
     p.add_argument("--spacing", type=float, default=0.02, help="grid spacing in degrees")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--step", type=float, default=1e-5, help="finite-difference step")
-    p.add_argument("--tol", type=float, default=1e-5, help="relative tolerance")
+    p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-5,
+                   help="finite-difference step")
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-5, help="relative tolerance")
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser(
@@ -523,15 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--elongation-range", default="1,3", dest="elongation_range")
     p.add_argument("--seed", type=int, default=0,
                    help="mask seed; step i uses seed+i, noise uses seed+i+1")
-    p.add_argument("--count", type=int, default=1,
+    p.add_argument("--count", type=_bounded(int, 1), default=1,
                    help="generate this many time steps into --out-dir")
     p.add_argument("--out-mask", default=None, help="mask output path (count=1)")
     p.add_argument("--out-prob", default=None, help="forecast output path (count=1)")
     p.add_argument("--out-dir", default=None, help="output directory (count>1)")
-    p.add_argument("--blur-r", type=int, default=0, dest="blur_r",
+    p.add_argument("--blur-r", type=_bounded(int, 0), default=0, dest="blur_r",
                    help="mean-filter half-width for the forecast")
     p.add_argument("--offset", default="0,0", help="forecast translation, pixels: dr,dc")
-    p.add_argument("--noise-sd", type=float, default=0.0, dest="noise_sd")
+    p.add_argument("--noise-sd", type=_bounded(float, 0.0), default=0.0, dest="noise_sd")
     p.set_defaults(func=cmd_synth)
     return parser
 

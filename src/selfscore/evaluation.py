@@ -20,7 +20,10 @@ point, so a perfect forecast scores exactly 1.
 
 Bootstrap confidence intervals resample whole time steps with replacement
 (percentile method); the paired test resamples the same steps for both
-models and doubles the smaller tail of the difference distribution.
+models and doubles the smaller tail of the difference distribution.  Their
+statistics are the pooled BS and BSS: a resample adds up its steps' squared
+errors, events and scored pixels (``brier_parts``) before dividing.  Every
+diagnostic counts the pixels of ``scores.scored_weights``, the scores' rule.
 """
 
 from __future__ import annotations
@@ -36,45 +39,30 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .grid import GridField, atomic_write
+from .scores import scored_weights
 
 N_PROB_BINS = 20
 PROB_BIN_EDGES = np.linspace(0.0, 1.0, N_PROB_BINS + 1)
 SUMMARY_KEYS = ("rel", "bss", "bs", "bs_clim", "base_rate", "n_scored", "aupd")
 
 
-def _as_field_list(fields: GridField | Sequence[GridField]) -> list[GridField]:
-    if isinstance(fields, GridField):
-        return [fields]
-    out = list(fields)
-    if not out:
-        raise ValueError("need at least one field")
-    return out
+def _scored_steps(pred_fields, obs_fields) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each time step's scored (prediction, observation) pixels: a field or a
+    sequence of fields per side, each pair gathered by ``scored_weights``."""
+    preds, obs = ([f] if isinstance(f, GridField) else list(f)
+                  for f in (pred_fields, obs_fields))
+    if not preds or len(preds) != len(obs):
+        raise ValueError(f"{len(preds)} prediction fields vs {len(obs)} observation fields")
+    if any(y.kind != "mask" for y in obs):
+        raise ValueError("observations must be binary masks")
+    weights = [scored_weights(p, y) for p, y in zip(preds, obs)]
+    return [(p.values[w], y.values[w]) for p, y, w in zip(preds, obs, weights)]
 
 
 def _stack_scored(pred_fields, obs_fields) -> tuple[np.ndarray, np.ndarray]:
     """Flatten scored (prediction, observation) pixel pairs across time steps."""
-    preds = _as_field_list(pred_fields)
-    obs = _as_field_list(obs_fields)
-    if len(preds) != len(obs):
-        raise ValueError(f"{len(preds)} prediction fields vs {len(obs)} observation fields")
-    p_all, y_all = [], []
-    for p, y in zip(preds, obs):
-        if p.shape != y.shape:
-            raise ValueError("prediction/observation shape mismatch")
-        if y.kind != "mask":
-            raise ValueError("observations must be binary masks")
-        w = np.ones(p.shape, dtype=bool)
-        if p.eval_mask is not None:
-            w &= p.eval_mask
-        if y.eval_mask is not None:
-            w &= y.eval_mask
-        p_all.append(p.values[w])
-        y_all.append(y.values[w])
-    pv = np.concatenate(p_all)
-    yv = np.concatenate(y_all)
-    if pv.size == 0:
-        raise ValueError("no scored pixels")
-    return pv, yv
+    pv, yv = zip(*_scored_steps(pred_fields, obs_fields))
+    return np.concatenate(pv), np.concatenate(yv)
 
 
 @dataclass
@@ -125,6 +113,24 @@ def attributes_diagram(pred_fields, obs_fields) -> AttributesData:
         bin_mean_forecast=mean_p, bin_event_freq=freq, rel=rel, bss=bss,
         bs=bs, bs_clim=bs_clim, base_rate=base_rate, n_scored=int(n),
         fallbacks=tuple(fallbacks))
+
+
+def brier_parts(pred_fields, obs_fields) -> list[tuple[float, float, float]]:
+    """(sum of squared errors, sum of events, scored pixel count) per step."""
+    return [(float(np.sum((pv - yv) ** 2)), float(np.sum(yv)), float(pv.size))
+            for pv, yv in _scored_steps(pred_fields, obs_fields)]
+
+
+def pooled_bs(parts: Sequence[tuple[float, float, float]]) -> float:
+    """Brier score pooled over the steps of :func:`brier_parts`."""
+    return sum(p[0] for p in parts) / sum(p[2] for p in parts)
+
+
+def pooled_bss(parts: Sequence[tuple[float, float, float]]) -> float:
+    """Pooled BSS against the pooled base rate; 0 if that has no variance."""
+    base = sum(p[1] for p in parts) / sum(p[2] for p in parts)
+    bs_clim = base * (1.0 - base)  # mean((base - y)^2) for binary y
+    return 0.0 if bs_clim == 0.0 else 1.0 - pooled_bs(parts) / bs_clim
 
 
 def consistency_bars(attr: AttributesData, n_boot: int = 100, level: float = 0.95,

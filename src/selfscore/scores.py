@@ -84,16 +84,14 @@ class NbhdContingency:
     c: float       # misses
 
 
-def _check_pair(p: GridField, y: GridField) -> None:
+def scored_weights(p: GridField, y: GridField) -> np.ndarray:
+    """Boolean array of pixels included in score sums (both eval_masks); the
+    one rule of scores, losses and diagnostics.  Refuses a pair on two grids
+    (shape or spacing), or with no scored pixel, with ``ValueError``."""
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
     if p.spacing_deg != y.spacing_deg:
-        raise ValueError("grid spacing mismatch")
-
-
-def scored_weights(p: GridField, y: GridField) -> np.ndarray:
-    """Boolean array of pixels included in score sums (both eval_masks)."""
-    _check_pair(p, y)
+        raise ValueError(f"grid spacing mismatch: {p.spacing_deg!r} vs {y.spacing_deg!r}")
     w = np.ones(p.shape, dtype=bool)
     if p.eval_mask is not None:
         w &= p.eval_mask
