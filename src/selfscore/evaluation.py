@@ -142,6 +142,8 @@ def consistency_bars(attr: AttributesData, n_boot: int = 100, level: float = 0.9
     central ``level`` percentile interval of the resampled frequencies.
     The intervals are also stored on ``attr``.
     """
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     lo = np.full(N_PROB_BINS, np.nan)
     hi = np.full(N_PROB_BINS, np.nan)
@@ -228,6 +230,23 @@ def performance_diagram(pred_fields, obs_fields,
 # ---------------------------------------------------------------------------
 # Bootstrap machinery (resampling unit = time step).
 
+def _resampled(stat: Callable[[list], float], samples: list, n_boot: int,
+               seed: int) -> np.ndarray:
+    """``stat`` of ``n_boot`` resamples of ``samples``, each drawn with
+    replacement, whole samples at a time; the one loop of both bootstraps."""
+    if not samples:
+        raise ValueError("need at least one sample")
+    if n_boot < 1:
+        raise ValueError(f"n_boot must be >= 1, got {n_boot}")
+    rng = np.random.default_rng(seed)
+    n = len(samples)
+    out = np.empty(n_boot)
+    for i in range(n_boot):
+        idx = rng.integers(0, n, size=n)
+        out[i] = stat([samples[j] for j in idx])
+    return out
+
+
 def bootstrap_ci(stat: Callable[[list], float], samples: Sequence,
                  n_boot: int = 1000, level: float = 0.95,
                  seed: int = 0) -> tuple[float, float, float]:
@@ -239,18 +258,10 @@ def bootstrap_ci(stat: Callable[[list], float], samples: Sequence,
     samples at a time).  Deterministic for a fixed seed.
     """
     samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    point = float(stat(samples))
-    boots = np.empty(n_boot)
-    n = len(samples)
-    for i in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        boots[i] = stat([samples[j] for j in idx])
+    boots = _resampled(stat, samples, n_boot, seed)
     tail = 100.0 * (1.0 - level) / 2.0
     lo, hi = np.percentile(boots, [tail, 100.0 - tail])
-    return point, float(lo), float(hi)
+    return float(stat(samples)), float(lo), float(hi)
 
 
 @dataclass(frozen=True)
@@ -274,15 +285,7 @@ def paired_bootstrap_test(stat_a: Callable[[list], float],
     identical statistics give p = 1.
     """
     samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    n = len(samples)
-    diffs = np.empty(n_boot)
-    for i in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        chosen = [samples[j] for j in idx]
-        diffs[i] = stat_a(chosen) - stat_b(chosen)
+    diffs = _resampled(lambda chosen: stat_a(chosen) - stat_b(chosen), samples, n_boot, seed)
     point = float(stat_a(samples) - stat_b(samples))
     tail = min(float(np.mean(diffs <= 0.0)), float(np.mean(diffs >= 0.0)))
     p_value = min(1.0, 2.0 * tail)

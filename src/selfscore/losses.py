@@ -18,10 +18,15 @@ comparison, ``metric_value`` instead filters both fields, which is the
 evaluation-time convention; the two intentionally differ.
 
 Losses are negatively oriented: loss = score for brier/xent, 1 - score for
-the rest.  ``loss_gradient`` returns the exact derivative of the implemented
-loss (including its degenerate fallback branches, where the returned value
-is constant and the gradient is zero), and ``grad_check`` verifies it
-against central finite differences away from non-smooth points.
+the rest.  A loss and its gradient are read from one record: the
+``PairSums`` of the prediction against a spectral spec's filtered target,
+or the ``NbhdPair`` of it with a neighbourhood spec's observation.  So
+``loss_gradient`` is the exact derivative of ``loss_value``, from the same
+sums and the same fallback tests (a constant fallback has gradient zero).
+Neighbourhood fss chains its sums' gradient through the prediction's window
+mean, which is its own adjoint; neighbourhood csi routes each observed
+event's hit to the argmax of its window.  ``grad_check`` verifies the
+gradient against central finite differences away from non-smooth points.
 """
 
 from __future__ import annotations
@@ -267,14 +272,21 @@ def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
     return PreparedTarget(spec, y, filtered, clamp_max)
 
 
+def _record(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
+            w: np.ndarray) -> NbhdPair | PairSums:
+    """The record the spec's score of ``pv`` over the scored pixels ``w`` is
+    read from, value and gradient alike: the pair with the target's
+    neighbourhood, or the sums against its filtered field."""
+    if spec.filter_kind == "nbhd":
+        return NbhdPair(pv, target.nbhd, w)
+    return PairSums(pv, target.filtered.values, w)
+
+
 def _loss(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
           w: np.ndarray) -> ScoreResult:
     """The spec's score of ``pv`` against the prepared target over the
     scored pixels ``w``, negatively oriented."""
-    if spec.filter_kind == "nbhd":
-        result = NbhdPair(pv, target.nbhd, w).score(spec.score)
-    else:
-        result = PairSums(pv, target.filtered.values, w).score(spec.score)
+    result = _record(spec, pv, target, w).score(spec.score)
     value = result.value if ORIENTATION[spec.score] < 0 else 1.0 - result.value
     return ScoreResult(value, result.fallbacks)
 
@@ -363,71 +375,6 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
 # ---------------------------------------------------------------------------
 # Analytic gradients.
 
-_LN2 = math.log(2.0)
-
-
-def _grad_pixelwise(kind: str, p: np.ndarray, y: np.ndarray,
-                    w: np.ndarray) -> np.ndarray:
-    """d(score)/dp for the pixelwise formulas; zero on unscored pixels."""
-    wf = w.astype(np.float64)
-    g = float(wf.sum())
-    zeros = np.zeros_like(p)
-
-    if kind == "brier":
-        return (2.0 / g) * wf * (p - y)
-    if kind == "xent":
-        ph = np.clip(p, XENT_EPS, 1.0 - XENT_EPS)
-        interior = (p > XENT_EPS) & (p < 1.0 - XENT_EPS)
-        return -(wf * interior / (g * _LN2)) * (y / ph - (1.0 - y) / (1.0 - ph))
-    if kind == "fss":
-        sse = float(np.sum(wf * (p - y) ** 2))
-        ref = float(np.sum(wf * (p * p + y * y)))
-        if ref == 0.0:
-            return zeros
-        return -wf * (2.0 * (p - y) * ref - sse * 2.0 * p) / ref ** 2
-    if kind == "iou":
-        inter = float(np.sum(wf * p * y))
-        union = float(np.sum(wf * np.maximum(p, y)))
-        if union == 0.0:
-            return zeros
-        sigma = np.where(p > y, 1.0, np.where(p == y, 0.5, 0.0))
-        return wf * (y * union - inter * sigma) / union ** 2
-    if kind == "dice":
-        return wf * (2.0 * y - 1.0) / g
-
-    n1 = float(np.sum(wf * y))
-    n0 = float(np.sum(wf * (1.0 - y)))
-    n = g
-    if kind == "csi":
-        a = float(np.sum(wf * p * y))
-        denom = float(np.sum(wf * (p + y - p * y)))
-        if denom == 0.0:
-            return zeros
-        return wf * (y * denom - a * (1.0 - y)) / denom ** 2
-    if kind == "peirce":
-        if n1 == 0.0 or n0 == 0.0:
-            return zeros
-        return wf * (y / n1 - (1.0 - y) / n0)
-    if kind == "heidke":
-        t = float(np.sum(wf * (p * y + (1.0 - p) * (1.0 - y))))
-        sum_p = float(np.sum(wf * p))
-        n_rand = (sum_p * n1 + n0 * (n - sum_p)) / n
-        denom = n - n_rand
-        if denom == 0.0:
-            return zeros
-        kappa = (n1 - n0) / n
-        dt = 2.0 * y - 1.0
-        return wf * ((dt - kappa) * denom + (t - n_rand) * kappa) / denom ** 2
-    if kind == "gerrity":
-        if n0 == 0.0:
-            return zeros
-        r = n1 / n0
-        if r == 0.0:
-            return wf * (2.0 * y - 1.0) / n
-        return wf * (y * (1.0 + 1.0 / r) - (1.0 - y) * (1.0 + r)) / n
-    raise ValueError(f"no gradient for kind {kind!r}")
-
-
 #: Events per block of the window gather: 512 windows, 2.5 MB at r = 12.
 _WINDOW_BLOCK = 512
 
@@ -460,12 +407,12 @@ def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) 
     return grad
 
 
-def _grad_nbhd_csi(pv: np.ndarray, obs: NbhdObs, w: np.ndarray) -> np.ndarray:
+def _grad_nbhd_csi(pair: NbhdPair) -> np.ndarray:
     """d(CSI)/dp for the two-sided neighbourhood contingency CSI."""
-    a_obs, a_pred, b, c = NbhdPair(pv, obs, w).contingency()
+    a_obs, a_pred, b, c = pair.contingency()
+    pv, obs, w = pair.pv, pair.obs, pair.w
     zeros = np.zeros_like(pv)
-    pod_den = a_obs + c
-    sr_den = a_pred + b
+    pod_den, sr_den = a_obs + c, a_pred + b
 
     e = (w & obs.event_near).astype(np.float64)
     not_e = (w & ~obs.event_near).astype(np.float64)
@@ -488,40 +435,23 @@ def _grad_nbhd_csi(pv: np.ndarray, obs: NbhdObs, w: np.ndarray) -> np.ndarray:
     return -(csi ** 2) * dinv
 
 
-def _grad_score(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
-                w: np.ndarray) -> np.ndarray:
-    """d(score)/dp for the score underlying a spec."""
-    if spec.filter_kind != "nbhd":
-        return _grad_pixelwise(spec.score, pv, target.filtered.values, w)
-    obs, r = target.nbhd, spec.half_width
-    if spec.score == "csi":
-        return _grad_nbhd_csi(pv, obs, w)
-    if spec.score == "fss":
-        wf = w.astype(np.float64)
-        pbar = mean_filter_array(pv, r)
-        ybar = obs.mean
-        sse = float(np.sum(wf * (pbar - ybar) ** 2))
-        ref = float(np.sum(wf * (pbar ** 2 + ybar ** 2)))
-        if ref == 0.0:
-            return np.zeros_like(pv)
-        d_sse = 2.0 * mean_filter_array(wf * (pbar - ybar), r)
-        d_ref = 2.0 * mean_filter_array(wf * pbar, r)
-        return -(d_sse * ref - sse * d_ref) / ref ** 2
-    return _grad_pixelwise(spec.score, pv, obs.dilated, w)
-
-
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
-    """Exact gradient of the loss with respect to every prediction pixel.
-
-    Matches the implemented loss including fallback branches (which return
-    constants, hence zero gradient).  Neighbourhood losses propagate
-    gradient through the prediction-side filters (mean filter for fss,
-    window argmax for csi), so unscored pixels can receive gradient when
-    they influence a scored window.
-    """
+    """Exact gradient of the loss with respect to every prediction pixel,
+    from the record the loss value is read from.  Through the prediction's
+    window mean (fss) or argmax (csi), an unscored pixel that reaches a
+    scored window receives gradient."""
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    d_score = _grad_score(spec, p.values, target, scored_weights(p, target.filtered))
+    record = _record(spec, p.values, target, scored_weights(p, target.filtered))
+    if spec.filter_kind != "nbhd":
+        d_score = record.gradient(spec.score)
+    elif spec.score == "csi":
+        d_score = _grad_nbhd_csi(record)
+    else:
+        d_score = record.sums(spec.score).gradient(spec.score)
+        if spec.score == "fss":
+            # The zero-padded window mean with a fixed divisor is its own adjoint.
+            d_score = mean_filter_array(d_score, spec.half_width)
     return d_score if ORIENTATION[spec.score] < 0 else -d_score
 
 
@@ -571,6 +501,8 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     central difference itself (~eps * |loss| / step, e.g. a loss that is
     constant in one pixel) count as exact matches.
     """
+    if not step > 0.0:
+        raise ValueError(f"step must be > 0, got {step}")
     analytic = loss_gradient(spec, p, target)
     w = scored_weights(p, target.filtered)
     pv = p.values.copy()

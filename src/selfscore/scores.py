@@ -24,6 +24,9 @@ Scores that meet share their work: ``PairSums`` reduces each sum of a
 (prediction, target) pair once, for all its scores, and ``NbhdObs`` filters
 an observation once per half-width, for every prediction (``NbhdPair``).
 Each sum is the reduction its score would run alone, so no bit changes.
+``PairSums.gradient`` differentiates each score from the same sums and the
+same fallback tests as ``PairSums.score``, so a loss and its gradient
+cannot take different branches.
 
 Degenerate denominators never return NaN; each defined fallback is recorded
 by name in the returned ``ScoreResult``.
@@ -31,6 +34,7 @@ by name in the returned ``ScoreResult``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +54,7 @@ ORIENTATION = {
 }
 
 XENT_EPS = 1e-7
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -133,15 +138,22 @@ _SUMS = {
 
 class PairSums:
     """Sums of a prediction ``pv`` against a target ``yv`` in [0, 1] over the
-    scored pixels ``w``: the pixels are gathered once, and each sum named in
-    ``_SUMS`` is reduced on first use and kept."""
+    scored pixels ``w``, each named in ``_SUMS`` reduced on first use and
+    kept; a score and its gradient read the same sums and fallback tests.
+
+    The pixels are gathered only when ``w`` excludes one: a whole
+    C-ordered grid gives the same pairwise sums, bit for bit, without the
+    copy.  The record then holds the caller's arrays, so it must not
+    outlive an in-place change to them."""
 
     def __init__(self, pv: np.ndarray, yv: np.ndarray, w: np.ndarray):
+        self.pv, self.yv, self.w = pv, yv, w
         self.g = float(w.sum())
-        self.pv, self.yv = pv[w], yv[w]
+        self._pixels = ((pv.ravel(), yv.ravel()) if self.g == w.size
+                        else (pv[w], yv[w]))
 
     def _sum(self, name: str) -> float:
-        return _kept(self, name, lambda: float(_SUMS[name](self.pv, self.yv)))
+        return _kept(self, name, lambda: float(_SUMS[name](*self._pixels)))
 
     def score(self, kind: str) -> ScoreResult:
         """The pixelwise score ``kind`` of the pair."""
@@ -187,6 +199,43 @@ class PairSums:
             return ScoreResult((d * r - b - c) / n, ("gerrity_zero_event_ratio",))
         return ScoreResult((a / r + d * r - b - c) / n)
 
+    def gradient(self, kind: str) -> np.ndarray:
+        """d(score kind)/d``pv`` on the whole grid, zero on unscored pixels.
+        It follows the branch ``score`` takes: every fallback but gerrity's
+        zero event ratio is a constant, with gradient zero.  Per pixel,
+        d(a, b, c, d)/dp = (y, 1 - y, -y, y - 1); a + c and b + d are fixed."""
+        s, g, p, y = self._sum, self.g, self.pv, self.yv
+        wf = self.w.astype(np.float64)
+        if kind == "brier":
+            return (2.0 / g) * wf * (p - y)
+        if kind == "dice":
+            return wf * (2.0 * y - 1.0) / g
+        if kind == "xent":
+            ph = np.clip(p, XENT_EPS, 1.0 - XENT_EPS)
+            interior = (p > XENT_EPS) & (p < 1.0 - XENT_EPS)
+            return -(wf * interior / (g * _LN2)) * (y / ph - (1.0 - y) / (1.0 - ph))
+        if self.score(kind).fallbacks not in ((), ("gerrity_zero_event_ratio",)):
+            return np.zeros_like(p)
+        if kind == "fss":
+            return -wf * (2.0 * (p - y) * s("ref") - s("sse") * 2.0 * p) / s("ref") ** 2
+        if kind == "iou":
+            sigma = np.where(p > y, 1.0, np.where(p == y, 0.5, 0.0))  # d max(p, y)/dp
+            return wf * (y * s("union") - s("a") * sigma) / s("union") ** 2
+        a, b, c, d, n = s("a"), s("b"), s("c"), s("d"), g
+        if kind == "csi":
+            return wf * (y * (a + b + c) - a * (1.0 - y)) / (a + b + c) ** 2
+        if kind == "heidke":
+            n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
+            kappa = ((a + c) - (b + d)) / n  # d(n_rand)/dp
+            return wf * ((2.0 * y - 1.0 - kappa) * (n - n_rand)
+                         + (a + d - n_rand) * kappa) / (n - n_rand) ** 2
+        if kind == "peirce":
+            return wf * (y / (a + c) - (1.0 - y) / (b + d))
+        r = (a + c) / (b + d)  # gerrity
+        if r == 0.0:
+            return wf * (2.0 * y - 1.0) / n
+        return wf * (y * (1.0 + 1.0 / r) - (1.0 - y) * (1.0 + r)) / n
+
 
 def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
     """Accumulate the probabilistic contingency table over scored pixels."""
@@ -196,8 +245,6 @@ def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
 
 def pixelwise_score_detail(kind: str, p: GridField, y: GridField) -> ScoreResult:
     """Pixelwise score of a probability field against a target in [0, 1]."""
-    if kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
     return PairSums(p.values, y.values, scored_weights(p, y)).score(kind)
 
 
@@ -250,16 +297,19 @@ class NbhdPair:
         b = float(np.sum(1.0 - pv[near]) + np.sum(pv[far]))
         return a_obs, a_pred, b, c
 
+    def sums(self, kind: str) -> PairSums:
+        """The sums record of ``kind`` (not csi): the window means of both
+        fields for fss, else the prediction against the dilation."""
+        if kind == "fss":
+            return PairSums(mean_filter_array(self.pv, self.obs.r), self.obs.mean, self.w)
+        return _kept(self, "_sums", lambda: PairSums(self.pv, self.obs.dilated, self.w))
+
     def score(self, kind: str) -> ScoreResult:
         """The neighbourhood score ``kind`` (one of ``NBHD_SCORE_KINDS``)."""
         if kind == "csi":
             value, fallbacks = _nbhd_csi_from_counts(*self.contingency())
             return ScoreResult(value, tuple(fallbacks))
-        if kind == "fss":
-            pbar = mean_filter_array(self.pv, self.obs.r)
-            return PairSums(pbar, self.obs.mean, self.w).score("fss")
-        sums = _kept(self, "_sums", lambda: PairSums(self.pv, self.obs.dilated, self.w))
-        return sums.score(kind)
+        return self.sums(kind).score(kind)
 
 
 def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdContingency:

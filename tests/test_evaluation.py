@@ -311,3 +311,22 @@ def test_report_extra_sections_json_only(tmp_path):
     assert data["bootstrap"] == {"bss": [0.1, 0.05, 0.15]}
     lines = open(csv_path).read().splitlines()
     assert len(lines) == 1 + N_PROB_BINS + len(perf.thresholds) + len(SUMMARY_KEYS)
+
+
+# ---------------------------------------------------------------------------
+# Refusals of an empty resampling.
+
+def test_bootstrap_ci_refuses_no_resamples():
+    with pytest.raises(ValueError, match="n_boot must be >= 1, got 0"):
+        bootstrap_ci(lambda s: 0.0, [1], n_boot=0)
+
+
+def test_paired_test_refuses_no_resamples():
+    with pytest.raises(ValueError, match="n_boot must be >= 1, got 0"):
+        paired_bootstrap_test(lambda s: 0.0, lambda s: 1.0, [1, 2], n_boot=0)
+
+
+def test_consistency_bars_refuse_no_resamples():
+    attr, _ = _small_report_inputs()
+    with pytest.raises(ValueError, match="n_boot must be >= 1, got 0"):
+        consistency_bars(attr, n_boot=0)

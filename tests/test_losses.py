@@ -359,3 +359,12 @@ def test_grad_check_report_threshold():
     assert report.spec_id == "brier_F0.1-inf"
     assert not report.passed(rel_tol=0.0) or report.max_rel_diff == 0.0
     assert report.passed(rel_tol=1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-5, math.nan])
+def test_grad_check_refuses_a_step_that_is_not_positive(step):
+    rng = np.random.default_rng(15)
+    p, y = random_pair(rng, (4, 4))
+    spec = parse_spec_id("brier_F0.1-inf")
+    with pytest.raises(ValueError, match="step must be > 0"):
+        grad_check(spec, p, prepare_target(spec, y), step=step)

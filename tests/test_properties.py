@@ -3,7 +3,9 @@
 Every draw leaves at least one pixel scored: score ranges hold for the
 pixelwise and the neighbourhood forms, the attributes diagram counts the
 pixels of ``scored_weights`` and nothing else, and rank columns sum to
-M(M+1)/2 with ties allowed.
+M(M+1)/2 with ties allowed.  The filters keep their identities: the window
+mean is its own adjoint, both band-passes are linear and the Haar
+band-pass is idempotent.
 """
 
 import numpy as np
@@ -13,7 +15,8 @@ from hypothesis.extra import numpy as hnp
 
 from selfscore.evaluation import attributes_diagram
 from selfscore.grid import GridField
-from selfscore.losses import parse_spec_id
+from selfscore.losses import CENSUS_BANDS, SPECTRAL_METHODS, band_pass, parse_spec_id
+from selfscore.neighbourhood import mean_filter_array
 from selfscore.ranking import MetricMatrix, rank_models
 from selfscore.scores import nbhd_score, pixelwise_score, scored_weights
 
@@ -77,3 +80,47 @@ def test_rank_columns_sum_to_m_m_plus_1_over_2(values):
     ranks = rank_models(MetricMatrix([f"m{i}" for i in range(m)], SPECS, values))
     assert (ranks.sum(axis=0) == m * (m + 1) / 2).all()
     assert ranks.min() >= 1.0 and ranks.max() <= m
+
+
+# ---------------------------------------------------------------------------
+# Filter identities.
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.integers(0, 15), st.integers(0, 2 ** 32 - 1))
+def test_mean_filter_is_its_own_adjoint(rows, cols, r, seed):
+    """<M x, z> == <x, M z>: the zero-padded window mean with a fixed divisor
+    is symmetric, which the neighbourhood fss gradient rests on."""
+    x, z = np.random.default_rng(seed).standard_normal((2, rows, cols))
+    lhs = float(np.sum(mean_filter_array(x, r) * z))
+    rhs = float(np.sum(x * mean_filter_array(z, r)))
+    assert abs(lhs - rhs) <= 1e-12 * float(np.abs(x).sum() * np.abs(z).max())
+
+
+def real_field(values):
+    return GridField(values, 0.05, "real")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SPECTRAL_METHODS), st.sampled_from(CENSUS_BANDS),
+       st.integers(2, 20), st.integers(2, 20), st.integers(0, 2 ** 32 - 1))
+def test_band_passes_are_linear(method, band, rows, cols, seed):
+    rng = np.random.default_rng(seed)
+    x, z = rng.standard_normal((2, rows, cols))
+    a, b = rng.uniform(-3.0, 3.0, 2)
+    mixed = band_pass(real_field(a * x + b * z), method, band).values
+    parts = (a * band_pass(real_field(x), method, band).values
+             + b * band_pass(real_field(z), method, band).values)
+    scale = abs(a) * np.abs(x).max() + abs(b) * np.abs(z).max()
+    np.testing.assert_allclose(mixed, parts, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(CENSUS_BANDS), st.integers(1, 5), st.integers(1, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_haar_band_pass_is_idempotent(band, log_rows, log_cols, seed):
+    """On a power-of-two grid, where nothing is padded and cropped away, the
+    band-pass keeps a fixed set of orthonormal Haar coefficients."""
+    x = np.random.default_rng(seed).standard_normal((2 ** log_rows, 2 ** log_cols))
+    once = band_pass(real_field(x), "W", band)
+    twice = band_pass(once, "W", band).values
+    np.testing.assert_allclose(twice, once.values, rtol=0.0, atol=1e-12 * np.abs(x).max())

@@ -5,8 +5,13 @@ for all nine scores; ``NbhdObs`` filters an observation once per
 half-width for every prediction, score and prepared target.  These tests
 pin that the shared records give the values of the per-score code they
 replaced bit for bit (that code is kept here as the reference), and that
-the filters really run once.
+the filters really run once.  The gradients read the same records; they
+are pinned against the per-score gradient code they replaced, which
+reduced its own weighted sums over the whole grid and so may differ from
+them in rounding only.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -14,11 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfscore import losses, scores
-from selfscore.losses import (NBHD_HALF_WIDTHS, LossSpec, enumerate_configs,
-                              loss_gradient, loss_value, metric_tables, prepare_target)
+from selfscore.grid import GridField
+from selfscore.losses import (CENSUS_BANDS, NBHD_HALF_WIDTHS, LossSpec, PreparedTarget,
+                              enumerate_configs, loss_detail, loss_gradient, loss_value,
+                              metric_tables, prepare_target)
 from selfscore.neighbourhood import max_filter_array, mean_filter_array
-from selfscore.scores import (NBHD_SCORE_KINDS, SCORE_KINDS, XENT_EPS, NbhdObs,
-                              NbhdPair, PairSums)
+from selfscore.scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
+                              NbhdObs, NbhdPair, PairSums, scored_weights)
 from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
 
 SPACING = 0.05
@@ -155,6 +162,148 @@ def test_one_observation_record_scores_every_kind_as_the_per_score_code(case, r)
         value, fallbacks = nbhd_reference(kind, pv, yv, w, r)
         got = pair.score(kind)
         assert (got.value, got.fallbacks) == (value, tuple(fallbacks)), kind
+
+
+# ---------------------------------------------------------------------------
+# Gradients: the records against the per-score gradient code they replaced.
+
+def grad_pixelwise_reference(kind, p, y, w):
+    """d(score)/dp from weighted sums over the whole grid."""
+    wf = w.astype(np.float64)
+    g = float(wf.sum())
+    zeros = np.zeros_like(p)
+    if kind == "brier":
+        return (2.0 / g) * wf * (p - y)
+    if kind == "xent":
+        ph = np.clip(p, XENT_EPS, 1.0 - XENT_EPS)
+        interior = (p > XENT_EPS) & (p < 1.0 - XENT_EPS)
+        return -(wf * interior / (g * math.log(2.0))) * (y / ph - (1.0 - y) / (1.0 - ph))
+    if kind == "fss":
+        sse = float(np.sum(wf * (p - y) ** 2))
+        ref = float(np.sum(wf * (p * p + y * y)))
+        if ref == 0.0:
+            return zeros
+        return -wf * (2.0 * (p - y) * ref - sse * 2.0 * p) / ref ** 2
+    if kind == "iou":
+        inter = float(np.sum(wf * p * y))
+        union = float(np.sum(wf * np.maximum(p, y)))
+        if union == 0.0:
+            return zeros
+        sigma = np.where(p > y, 1.0, np.where(p == y, 0.5, 0.0))
+        return wf * (y * union - inter * sigma) / union ** 2
+    if kind == "dice":
+        return wf * (2.0 * y - 1.0) / g
+    n1 = float(np.sum(wf * y))
+    n0 = float(np.sum(wf * (1.0 - y)))
+    n = g
+    if kind == "csi":
+        a = float(np.sum(wf * p * y))
+        denom = float(np.sum(wf * (p + y - p * y)))
+        if denom == 0.0:
+            return zeros
+        return wf * (y * denom - a * (1.0 - y)) / denom ** 2
+    if kind == "peirce":
+        if n1 == 0.0 or n0 == 0.0:
+            return zeros
+        return wf * (y / n1 - (1.0 - y) / n0)
+    if kind == "heidke":
+        t = float(np.sum(wf * (p * y + (1.0 - p) * (1.0 - y))))
+        sum_p = float(np.sum(wf * p))
+        n_rand = (sum_p * n1 + n0 * (n - sum_p)) / n
+        denom = n - n_rand
+        if denom == 0.0:
+            return zeros
+        kappa = (n1 - n0) / n
+        dt = 2.0 * y - 1.0
+        return wf * ((dt - kappa) * denom + (t - n_rand) * kappa) / denom ** 2
+    if kind == "gerrity":
+        if n0 == 0.0:
+            return zeros
+        r = n1 / n0
+        if r == 0.0:
+            return wf * (2.0 * y - 1.0) / n
+        return wf * (y * (1.0 + 1.0 / r) - (1.0 - y) * (1.0 + r)) / n
+    raise ValueError(kind)
+
+
+def grad_nbhd_fss_reference(pv, yv, w, r):
+    """d(FSS)/dp, each weighted sum's gradient filtered on its own."""
+    wf = w.astype(np.float64)
+    pbar, ybar = mean_filter_array(pv, r), mean_filter_array(yv, r)
+    sse = float(np.sum(wf * (pbar - ybar) ** 2))
+    ref = float(np.sum(wf * (pbar ** 2 + ybar ** 2)))
+    if ref == 0.0:
+        return np.zeros_like(pv)
+    d_sse = 2.0 * mean_filter_array(wf * (pbar - ybar), r)
+    d_ref = 2.0 * mean_filter_array(wf * pbar, r)
+    return -(d_sse * ref - sse * d_ref) / ref ** 2
+
+
+#: Fallbacks whose score is a constant, so whose gradient is exactly 0.
+CONSTANT_FALLBACKS = {"fss_zero_reference", "iou_zero_union", "csi_zero_denominator",
+                      "heidke_zero_denominator", "peirce_empty_class",
+                      "gerrity_zero_denominator", "nbhd_csi_pod_zero", "nbhd_csi_sr_zero"}
+
+
+def check_gradient(spec, p, target, d_score):
+    """``loss_gradient`` is the reference ``d_score`` (oriented) within 1e-12
+    of its largest pixel, and exactly 0 on a constant fallback.  The scale
+    is floored at 1/(scored pixels), a pixel's share of a mean: where the
+    true gradient is 0 (heidke against an all-zero target) both codes
+    return rounding noise."""
+    got = loss_gradient(spec, p, target)
+    fallbacks = set(loss_detail(spec, p, target).fallbacks)
+    if (fallbacks & CONSTANT_FALLBACKS
+            or {"nbhd_csi_pod_undefined", "nbhd_csi_sr_undefined"} <= fallbacks):
+        assert not got.any(), (spec.spec_id, fallbacks)
+    if d_score is not None:
+        want = d_score if ORIENTATION[spec.score] < 0 else -d_score
+        scale = max(float(np.abs(want).max()), 1.0 / scored_weights(p, target.filtered).sum())
+        assert np.abs(got - want).max() <= 1e-12 * scale, spec.spec_id
+
+
+@st.composite
+def targets(draw):
+    """A ``pairs()`` case whose target may be fractional, as a spectral
+    target is after clamping."""
+    pv, yv, w = draw(pairs())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    tv = {"binary": lambda: yv, "fraction": lambda: rng.uniform(size=yv.shape),
+          "quantised": lambda: np.round(rng.uniform(size=yv.shape) * 4) / 4,
+          }[draw(st.sampled_from(("binary", "fraction", "quantised")))]()
+    return pv, yv, tv, w
+
+
+def fields(pv, yv, w):
+    return (GridField(pv, SPACING, "prob", None if w.all() else w),
+            GridField(yv, SPACING, "mask"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(targets())
+def test_pixelwise_gradients_read_the_sums_record(case):
+    pv, yv, tv, w = case
+    p, y = fields(pv, yv, w)
+    for kind in SCORE_KINDS:
+        spec = LossSpec(kind, "F", band=CENSUS_BANDS[0])
+        target = PreparedTarget(spec, y, GridField(tv, SPACING, "prob"))
+        check_gradient(spec, p, target, grad_pixelwise_reference(kind, pv, tv, w))
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs(), st.sampled_from(NBHD_HALF_WIDTHS))
+def test_neighbourhood_gradients_read_the_pair_record(case, r):
+    pv, yv, w = case
+    p, y = fields(pv, yv, w)
+    for kind in NBHD_SCORE_KINDS:
+        spec = LossSpec(kind, "nbhd", half_width=r)
+        if kind == "fss":
+            d_score = grad_nbhd_fss_reference(pv, yv, w, r)
+        elif kind == "csi":
+            d_score = None  # its window-argmax code is unchanged
+        else:
+            d_score = grad_pixelwise_reference(kind, pv, max_filter_array(yv, r), w)
+        check_gradient(spec, p, prepare_target(spec, y), d_score)
 
 
 # ---------------------------------------------------------------------------
