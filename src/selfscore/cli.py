@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globmod
+import io
 import json
 import os
 import re
@@ -73,8 +74,8 @@ def _map(fn, items, jobs: int) -> list:
     return [fn(x) for x in items]
 
 
-def _expand_paths(text: str) -> list[str]:
-    """Comma-separated paths/globs -> sorted concrete path list."""
+def _expand_paths(text: str, option: str) -> list[str]:
+    """Comma-separated paths/globs -> sorted concrete path list, never empty."""
     out: list[str] = []
     for part in text.split(","):
         part = part.strip()
@@ -82,6 +83,8 @@ def _expand_paths(text: str) -> list[str]:
             continue
         hits = sorted(globmod.glob(part))
         out.extend(hits if hits else [part])
+    if not out:
+        raise ValueError(f"{option}: {text!r} names no file")
     return out
 
 
@@ -109,6 +112,19 @@ def _read_scored(path: str, obs_path: str, obs: GridField) -> GridField:
     return pred
 
 
+def _read_sides(obs_text: str, sides: dict[str, str]):
+    """The observations ``--obs`` names and, per ``{option: text}`` side, the
+    predictions paired with them: every file read and checked before any is scored."""
+    obs_paths = _expand_paths(obs_text, "--obs")
+    obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
+    preds = {}
+    for option, text in sides.items():
+        paths = _expand_paths(text, option)
+        _check_pairing(paths, obs_paths, option)
+        preds[option] = [_read_scored(p, o, y) for p, o, y in zip(paths, obs_paths, obs)]
+    return obs, preds
+
+
 def _check_pairing(paths: list[str], obs_paths: list[str], what: str) -> None:
     """Files pair by sorted position: refuse unequal counts and, when every
     file on both sides has a step number (the last run of digits in its
@@ -130,6 +146,8 @@ def _select_specs(text: str | None) -> list:
     one per canonical id (``brier_nbhd_r1,BRIER_nbhd_r1`` is one), sorted."""
     specs = (enumerate_configs() if text is None
              else [parse_spec_id(s) for s in text.split(",") if s.strip()])
+    if not specs:
+        raise ValueError(f"--specs: {text!r} names no config")
     return sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
 
 
@@ -145,14 +163,12 @@ def cmd_filter(args) -> int:
     if args.out_dir is None:
         if len(args.paths) != 2:
             raise ValueError("without --out-dir, give exactly one input and one output path")
-        inputs = _expand_paths(args.paths[0])
+        inputs = _expand_paths(args.paths[0], "paths")
         if len(inputs) != 1:
             raise ValueError("input glob matched more than one file; use --out-dir")
         pairs = [(inputs[0], args.paths[1])]
     else:
-        inputs = []
-        for text in args.paths:
-            inputs.extend(_expand_paths(text))
+        inputs = [p for text in args.paths for p in _expand_paths(text, "paths")]
         pairs = [(p, os.path.join(args.out_dir, os.path.basename(p))) for p in inputs]
         sources: dict[str, str] = {}
         for src, dst in pairs:
@@ -198,7 +214,7 @@ def cmd_filter(args) -> int:
 # ---------------------------------------------------------------------------
 # score
 
-def _parse_model_args(pred_args: list[str]) -> list[tuple[str, list[str]]]:
+def _parse_model_args(pred_args: list[str]) -> list[tuple[str, str]]:
     models = []
     for text in pred_args:
         if "=" in text:
@@ -210,7 +226,7 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, list[str]]]:
             raise ValueError("with multiple --pred entries each needs a NAME= prefix")
         if not name:
             raise ValueError("empty model name in --pred")
-        models.append((name, _expand_paths(paths)))
+        models.append((name, paths))
     if len({m for m, _ in models}) != len(models):
         raise ValueError("duplicate model names in --pred")
     return models
@@ -221,16 +237,13 @@ def cmd_score(args) -> int:
         raise ValueError("give --specs or --all-336")
     specs = _select_specs(None if args.all_336 else args.specs)
     models = _parse_model_args(args.pred)
-    obs_paths = _expand_paths(args.obs)
-    for name, paths in models:
-        _check_pairing(paths, obs_paths, f"model {name!r}")
-    obs_fields = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
+    obs, sides = _read_sides(args.obs, {f"--pred of model {name!r}": text
+                                        for name, text in models})
 
     def step_tables(i: int) -> list[dict]:
-        preds = [_read_scored(paths[i], obs_paths[i], obs_fields[i]) for _, paths in models]
-        return metric_tables(specs, preds, obs_fields[i])
+        return metric_tables(specs, [side[i] for side in sides.values()], obs[i])
 
-    tables = _map(step_tables, range(len(obs_paths)), args.jobs)
+    tables = _map(step_tables, range(len(obs)), args.jobs)
 
     rows = []
     for m, (name, _) in enumerate(models):
@@ -251,16 +264,9 @@ def cmd_score(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    obs_paths = _expand_paths(args.obs)
-    obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
-
-    def read_side(text: str, what: str) -> list[GridField]:
-        paths = _expand_paths(text)
-        _check_pairing(paths, obs_paths, what)
-        return [_read_scored(p, o, y) for p, o, y in zip(paths, obs_paths, obs)]
-
-    preds = read_side(args.pred, "--pred")
-    cmp_preds = None if args.compare is None else read_side(args.compare, "--compare")
+    texts = {"--pred": args.pred, "--compare": args.compare}
+    obs, sides = _read_sides(args.obs, {k: v for k, v in texts.items() if v is not None})
+    preds, cmp_preds = sides["--pred"], sides.get("--compare")
 
     attr = attributes_diagram(preds, obs)
     consistency_bars(attr, n_boot=args.n_boot_bars, seed=args.seed)
@@ -293,30 +299,43 @@ def cmd_eval(args) -> int:
 # ---------------------------------------------------------------------------
 # rank
 
-def cmd_rank(args) -> int:
-    with open(args.scores, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+def _read_scores(path: str) -> MetricMatrix:
+    """The models x configs matrix of a scores CSV.  A refusal names the
+    file and, for a broken row, its line."""
+    line = 0
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.DictReader(io.StringIO(fh.read(), newline=""))
         needed = {"model", "spec_id", "value"}
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValueError(f"scores CSV must have columns {sorted(needed)}")
         cells: dict[tuple[str, str], float] = {}
+        specs = {}
         for rec in reader:
-            key = (rec["model"], rec["spec_id"])
+            line, key, value = reader.line_num, (rec["model"], rec["spec_id"]), rec["value"]
             if key in cells:
                 raise ValueError(f"duplicate row for model={key[0]!r} spec={key[1]!r}")
-            cells[key] = float(rec["value"])
-    model_names = sorted({m for m, _ in cells})
-    spec_ids = sorted({s for _, s in cells})
-    if not cells:
-        raise ValueError("scores CSV is empty")
-    values = np.empty((len(model_names), len(spec_ids)))
-    for i, m in enumerate(model_names):
-        for j, s in enumerate(spec_ids):
-            if (m, s) not in cells:
-                raise ValueError(f"missing value for model={m!r} spec={s!r}")
-            values[i, j] = cells[(m, s)]
-    matrix = MetricMatrix(tuple(model_names), tuple(parse_spec_id(s) for s in spec_ids),
-                          values)
+            if value is None:
+                raise ValueError("row has no value cell")
+            cells[key] = float(value)
+            if not np.isfinite(cells[key]):
+                raise ValueError(f"value {value!r} is not finite")
+            specs[key[1]] = parse_spec_id(key[1])
+        line = 0
+        if not cells:
+            raise ValueError("scores CSV is empty")
+        models, spec_ids = sorted({m for m, _ in cells}), sorted(specs)
+        missing = [(m, s) for m in models for s in spec_ids if (m, s) not in cells]
+        if missing:
+            raise ValueError(f"missing value for model={missing[0][0]!r} spec={missing[0][1]!r}")
+        return MetricMatrix(models, [specs[s] for s in spec_ids],
+                            [[cells[m, s] for s in spec_ids] for m in models])
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {f'line {line}: ' if line else ''}{exc}") from None
+
+
+def cmd_rank(args) -> int:
+    matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)
     fids, means = filter_mean_ranks(matrix, ranks)
     winners = best_per_filter(matrix)
@@ -328,17 +347,15 @@ def cmd_rank(args) -> int:
         return os.path.join(args.out_dir, name)
 
     write_csv(out("ranks.csv"), ["model"] + [s.spec_id for s in matrix.specs],
-              [[m] + [_float_cell(ranks[i, j]) for j in range(len(spec_ids))]
-               for i, m in enumerate(matrix.models)])
+              [[m] + [_float_cell(x) for x in row] for m, row in zip(matrix.models, ranks)])
     write_csv(out("filter_summary.csv"), ["model"] + list(fids),
-              [[m] + [_float_cell(means[i, k]) for k in range(len(fids))]
-               for i, m in enumerate(matrix.models)])
+              [[m] + [_float_cell(x) for x in row] for m, row in zip(matrix.models, means)])
     write_csv(out("winners.csv"), ["filter_id", "model", "mean_rank"],
               [[w.filter_id, w.model, _float_cell(w.mean_rank)] for w in winners])
 
     order = np.argsort(overall, kind="stable")
     top = ", ".join(f"{matrix.models[i]} ({overall[i]:.2f})" for i in order[:3])
-    print(f"ranked {len(model_names)} models over {len(spec_ids)} configs; "
+    print(f"ranked {matrix.n_models} models over {len(matrix.specs)} configs; "
           f"best mean ranks: {top}")
     print(f"wrote ranks.csv, filter_summary.csv, winners.csv to {args.out_dir}")
     return 0
@@ -391,10 +408,10 @@ def cmd_synth(args) -> int:
     radius = _parse_pair(args.radius_range, float, "--radius-range")
     elong = _parse_pair(args.elongation_range, float, "--elongation-range")
     offset = _parse_pair(args.offset, int, "--offset")
-    if args.count == 1 and args.out_mask is None:
-        raise ValueError("give --out-mask (or --count with --out-dir)")
-    if args.count > 1 and args.out_dir is None:
-        raise ValueError("--count needs --out-dir")
+    if args.count == 1 and (args.out_mask is None or args.out_dir is not None):
+        raise ValueError("a single step takes --out-mask (and --out-prob), not --out-dir")
+    if args.count > 1 and (args.out_dir is None or (args.out_mask, args.out_prob) != (None, None)):
+        raise ValueError("--count > 1 takes --out-dir, not --out-mask or --out-prob")
 
     for i in range(args.count):
         spec = SynthSpec(rows=args.rows, cols=args.cols, spacing_deg=args.spacing,

@@ -23,10 +23,8 @@ the rest.  A loss and its gradient are read from one record: the
 or the ``NbhdPair`` of it with a neighbourhood spec's observation.  So
 ``loss_gradient`` is the exact derivative of ``loss_value``, from the same
 sums and the same fallback tests (a constant fallback has gradient zero).
-Neighbourhood fss chains its sums' gradient through the prediction's window
-mean, which is its own adjoint; neighbourhood csi routes each observed
-event's hit to the argmax of its window.  ``grad_check`` verifies the
-gradient against central finite differences away from non-smooth points.
+``grad_check`` verifies the gradient against central finite differences
+away from non-smooth points.
 """
 
 from __future__ import annotations
@@ -36,14 +34,12 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum
 from .grid import GridField, WavelengthBand
-from .neighbourhood import (max_filter, max_filter_array, mean_filter,
-                            mean_filter_array)
+from .neighbourhood import max_filter, max_filter_array, mean_filter
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
-                     NbhdObs, NbhdPair, PairSums, ScoreResult,
+                     NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max,
                      nbhd_score_detail, pixelwise_score_detail, scored_weights)
 from .wavelet import wavelet_band_pass, wavelet_band_passes, wavelet_decompose
 
@@ -372,86 +368,13 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
     return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]
 
 
-# ---------------------------------------------------------------------------
-# Analytic gradients.
-
-#: Events per block of the window gather: 512 windows, 2.5 MB at r = 12.
-_WINDOW_BLOCK = 512
-
-
-def _near_window_max(pv: np.ndarray, events: np.ndarray, r: int, margin: float):
-    """Pixels within ``margin`` of each event's (2r+1)^2 window maximum.
-
-    The windows of a block of events are gathered from ``pv`` padded with
-    -inf, so each sees only its in-grid pixels.  Yields ``(k, (rows, cols),
-    count)`` per block: each near pixel's event and place, event-major and
-    row-major, and each event's count."""
-    view = sliding_window_view(np.pad(pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
-    rows, cols = np.nonzero(events)
-    for s in range(0, rows.size, _WINDOW_BLOCK):
-        i, j = rows[s:s + _WINDOW_BLOCK], cols[s:s + _WINDOW_BLOCK]
-        windows = view[i, j]  # a copy, overwritten with the distance to the max
-        near = np.subtract(windows.max(axis=(1, 2), keepdims=True), windows, out=windows) <= margin
-        k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)
-        yield k, (i[k] - r + a, j[k] - r + b), np.count_nonzero(near, axis=(1, 2))
-
-
-def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-    """d(a_obs)/dp: each observed event routes weight to its window argmax.
-
-    Exact ties within a window split the unit weight equally.
-    """
-    grad = np.zeros_like(pv)
-    for k, at, ties in _near_window_max(pv, w & (yv == 1.0), r, 0.0):
-        np.add.at(grad, at, (1.0 / ties)[k])  # in event order, as a loop adds
-    return grad
-
-
-def _grad_nbhd_csi(pair: NbhdPair) -> np.ndarray:
-    """d(CSI)/dp for the two-sided neighbourhood contingency CSI."""
-    a_obs, a_pred, b, c = pair.contingency()
-    pv, obs, w = pair.pv, pair.obs, pair.w
-    zeros = np.zeros_like(pv)
-    pod_den, sr_den = a_obs + c, a_pred + b
-
-    e = (w & obs.event_near).astype(np.float64)
-    not_e = (w & ~obs.event_near).astype(np.float64)
-
-    if pod_den == 0.0 and sr_den == 0.0:
-        return zeros  # CSI == 1, constant
-    if pod_den == 0.0:  # CSI == SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e
-        return zeros if a_pred == 0.0 else (e * sr_den - a_pred * not_e) / sr_den ** 2
-    if a_obs == 0.0:
-        return zeros  # CSI == 0, constant branch
-    if sr_den == 0.0:
-        return _obs_window_max_grad(pv, obs.yv, w, obs.r) / pod_den  # CSI == POD
-    if a_pred == 0.0:
-        return zeros
-    da_obs = _obs_window_max_grad(pv, obs.yv, w, obs.r)
-    inv = pod_den / a_obs + sr_den / a_pred - 1.0
-    csi = 1.0 / inv
-    dinv = (-pod_den / a_obs ** 2 * da_obs
-            + (not_e * a_pred - sr_den * e) / a_pred ** 2)
-    return -(csi ** 2) * dinv
-
-
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
     """Exact gradient of the loss with respect to every prediction pixel,
-    from the record the loss value is read from.  Through the prediction's
-    window mean (fss) or argmax (csi), an unscored pixel that reaches a
-    scored window receives gradient."""
+    from the record the loss value is read from."""
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    record = _record(spec, p.values, target, scored_weights(p, target.filtered))
-    if spec.filter_kind != "nbhd":
-        d_score = record.gradient(spec.score)
-    elif spec.score == "csi":
-        d_score = _grad_nbhd_csi(record)
-    else:
-        d_score = record.sums(spec.score).gradient(spec.score)
-        if spec.score == "fss":
-            # The zero-padded window mean with a fixed divisor is its own adjoint.
-            d_score = mean_filter_array(d_score, spec.half_width)
+    d_score = _record(spec, p.values, target,
+                      scored_weights(p, target.filtered)).gradient(spec.score)
     return d_score if ORIENTATION[spec.score] < 0 else -d_score
 
 

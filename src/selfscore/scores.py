@@ -26,7 +26,12 @@ an observation once per half-width, for every prediction (``NbhdPair``).
 Each sum is the reduction its score would run alone, so no bit changes.
 ``PairSums.gradient`` differentiates each score from the same sums and the
 same fallback tests as ``PairSums.score``, so a loss and its gradient
-cannot take different branches.
+cannot take different branches.  ``NbhdPair.gradient`` does the same for
+the neighbourhood scores: csi reads its branch from the fallbacks of its
+score and routes each observed event's hit to the argmax of its window;
+fss chains its sums' gradient through the prediction's window mean, which
+is its own adjoint; the other four differentiate their sums against the
+dilation.
 
 Degenerate denominators never return NaN; each defined fallback is recorded
 by name in the returned ``ScoreResult``.
@@ -38,6 +43,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import GridField
 from .neighbourhood import max_filter_array, mean_filter_array
@@ -276,10 +282,44 @@ class NbhdObs:
         return _kept(self, "_mean", lambda: mean_filter_array(self.yv, self.r))
 
 
+#: Events per block of the window gather: 512 windows, 2.5 MB at r = 12.
+_WINDOW_BLOCK = 512
+
+
+def _near_window_max(pv: np.ndarray, events: np.ndarray, r: int, margin: float):
+    """Pixels within ``margin`` of each event's (2r+1)^2 window maximum.
+
+    The windows of a block of events are gathered from ``pv`` padded with
+    -inf, so each sees only its in-grid pixels.  Yields ``(k, (rows, cols),
+    count)`` per block: each near pixel's event and place, event-major and
+    row-major, and each event's count."""
+    view = sliding_window_view(np.pad(pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
+    rows, cols = np.nonzero(events)
+    for s in range(0, rows.size, _WINDOW_BLOCK):
+        i, j = rows[s:s + _WINDOW_BLOCK], cols[s:s + _WINDOW_BLOCK]
+        windows = view[i, j]  # a copy, overwritten with the distance to the max
+        near = np.subtract(windows.max(axis=(1, 2), keepdims=True), windows, out=windows) <= margin
+        k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)
+        yield k, (i[k] - r + a, j[k] - r + b), np.count_nonzero(near, axis=(1, 2))
+
+
+def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
+    """d(a_obs)/dp: each observed event routes weight to its window argmax.
+
+    Exact ties within a window split the unit weight equally.
+    """
+    grad = np.zeros_like(pv)
+    for k, at, ties in _near_window_max(pv, w & (yv == 1.0), r, 0.0):
+        np.add.at(grad, at, (1.0 / ties)[k])  # in event order, as a loop adds
+    return grad
+
+
 class NbhdPair:
     """One prediction ``pv`` against an ``NbhdObs`` over the scored pixels
     ``w``: brier, iou, dice and xent share one sums record against the
-    dilation; csi takes the prediction's window maximum, fss its mean."""
+    dilation; csi takes the prediction's window maximum, fss its mean.
+    Each is made on first use and kept, so the record filters ``pv`` once
+    for its scores and gradients alike."""
 
     def __init__(self, pv: np.ndarray, obs: NbhdObs, w: np.ndarray):
         self.pv, self.obs, self.w = pv, obs, w
@@ -287,7 +327,7 @@ class NbhdPair:
     def contingency(self) -> tuple[float, float, float, float]:
         """(a_obs, a_pred, b, c) of the two-sided contingency."""
         pv, w = self.pv, self.w
-        pmax = max_filter_array(pv, self.obs.r)
+        pmax = _kept(self, "_pmax", lambda: max_filter_array(pv, self.obs.r))
         obs = w & (self.obs.yv == 1.0)
         a_obs = float(np.sum(pmax[obs]))
         c = float(np.sum(1.0 - pmax[obs]))
@@ -301,7 +341,8 @@ class NbhdPair:
         """The sums record of ``kind`` (not csi): the window means of both
         fields for fss, else the prediction against the dilation."""
         if kind == "fss":
-            return PairSums(mean_filter_array(self.pv, self.obs.r), self.obs.mean, self.w)
+            return _kept(self, "_fss", lambda: PairSums(
+                mean_filter_array(self.pv, self.obs.r), self.obs.mean, self.w))
         return _kept(self, "_sums", lambda: PairSums(self.pv, self.obs.dilated, self.w))
 
     def score(self, kind: str) -> ScoreResult:
@@ -310,6 +351,32 @@ class NbhdPair:
             value, fallbacks = _nbhd_csi_from_counts(*self.contingency())
             return ScoreResult(value, tuple(fallbacks))
         return self.sums(kind).score(kind)
+
+    def gradient(self, kind: str) -> np.ndarray:
+        """d(score kind)/d``pv`` on the whole grid, following the branch
+        ``score`` takes.  Through the prediction's window mean (fss) or
+        argmax (csi), an unscored pixel that reaches a scored window
+        receives gradient."""
+        if kind == "fss":
+            # The zero-padded window mean with a fixed divisor is its own adjoint.
+            return mean_filter_array(self.sums(kind).gradient(kind), self.obs.r)
+        if kind != "csi":
+            return self.sums(kind).gradient(kind)
+        fallbacks = self.score(kind).fallbacks
+        if fallbacks not in ((), ("nbhd_csi_pod_undefined",)):
+            return np.zeros_like(self.pv)  # a constant branch
+        a_obs, a_pred, b, c = self.contingency()
+        pod_den, sr_den = a_obs + c, a_pred + b
+        e = (self.w & self.obs.event_near).astype(np.float64)
+        not_e = (self.w & ~self.obs.event_near).astype(np.float64)
+        if fallbacks:  # CSI == SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e
+            return (e * sr_den - a_pred * not_e) / sr_den ** 2
+        da_obs = _obs_window_max_grad(self.pv, self.obs.yv, self.w, self.obs.r)
+        inv = pod_den / a_obs + sr_den / a_pred - 1.0
+        csi = 1.0 / inv
+        dinv = (-pod_den / a_obs ** 2 * da_obs
+                + (not_e * a_pred - sr_den * e) / a_pred ** 2)
+        return -(csi ** 2) * dinv
 
 
 def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdContingency:
@@ -326,27 +393,19 @@ def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdConting
 
 def _nbhd_csi_from_counts(a_obs: float, a_pred: float, b: float,
                           c: float) -> tuple[float, list[str]]:
-    """CSI = 1 / (1/POD + 1/SR - 1) with factor-level fallbacks."""
+    """CSI = 1 / (1/POD + 1/SR - 1); a factor with a zero denominator
+    counts as perfect, and one with zero hits makes CSI 0."""
     fallbacks: list[str] = []
     inv = 0.0
-    pod_den = a_obs + c
-    sr_den = a_pred + b
-    if pod_den == 0.0:
-        fallbacks.append("nbhd_csi_pod_undefined")  # no events: factor perfect
-        inv += 1.0
-    else:
-        if a_obs == 0.0:
-            fallbacks.append("nbhd_csi_pod_zero")
+    for name, hits, den in (("pod", a_obs, a_obs + c), ("sr", a_pred, a_pred + b)):
+        if den == 0.0:
+            fallbacks.append(f"nbhd_csi_{name}_undefined")
+            inv += 1.0
+        elif hits == 0.0:
+            fallbacks.append(f"nbhd_csi_{name}_zero")
             return 0.0, fallbacks
-        inv += pod_den / a_obs
-    if sr_den == 0.0:
-        fallbacks.append("nbhd_csi_sr_undefined")
-        inv += 1.0
-    else:
-        if a_pred == 0.0:
-            fallbacks.append("nbhd_csi_sr_zero")
-            return 0.0, fallbacks
-        inv += sr_den / a_pred
+        else:
+            inv += den / hits
     return 1.0 / (inv - 1.0), fallbacks
 
 

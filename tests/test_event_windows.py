@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
-from selfscore.losses import (NBHD_HALF_WIDTHS, LossSpec, _excluded_pixels,
-                              _obs_window_max_grad)
+from selfscore.losses import NBHD_HALF_WIDTHS, LossSpec, _excluded_pixels
+from selfscore.scores import _obs_window_max_grad
 
 
 def window_max_grad_loop(pv, yv, w, r):

@@ -1,10 +1,11 @@
 """Every CLI refusal exits 1, names what it refuses, and writes nothing.
 
-Each case gives ``score``, ``eval``, ``eval --compare`` or ``filter`` one
-broken input (or any command one out-of-range option) and checks the exit
-code, that stderr is an ``error:`` line (after argparse's usage line, for
-options) naming the offending path(s) or option, that no traceback escapes,
-and that the output directory stays empty.
+Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
+``rank`` one broken input, one option an empty list, or any command one
+out-of-range or ignored option, and checks the exit code, that stderr is an
+``error:`` line (after argparse's usage line, for options) naming the
+offending path(s), row or option, that no traceback escapes, and that the
+output directory stays empty.
 """
 
 import os
@@ -43,7 +44,20 @@ def steps(tmp_path_factory):
         write_grid(d / name, field)
     (d / "unparsable").mkdir()
     (d / "unparsable" / "prob_001.grid").write_bytes(b"GRID1\n16 16 wide prob\n")
+    (d / "rank").mkdir()
+    for name, body in RANK_CSVS.items():
+        (d / "rank" / name).write_bytes(b"model,spec_id,value\n" + body)
     return d
+
+
+# Broken scores CSVs for ``rank``, below a good header.
+RANK_CSVS = {
+    "no-value.csv": b"m,brier_nbhd_r1\n",
+    "non-numeric.csv": b"m,brier_nbhd_r1,0.5\nm,fss_nbhd_r1,high\n",
+    "bad-spec.csv": b"m,brier_nbhd_r1,0.5\nm,brier_nbhd_q1,0.5\n",
+    "nan.csv": b"m,brier_nbhd_r1,nan\n",
+    "undecodable.csv": b"m\xff,brier_nbhd_r1,0.5\n",
+}
 
 
 REPORT = "--obs {obs} --n-boot 20 --n-boot-bars 10 --out-dir {out}/report"
@@ -85,6 +99,27 @@ OTHERS = {
     "synth-noise-sd": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
                        "--noise-sd -0.5", ["--noise-sd"]),
     "synth-count": ("synth --rows 8 --cols 8 --count 0 --out-dir {out}/s", ["--count"]),
+    "synth-ignored-out-mask": ("synth --rows 8 --cols 8 --count 2 --out-dir {out}/s "
+                               "--out-mask {out}/x.grid", ["--out-mask"]),
+    "synth-ignored-out-dir": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid "
+                              "--out-dir {out}/s", ["--out-dir"]),
+    "score-empty-pred": ("score --pred m=, --obs {obs} --specs brier_nbhd_r1 --out {out}/s.csv",
+                         ["--pred"]),
+    "score-empty-specs": ("score --pred m={preds} --obs {obs} --specs , --out {out}/s.csv",
+                          ["--specs"]),
+    "gradcheck-empty-specs": ("gradcheck --specs , --rows 6 --cols 6", ["--specs"]),
+    "eval-empty-obs": ("eval --pred , --obs , --out-dir {out}/report", ["--obs"]),
+    "filter-empty-inputs": ("filter --spec F0-0.2 , --out-dir {out}/o", ["paths"]),
+    "rank-no-value": ("rank --scores {d}/rank/no-value.csv --out-dir {out}/r",
+                      ["{d}/rank/no-value.csv", "line 2"]),
+    "rank-non-numeric": ("rank --scores {d}/rank/non-numeric.csv --out-dir {out}/r",
+                         ["{d}/rank/non-numeric.csv", "line 3"]),
+    "rank-bad-spec": ("rank --scores {d}/rank/bad-spec.csv --out-dir {out}/r",
+                      ["{d}/rank/bad-spec.csv", "line 3"]),
+    "rank-nan": ("rank --scores {d}/rank/nan.csv --out-dir {out}/r",
+                 ["{d}/rank/nan.csv", "line 2"]),
+    "rank-undecodable": ("rank --scores {d}/rank/undecodable.csv --out-dir {out}/r",
+                         ["{d}/rank/undecodable.csv"]),
 }
 CASES = {f"{cmd}-{case}": (COMMANDS[cmd].replace("{preds}", "{d}/prob_000.grid,{d}/" + pred)
                            .replace("{obs}", "{d}/mask_000.grid,{d}/" + obs),
