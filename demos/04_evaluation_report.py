@@ -40,8 +40,9 @@ print(f"\nperformance at threshold {perf.thresholds[k]:.2f}: "
       f"CSI={perf.csi[k]:.3f} bias={perf.bias[k]:.3f}")
 print(f"AUPD={perf.aupd:.4f} over {perf.thresholds.size} thresholds")
 
-out = Path(tempfile.mkdtemp()) / "report"
-emit_report(attr, perf, out)
-summary = json.loads((out / "report.json").read_text())["summary"]
-print(f"\nwrote {out}/report.json + .csv; summary keys: "
-      f"{', '.join(sorted(summary))}")
+with tempfile.TemporaryDirectory() as tmp:
+    out = Path(tmp) / "report"
+    emit_report(attr, perf, out)
+    summary = json.loads((out / "report.json").read_text())["summary"]
+    print(f"\nwrote {out}/report.json + .csv; summary keys: "
+          f"{', '.join(sorted(summary))}")

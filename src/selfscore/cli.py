@@ -36,9 +36,9 @@ import numpy as np
 from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
                          consistency_bars, emit_report, paired_bootstrap_test,
                          performance_diagram, pooled_bs, pooled_bss, write_csv)
-from .grid import GridField, atomic_write, read_grid, write_grid
+from .grid import GRID_KINDS, GridField, atomic_write, read_grid, write_grid
 from .losses import (apply_filter, enumerate_configs, grad_check, metric_tables,
-                     parse_filter_id, parse_spec_id, prepare_target)
+                     parse_filter_id, parse_spec_id, prepare_targets)
 from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
                       overall_mean_ranks, rank_models)
 from .scores import scored_weights
@@ -179,7 +179,9 @@ def cmd_filter(args) -> int:
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
-    fields = [read_grid(src) for src, _ in pairs]  # every input parses before a write
+    # Every input parses, and is of a kind the filter takes, before a write.
+    kinds = PRED_KINDS if fspec.kind.startswith("nbhd") else GRID_KINDS
+    fields = [_read_kind(src, kinds, f"{fspec.filter_id} input") for src, _ in pairs]
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
 
@@ -372,12 +374,10 @@ def cmd_gradcheck(args) -> int:
     p = GridField(rng.uniform(0.01, 0.99, size=shape), args.spacing, "prob")
     y = GridField((rng.uniform(size=shape) < 0.3).astype(np.float64), args.spacing, "mask")
 
-    targets = {}
+    targets = prepare_targets(specs, y)
     failures = 0
     print(f"{'spec':<24} {'checked':>8} {'excluded':>9} {'max_rel':>12}  status")
     for spec in specs:
-        if spec.filter_id not in targets:
-            targets[spec.filter_id] = prepare_target(spec, y)
         report = grad_check(spec, p, targets[spec.filter_id], step=args.step)
         ok = report.passed(rel_tol=args.tol)
         failures += 0 if ok else 1

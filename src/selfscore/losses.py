@@ -11,20 +11,19 @@ The canonical census is 336 configurations: 6 scores x 8 half-widths
 {0, 1, 2, 3, 4, 6, 8, 12} plus 9 scores x 16 wavelength bands x 2 spectral
 methods.  Spec ids look like ``fss_nbhd_r4`` or ``brier_W0.1-inf``.
 
-For training, spectral filtering is applied to the observations only
-(``prepare_target``), then clamped back to [0, 1]; the predictions enter the
-score raw, so gradients never flow through a spectral transform.  For model
-comparison, ``metric_value`` instead filters both fields, which is the
-evaluation-time convention; the two intentionally differ.
+Training targets (``prepare_targets``) and evaluation (``metric_tables``)
+share one filter walk, ``_filtered``, and one target constructor: the
+observation is filtered, then clamped back to [0, 1].  Training leaves the
+predictions raw, so gradients never flow through a spectral transform;
+evaluation filters and clamps them too.  The two intentionally differ.
 
 Losses are negatively oriented: loss = score for brier/xent, 1 - score for
-the rest.  A loss and its gradient are read from one record: the
-``PairSums`` of the prediction against a spectral spec's filtered target,
-or the ``NbhdPair`` of it with a neighbourhood spec's observation.  So
-``loss_gradient`` is the exact derivative of ``loss_value``, from the same
-sums and the same fallback tests (a constant fallback has gradient zero).
-``grad_check`` verifies the gradient against central finite differences
-away from non-smooth points.
+the rest.  Every score and gradient is read through one record dispatch,
+``_record``: a ``PairSums`` against a spectral target or an ``NbhdPair``
+with a neighbourhood one.  So ``loss_gradient`` is the exact derivative of
+``loss_value``, from the same sums and the same fallback tests (a constant
+fallback has gradient zero).  ``grad_check`` verifies the gradient against
+central finite differences away from non-smooth points.
 """
 
 from __future__ import annotations
@@ -194,9 +193,7 @@ def _spectral(method: str):
     rebound on this module (a tracer's or a test's wrapper) is the one used."""
     if method == "F":
         return fourier_band_pass, fourier_spectrum, fourier_band_passes
-    if method == "W":
-        return wavelet_band_pass, wavelet_decompose, wavelet_band_passes
-    raise ValueError(f"unknown spectral method {method!r}")
+    return wavelet_band_pass, wavelet_decompose, wavelet_band_passes
 
 
 def apply_filter(field: GridField, fspec: FilterSpec,
@@ -225,14 +222,25 @@ def enumerate_configs() -> list[LossSpec]:
     return configs
 
 
-def band_pass(field: GridField, method: str, band: WavelengthBand) -> GridField:
-    """Dispatch to the Fourier or wavelet band-pass."""
-    return _spectral(method)[0](field, band)
-
-
 def _clamped(filtered: GridField) -> GridField:
     return GridField(np.clip(filtered.values, 0.0, 1.0), filtered.spacing_deg, "prob",
                      filtered.eval_mask)
+
+
+def _filtered(specs: list[LossSpec], fields: list[GridField]):
+    """Group ``specs`` by filter (first-seen order per kind); yield each group
+    with its outputs for ``fields``: the fields for a neighbourhood group (its
+    records filter), else each band-passed from one transform per method."""
+    groups: dict[str, list[LossSpec]] = {}
+    for spec in specs:
+        groups.setdefault(spec.filter_id, []).append(spec)
+    for kind in ("nbhd", *SPECTRAL_METHODS):
+        kind_groups = [group for group in groups.values() if group[0].filter_kind == kind]
+        if kind != "nbhd" and kind_groups:
+            _, transform, band_passes = _spectral(kind)
+            transforms = [transform(f) for f in fields]
+        for group in kind_groups:
+            yield group, fields if kind == "nbhd" else band_passes(transforms, group[0].band)
 
 
 @dataclass(frozen=True)
@@ -256,16 +264,31 @@ class PreparedTarget:
                            else NbhdObs(self.observed.values, self.spec.half_width))
 
 
-def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
-    """Filter the observations for a spectral spec; pass masks through for nbhd."""
+def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
+    """``y``'s target for ``spec`` from its filter output ``out``: clamped
+    to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
+    if not spec.is_spectral:
+        if y.kind != "mask":
+            raise ValueError("neighbourhood scores need a binary observation mask")
+        return PreparedTarget(spec, y, y)
+    filtered = _clamped(out)
+    return PreparedTarget(spec, y, filtered,
+                          float(np.max(np.abs(out.values - filtered.values))))
+
+
+def prepare_targets(specs: list[LossSpec], y: GridField) -> dict[str, PreparedTarget]:
+    """One target per filter of ``specs``, keyed by filter id, from one
+    transform of ``y`` per spectral method."""
     if y.kind != "mask":
         raise ValueError("targets must be binary masks")
-    if not spec.is_spectral:
-        return PreparedTarget(spec, y, y)
-    raw = band_pass(y, spec.filter_kind, spec.band)
-    filtered = _clamped(raw)
-    clamp_max = float(np.max(np.abs(raw.values - filtered.values)))
-    return PreparedTarget(spec, y, filtered, clamp_max)
+    return {group[0].filter_id: _target(group[0], y, y_out)
+            for group, (y_out,) in _filtered(specs, [y])}
+
+
+def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
+    """The one-spec case of :func:`prepare_targets`: ``y`` filtered and
+    clamped for a spectral spec, passed through for a neighbourhood one."""
+    return prepare_targets([spec], y)[spec.filter_id]
 
 
 def _record(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
@@ -303,11 +326,12 @@ def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
 
     Unlike the training loss, model comparison filters predictions and
     observations alike (then clamps both to [0, 1]).  Returns the score in
-    its natural orientation (not the loss).
+    its natural orientation (not the loss).  The test reference: one field
+    at a time, apart from the filter walk of ``metric_tables``.
     """
     if spec.filter_kind == "nbhd":
         return nbhd_score_detail(spec.score, p, y, spec.half_width)
-    p2, y2 = (_clamped(band_pass(f, spec.filter_kind, spec.band)) for f in (p, y))
+    p2, y2 = (_clamped(_spectral(spec.filter_kind)[0](f, spec.band)) for f in (p, y))
     return pixelwise_score_detail(spec.score, p2, y2)
 
 
@@ -325,46 +349,23 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
                   y: GridField) -> list[dict[str, ScoreResult]]:
     """``metric_table`` for several predictions of one observation.
 
-    The loop is step-major: the observation is filtered once per
-    neighbourhood half-width, and it and every prediction are transformed
-    once per spectral method (one real DFT, one Haar pyramid each).  Band
-    by band, the band's filter (for Fourier, its gain, built once) is
-    applied to all of them; each filtered pair is clamped to [0, 1] and
-    reduced once for every config of that filter, and the band's fields are
-    dropped before the next band.  Returns one table per prediction, in
-    input order, keyed by spec id in the order of ``specs``; values match
-    ``metric_value`` exactly.
+    One walk over the filters (``_filtered``) transforms every field once
+    per spectral method.  Per filter the observation becomes a target as for
+    training, each prediction's output is clamped to [0, 1], and each pair's
+    record is read for every config of the filter.  Returns one table per
+    prediction, in input order, keyed by spec id in the order of ``specs``;
+    values match ``metric_value`` exactly.
     """
     tables: list[dict[str, ScoreResult]] = [{} for _ in preds]
-    by_filter: dict[str, list[LossSpec]] = {}
-    for spec in specs:
-        by_filter.setdefault(spec.filter_id, []).append(spec)
     # Band-passed fields keep their eval masks, so one weight array per
     # prediction serves every filter.
     weights = [scored_weights(p, y) for p in preds]
-    for group in by_filter.values():
-        if group[0].filter_kind != "nbhd":
-            continue
-        if y.kind != "mask":
-            raise ValueError("neighbourhood scores need a binary observation mask")
-        obs = NbhdObs(y.values, group[0].half_width)
-        for p, w, table in zip(preds, weights, tables):
-            pair = NbhdPair(p.values, obs, w)
-            for spec in group:
-                table[spec.spec_id] = pair.score(spec.score)
-    for method in SPECTRAL_METHODS:
-        groups = [group for group in by_filter.values() if group[0].filter_kind == method]
-        if not groups:
-            continue
-        _, transform, band_passes = _spectral(method)
-        transforms = [transform(field) for field in (y, *preds)]
-        for group in groups:
-            y_band, *p_bands = band_passes(transforms, group[0].band)
-            yv = np.clip(y_band.values, 0.0, 1.0)
-            for p_band, w, table in zip(p_bands, weights, tables):
-                sums = PairSums(np.clip(p_band.values, 0.0, 1.0), yv, w)
-                for spec in group:
-                    table[spec.spec_id] = sums.score(spec.score)
+    for group, (y_out, *p_outs) in _filtered(specs, [y, *preds]):
+        target = _target(group[0], y, y_out)
+        for p_out, w, table in zip(p_outs, weights, tables):
+            pv = np.clip(p_out.values, 0.0, 1.0) if group[0].is_spectral else p_out.values
+            record = _record(group[0], pv, target, w)
+            table.update((spec.spec_id, record.score(spec.score)) for spec in group)
     return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]
 
 

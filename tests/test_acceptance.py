@@ -30,7 +30,7 @@ from selfscore.evaluation import (attributes_diagram, consistency_bars,
 from selfscore.fourier import blackman_harris_weights, butterworth_gain
 from selfscore.grid import GridField, WavelengthBand, crop_taper, taper_zero_pad
 from selfscore.losses import (NBHD_HALF_WIDTHS, enumerate_configs, grad_check,
-                              parse_spec_id, prepare_target)
+                              parse_spec_id, prepare_targets)
 from selfscore.ranking import MetricMatrix, best_per_filter, rank_models
 from selfscore.scores import (SCORE_KINDS, nbhd_contingency, nbhd_score,
                               pixelwise_score, pixelwise_score_detail,
@@ -317,12 +317,10 @@ def test_06_gradient_fidelity(capsys):
     y = GridField((rng.uniform(size=(16, 16)) < 0.3).astype(float),
                   SPACING, "mask")
 
-    targets = {}
+    targets = prepare_targets(enumerate_configs(), y)
     worst = (0.0, "")
     failures, smooth_excluded = [], []
     for config in enumerate_configs():
-        if config.filter_id not in targets:
-            targets[config.filter_id] = prepare_target(config, y)
         report = grad_check(config, p, targets[config.filter_id], step=1e-5)
         if not report.passed(rel_tol=1e-5):
             failures.append((config.spec_id, report.max_rel_diff))

@@ -1,7 +1,8 @@
 """The demos the README lists run to completion.
 
 Each ``demos/*.py`` script runs in a fresh interpreter against the package
-sources, with its temporary files kept under the test's own directory.
+sources, with ``TMPDIR`` pointed at an empty directory of the test's own,
+which the demo must leave empty: a demo cleans up its temporary files.
 """
 
 import os
@@ -23,8 +24,11 @@ def test_the_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo, tmp_path):
     src = Path(selfscore.__file__).resolve().parent.parent
-    env = dict(os.environ, TMPDIR=str(tmp_path), PYTHONPATH=os.pathsep.join(
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, TMPDIR=str(tmpdir), PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    assert os.listdir(tmpdir) == [], "the demo left files in its TMPDIR"

@@ -20,7 +20,6 @@ from selfscore.losses import (
     FilterSpec,
     LossSpec,
     apply_filter,
-    band_pass,
     enumerate_configs,
     grad_check,
     loss_detail,
@@ -194,7 +193,7 @@ def test_prepare_target_spectral_filters_and_clamps():
     y = mask(yv)
     spec = parse_spec_id("brier_F0-0.4")
     t = prepare_target(spec, y)
-    raw = band_pass(y, "F", spec.band)
+    raw = apply_filter(y, FilterSpec("F", band=spec.band))
     np.testing.assert_array_equal(t.filtered.values, np.clip(raw.values, 0.0, 1.0))
     assert t.filtered.kind == "prob"
     # A sharp edge through a low-pass filter overshoots [0, 1], so the clamp
@@ -280,8 +279,11 @@ def test_metric_table_matches_metric_value_across_census():
 
 
 def test_band_pass_unknown_method():
-    with pytest.raises(ValueError, match="spectral method"):
-        band_pass(prob(np.zeros((4, 4))), "X", WavelengthBand(0.1, 0.2))
+    """An unknown spectral method is refused where its filter is built."""
+    with pytest.raises(ValueError, match="kind must be"):
+        apply_filter(prob(np.zeros((4, 4))), FilterSpec("X", band=WavelengthBand(0.1, 0.2)))
+    with pytest.raises(ValueError, match="filter_kind must be"):
+        LossSpec("brier", "X", band=WavelengthBand(0.1, 0.2))
 
 
 # ---------------------------------------------------------------------------

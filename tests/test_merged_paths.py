@@ -1,10 +1,12 @@
 """Tests for the shared filter-and-score core.
 
-One spectral dispatch serves ``band_pass``, ``apply_filter``,
-``prepare_target`` and ``metric_tables``; one loss core serves
-``loss_detail`` and ``grad_check``; one grammar helper serves both id
-parsers; one atomic writer serves GRID1 files, reports and CSVs.  These
-tests pin what each shared path must keep doing for all of its callers.
+One spectral dispatch serves ``apply_filter``, ``metric_value`` and the
+filter walk; one filter walk serves ``prepare_targets`` (and so
+``prepare_target`` and ``gradcheck``) and ``metric_tables``; one record
+dispatch serves ``metric_tables``, ``loss_detail``, ``loss_gradient`` and
+``grad_check``; one grammar helper serves both id parsers; one atomic
+writer serves GRID1 files, reports and CSVs.  These tests pin what each
+shared path must keep doing for all of its callers.
 """
 
 import os
@@ -19,7 +21,8 @@ from selfscore.evaluation import (attributes_diagram, emit_report, performance_d
                                   write_csv)
 from selfscore.grid import GridField, WavelengthBand, write_grid
 from selfscore.losses import (FilterSpec, LossSpec, enumerate_configs, loss_detail,
-                              parse_filter_id, parse_spec_id, prepare_target)
+                              parse_filter_id, parse_spec_id, prepare_target,
+                              prepare_targets)
 from selfscore.scores import ORIENTATION, nbhd_score_detail, pixelwise_score_detail
 
 SPACING = 0.05
@@ -42,13 +45,12 @@ def random_pair(seed, shape=(14, 15)):
 # ---------------------------------------------------------------------------
 # Spectral dispatch: every caller reaches the module's current bindings.
 
-def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
-    """A tracer rebinds the band-pass names on ``selfscore.losses`` and reads
-    ``args[0], args[1]`` as (field, band); every spectral caller must go
-    through those names with the field and band positional."""
+def spy(monkeypatch, *names):
+    """Rebind ``names`` on ``selfscore.losses``, as a tracer does, to wrappers
+    that record (name, args, kwargs) in the returned list."""
     calls = []
 
-    def spy(name):
+    def wrap(name):
         real = getattr(losses, name)
 
         def wrapper(*args, **kwargs):
@@ -56,33 +58,74 @@ def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
             return real(*args, **kwargs)
         monkeypatch.setattr(losses, name, wrapper)
 
-    for name in ("fourier_band_pass", "fourier_spectrum", "wavelet_band_passes"):
-        spy(name)
+    for name in names:
+        wrap(name)
+    return calls
+
+
+def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
+    """A tracer rebinds the spectral names on ``selfscore.losses`` and reads
+    ``args[0], args[1]`` as (field or fields, band); every spectral caller
+    must go through those names with them positional."""
+    calls = spy(monkeypatch, "fourier_band_pass", "fourier_spectrum", "fourier_band_passes",
+                "wavelet_band_passes")
     p, y = random_pair(1)
     band = WavelengthBand(0.1, 0.4)
 
-    def reached(name, field):
-        """One call to ``name`` was made, with ``field`` and the band as its
-        first two positional arguments."""
+    def reached(name):
+        """The arguments of the one call made to ``name``."""
         (args,) = [a for n, a, _ in calls if n == name]
-        calls.clear()
-        assert args[0] is field and args[1] == band
+        return args
 
-    losses.band_pass(p, "F", band)
-    reached("fourier_band_pass", p)
     out, stages = losses.apply_filter(p, FilterSpec("F", band=band), return_stages=True)
-    reached("fourier_band_pass", p)
+    args = reached("fourier_band_pass")
+    assert args[0] is p and args[1] == band
     assert "gain" in stages and out.shape == p.shape
+    calls.clear()
+
     prepare_target(LossSpec("brier", "F", band=band), y)
-    reached("fourier_band_pass", y)
+    assert reached("fourier_spectrum")[0] is y
+    spectra, got_band = reached("fourier_band_passes")
+    assert [s.field for s in spectra] == [y] and got_band == band
+    assert "fourier_band_pass" not in [n for n, _, _ in calls]
+    calls.clear()
 
     specs = [LossSpec("brier", "F", band=band), LossSpec("fss", "W", band=band)]
     losses.metric_tables(specs, [p], y)
     spectra = [a for n, a, _ in calls if n == "fourier_spectrum"]
     assert [len(a) for a in spectra] == [1, 1]
     assert spectra[0][0] is y and spectra[1][0] is p
-    (args,) = [a for n, a, _ in calls if n == "wavelet_band_passes"]
-    assert len(args) == 2 and len(args[0]) == 2 and args[1] == band
+    for name in ("fourier_band_passes", "wavelet_band_passes"):
+        args = reached(name)
+        assert len(args) == 2 and len(args[0]) == 2 and args[1] == band
+
+
+# ---------------------------------------------------------------------------
+# One filter walk: prepare_targets transforms the observation once per method.
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "eval-masked"])
+def test_prepare_targets_transforms_once_and_matches_prepare_target(monkeypatch, masked):
+    """The 40 filters of the census need one Fourier spectrum and one Haar
+    pyramid of the observation, and each target is the one ``prepare_target``
+    makes for a spec of its filter, bit for bit."""
+    _, y = random_pair(5, shape=(20, 23))
+    if masked:
+        y = GridField(y.values, SPACING, "mask", np.random.default_rng(6).random(y.shape) < 0.7)
+    configs = enumerate_configs()
+    calls = spy(monkeypatch, "fourier_spectrum", "wavelet_decompose")
+    targets = prepare_targets(configs, y)
+    assert sorted(n for n, _, _ in calls) == ["fourier_spectrum", "wavelet_decompose"]
+    assert all(args[0] is y for _, args, _ in calls)
+    assert list(targets) == list(dict.fromkeys(s.filter_id for s in configs))
+    assert len(targets) == 40
+    for spec in configs:
+        got, want = targets[spec.filter_id], prepare_target(spec, y)
+        assert got.spec.filter_id == spec.filter_id and got.observed is y
+        assert got.filtered.values.tobytes() == want.filtered.values.tobytes(), spec.spec_id
+        assert np.array_equal(got.filtered.eval_mask, want.filtered.eval_mask)
+        assert got.clamp_max_abs == want.clamp_max_abs, spec.spec_id
+        assert (got.nbhd is None) == spec.is_spectral
+        assert got.nbhd is None or got.nbhd.r == want.nbhd.r == spec.half_width
 
 
 # ---------------------------------------------------------------------------
@@ -101,11 +144,9 @@ def test_loss_detail_is_the_oriented_score_for_every_config(fields):
         p, y = random_pair(2)
     else:
         p, y = prob(np.zeros((9, 11))), mask(np.zeros((9, 11)))
-    targets = {}
+    targets = prepare_targets(enumerate_configs(), y)
     fired = set()
     for spec in enumerate_configs():
-        if spec.filter_id not in targets:
-            targets[spec.filter_id] = prepare_target(spec, y)
         target = targets[spec.filter_id]
         if spec.filter_kind == "nbhd":
             ref = nbhd_score_detail(spec.score, p, y, spec.half_width)

@@ -31,6 +31,7 @@ def steps(tmp_path_factory):
     left[:, :8] = True
     broken = {
         "kind/prob_001.grid": GridField(p.values, p.spacing_deg, "real"),
+        "real_000.grid": GridField(p.values, p.spacing_deg, "real"),
         "shape/prob_001.grid": GridField(p.values[:, :12], p.spacing_deg, "prob"),
         "spacing/prob_001.grid": GridField(p.values, 2 * p.spacing_deg, "prob"),
         "empty/prob_001.grid": GridField(p.values, p.spacing_deg, "prob", np.zeros_like(left)),
@@ -86,6 +87,11 @@ OTHERS = {
     "filter-unparsable-out-dir": ("filter --spec F0.1-inf {d}/prob_000.grid "
                                   "{d}/unparsable/prob_001.grid --out-dir {out}/f --jobs 2",
                                   ["{d}/unparsable/prob_001.grid"]),
+    "filter-nbhd-real": ("filter --spec nbhd_mean_r2 {d}/real_000.grid {out}/f.grid",
+                         ["{d}/real_000.grid", "nbhd_mean_r2"]),
+    "filter-nbhd-real-out-dir": ("filter --spec nbhd_max_r1 {d}/prob_000.grid "
+                                 "{d}/real_000.grid --out-dir {out}/f --jobs 2",
+                                 ["{d}/real_000.grid", "nbhd_max_r1"]),
     "eval-n-boot": (COMMANDS["eval"] + " --n-boot 0", ["--n-boot"]),
     "eval-n-boot-bars": (COMMANDS["eval"] + " --n-boot-bars 0", ["--n-boot-bars"]),
     "eval-thresholds": (COMMANDS["eval"] + " --thresholds 0", ["--thresholds"]),
