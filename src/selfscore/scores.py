@@ -187,11 +187,11 @@ class PairSums:
             raise ValueError(f"unknown score kind {kind!r}; valid: {SCORE_KINDS}")
 
         a, b, c, d, n = s("a"), s("b"), s("c"), s("d"), g
-        if kind == "heidke":
-            n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
-            if n - n_rand == 0.0:
+        if kind == "heidke":  # n - n_rand as non-negative terms, so no digits cancel
+            den = ((a + b) * (b + d) + (a + c) * (c + d)) / n
+            if den == 0.0:
                 return ScoreResult(0.0, ("heidke_zero_denominator",))
-            return ScoreResult((a + d - n_rand) / (n - n_rand))
+            return ScoreResult((den - b - c) / den)  # a + d - n_rand == den - b - c
         if kind == "peirce":
             if a + c == 0.0 or b + d == 0.0:
                 return ScoreResult(0.0, ("peirce_empty_class",))
@@ -231,10 +231,9 @@ class PairSums:
         if kind == "csi":
             return wf * (y * (a + b + c) - a * (1.0 - y)) / (a + b + c) ** 2
         if kind == "heidke":
-            n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
-            kappa = ((a + c) - (b + d)) / n  # d(n_rand)/dp
-            return wf * ((2.0 * y - 1.0 - kappa) * (n - n_rand)
-                         + (a + d - n_rand) * kappa) / (n - n_rand) ** 2
+            den = ((a + b) * (b + d) + (a + c) * (c + d)) / n  # n - n_rand, as in score
+            kappa = ((a + c) - (b + d)) / n  # d(n_rand)/dp = -d(den)/dp
+            return wf * ((2.0 * y - 1.0 - kappa) * den + (den - b - c) * kappa) / den ** 2
         if kind == "peirce":
             return wf * (y / (a + c) - (1.0 - y) / (b + d))
         r = (a + c) / (b + d)  # gerrity

@@ -4,8 +4,9 @@
 for all nine scores; ``NbhdObs`` filters an observation once per
 half-width for every prediction, score and prepared target.  These tests
 pin that the shared records give the values of the per-score code they
-replaced bit for bit (that code is kept here as the reference), and that
-the filters really run once.  The gradients read the same records; they
+replaced bit for bit (that code is kept here as the reference, heidke in
+the cancellation-free form the records now use), and that the filters
+really run once.  The gradients read the same records; they
 are pinned against the per-score gradient code they replaced, which
 reduced its own weighted sums over the whole grid and so may differ from
 them in rounding only.
@@ -78,11 +79,11 @@ def pixelwise_reference(kind, pv, yv, w):
             return 1.0, fallbacks
         return a / denom, fallbacks
     if kind == "heidke":
-        n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
-        if n - n_rand == 0.0:
+        den = ((a + b) * (b + d) + (a + c) * (c + d)) / n  # n - n_rand, free of cancellation
+        if den == 0.0:
             fallbacks.append("heidke_zero_denominator")
             return 0.0, fallbacks
-        return (a + d - n_rand) / (n - n_rand), fallbacks
+        return (den - b - c) / den, fallbacks
     if kind == "peirce":
         if a + c == 0.0 or b + d == 0.0:
             fallbacks.append("peirce_empty_class")
