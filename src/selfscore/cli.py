@@ -37,8 +37,8 @@ from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
                          consistency_bars, emit_report, paired_bootstrap_test,
                          performance_diagram, pooled_bs, pooled_bss, write_csv)
 from .grid import GRID_KINDS, GridField, atomic_write, read_grid, write_grid
-from .losses import (apply_filter, enumerate_configs, grad_check, metric_tables,
-                     parse_filter_id, parse_spec_id, prepare_targets)
+from .losses import (apply_filter, enumerate_configs, filter_stages, grad_check,
+                     metric_tables, parse_filter_id, parse_spec_id, prepare_targets)
 from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
                       overall_mean_ranks, rank_models)
 from .scores import scored_weights
@@ -188,15 +188,11 @@ def cmd_filter(args) -> int:
     def run_one(job: tuple[tuple[str, str], GridField]) -> None:
         (src, dst), field = job
         if args.dump_stages is not None:
-            out, stages = apply_filter(field, fspec, return_stages=True)
             os.makedirs(args.dump_stages, exist_ok=True)
-            for name, stage in stages.items():
-                if isinstance(stage, np.ndarray) and stage.ndim == 2:
-                    stage_field = GridField(np.ascontiguousarray(stage, dtype=np.float64),
-                                            field.spacing_deg, "real")
-                    write_grid(os.path.join(args.dump_stages, f"{name}.grid"), stage_field)
-        else:
-            out = apply_filter(field, fspec)
+            for name, stage in filter_stages(field, fspec).items():
+                write_grid(os.path.join(args.dump_stages, f"{name}.grid"),
+                           GridField(stage, field.spacing_deg, "real"))
+        out = apply_filter(field, fspec)
         write_grid(dst, out)
         sidecar = {
             "filter_id": fspec.filter_id,

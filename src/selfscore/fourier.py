@@ -16,8 +16,10 @@ The pipeline for one field is:
 Steps 1-3 depend on the field only and steps 4-6 on the band, so a field is
 transformed once (:func:`fourier_spectrum`) and then filtered under any
 number of bands; :func:`fourier_band_passes` applies one band's gain to
-several spectra, building the gain once.  :func:`fourier_band_pass` is the
-one-field, one-band case of the same code.
+several spectra, building the gain once.  :func:`fourier_band_pass` is its
+one-field case.  The padded rows are zero, so steps 1-3 pad and window the
+data rows only; :func:`fourier_stages` builds every step on the full padded
+grid, for inspection.
 
 The gain depends on the wavenumber magnitude only, so it is the same at a
 wavenumber and at its mirror; the filtered spectrum keeps the conjugate
@@ -158,21 +160,20 @@ class FourierSpectrum:
         return TAPER_FACTOR * self.field.rows, TAPER_FACTOR * self.field.cols
 
 
-def _windowed(field: GridField) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1-2: (tapered, windowed) arrays on the padded grid."""
-    target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
-    tapered = taper_zero_pad(field, target).values
-    return tapered, blackman_harris_weights(target) * tapered
-
-
 def fourier_spectrum(field: GridField) -> FourierSpectrum:
     """Pad, window and transform a field once, for any number of bands.
-    Equals ``np.fft.rfft2`` (rows, then columns) bit for bit; the padded
-    rows all take a zero row's transform (some of its zeros are -0.0)."""
+    Only the data rows are padded and windowed, as one (rows, 3*cols) block;
+    equals ``np.fft.rfft2`` (rows, then columns) of the windowed taper bit
+    for bit, the padded rows all taking a zero row's transform (some of its
+    zeros are -0.0)."""
     rows, cols = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
     top = _pad_amounts(field.rows, rows)[0]
+    left = _pad_amounts(field.cols, cols)[0]
+    block = np.zeros((field.rows, cols))
+    block[:, left:left + field.cols] = field.values
+    block *= blackman_harris_weights((rows, cols))[top:top + field.rows]
     coeffs = np.tile(np.fft.rfft(np.zeros(cols)), (rows, 1))
-    coeffs[top:top + field.rows] = np.fft.rfft(_windowed(field)[1][top:top + field.rows])
+    coeffs[top:top + field.rows] = np.fft.rfft(block)
     np.fft.fft(coeffs, axis=0, out=coeffs)
     return FourierSpectrum(field, _read_only(coeffs))
 
@@ -212,32 +213,29 @@ def fourier_band_passes(spectra: Sequence[FourierSpectrum],
     return [_inverse_cropped(spectrum, gain, work) for spectrum in spectra]
 
 
-def fourier_band_pass(field: GridField, band: WavelengthBand,
-                      return_stages: bool = False) -> GridField | tuple[GridField, dict]:
-    """Band-pass filter a field with the taper/window/Butterworth pipeline.
+def fourier_band_pass(field: GridField, band: WavelengthBand) -> GridField:
+    """Band-pass filter one field: the one-field case of
+    :func:`fourier_band_passes`."""
+    return fourier_band_passes([fourier_spectrum(field)], band)[0]
 
-    Returns a "real"-kind field of the original shape (window attenuation is
-    not undone); the same values as :func:`fourier_band_passes`.  With
-    ``return_stages=True`` also returns a dict of full padded-grid arrays
-    for inspection, built on request: tapered, window, windowed, gain,
-    spectrum_mag, filtered_mag, full (uncropped output).
-    """
-    spectrum = fourier_spectrum(field)
-    out = fourier_band_passes([spectrum], band)[0]
-    if not return_stages:
-        return out
-    target = spectrum.target
-    tapered, windowed = _windowed(field)
+
+def fourier_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarray]:
+    """The pipeline's stages for inspection, as full padded-grid arrays:
+    tapered, window, windowed, gain, spectrum_mag, filtered_mag and full
+    (the uncropped output, whose crop is :func:`fourier_band_pass`'s)."""
+    target = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
+    tapered = taper_zero_pad(field, target).values
+    window = blackman_harris_weights(target)
     gain = butterworth_gain(target, field.spacing_deg, band)
+    windowed = window * tapered
     spectrum_mag = np.abs(np.fft.fft2(windowed))
     half_gain = gain[:, :target[1] // 2 + 1]
-    stages = {
+    return {
         "tapered": tapered,
-        "window": blackman_harris_weights(target),
+        "window": window,
         "windowed": windowed,
         "gain": gain,
         "spectrum_mag": spectrum_mag,
         "filtered_mag": spectrum_mag * gain,
-        "full": np.fft.irfft2(spectrum.coeffs * half_gain, s=target),
+        "full": np.fft.irfft2(fourier_spectrum(field).coeffs * half_gain, s=target),
     }
-    return out, stages

@@ -34,13 +34,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum
+from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum, fourier_stages
 from .grid import GridField, WavelengthBand
 from .neighbourhood import max_filter, max_filter_array, mean_filter
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
                      NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max,
                      nbhd_score_detail, pixelwise_score_detail, scored_weights)
-from .wavelet import wavelet_band_pass, wavelet_band_passes, wavelet_decompose
+from .wavelet import (wavelet_band_pass, wavelet_band_passes, wavelet_decompose,
+                      wavelet_stages)
 
 NBHD_HALF_WIDTHS = (0, 1, 2, 3, 4, 6, 8, 12)
 
@@ -196,19 +197,19 @@ def _spectral(method: str):
     return wavelet_band_pass, wavelet_decompose, wavelet_band_passes
 
 
-def apply_filter(field: GridField, fspec: FilterSpec,
-                 return_stages: bool = False):
-    """Apply a standalone filter to a field.
-
-    Returns the filtered field, or ``(field, stages)`` when
-    ``return_stages`` is set (spectral filters expose their pipeline
-    stages; neighbourhood filters have none and return an empty dict).
-    """
+def apply_filter(field: GridField, fspec: FilterSpec) -> GridField:
+    """Apply a standalone filter to a field."""
     if fspec.kind in SPECTRAL_METHODS:
-        return _spectral(fspec.kind)[0](field, fspec.band, return_stages=return_stages)
+        return _spectral(fspec.kind)[0](field, fspec.band)
     nbhd_filter = max_filter if fspec.kind == "nbhd_max" else mean_filter
-    out = nbhd_filter(field, fspec.half_width)
-    return (out, {}) if return_stages else out
+    return nbhd_filter(field, fspec.half_width)
+
+
+def filter_stages(field: GridField, fspec: FilterSpec) -> dict[str, np.ndarray]:
+    """A spectral filter's pipeline stages by name, for inspection; a
+    neighbourhood filter has none (``{}``)."""
+    stages = {"F": fourier_stages, "W": wavelet_stages}.get(fspec.kind)
+    return {} if stages is None else stages(field, fspec.band)
 
 
 def enumerate_configs() -> list[LossSpec]:

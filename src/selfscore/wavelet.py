@@ -20,12 +20,12 @@ off above, i.e. when hi is at least the padded-domain scale):
 
 1. pad the field, centered, to power-of-two dimensions;
 2. decompose fully;
-3. (a) zero LL at every level whose larger wavelength d*2^(k+1) exceeds hi;
-   (b) walking from the deepest level up, rebuild every not-cut-off level's
-   LL from all four subbands one level down, so the zeroing propagates;
-   (c) for levels with detail wavelength d*2^k at or below lo, zero the
-   level's detail subbands;
-4. one inverse transform from the level-1 subbands; crop the padding.
+3. one inverse walk up to the padded grid: it starts from a zero LL at the
+   shallowest level whose larger wavelength d*2^(k+1) exceeds hi (every
+   deeper level's does too), or from the deepest LL when no level's does;
+   a level with detail wavelength d*2^k at or below lo inverts with zero
+   details, every other level with its own;
+4. crop the padding.
 
 The bottom band edge is exclusive so that complementary bands [0, x] and
 [x, inf] split every coefficient exactly once: the detail subbands at
@@ -38,6 +38,8 @@ rules above (a top edge below 2d still passes the level-1 details).
 Steps 1-2 depend on the field only, so a field is decomposed once
 (:func:`wavelet_decompose`) and steps 3-4 run per band from that shared
 pyramid (:func:`wavelet_band_passes`), which they never modify.
+:func:`wavelet_band_pass` is its one-field case; :func:`wavelet_stages`
+gives the padded input and the uncropped output, for inspection.
 """
 
 from __future__ import annotations
@@ -160,34 +162,19 @@ def wavelet_decompose(field: GridField) -> WaveletDecomposition:
                                 haar_pyramid(padded, n_levels, field.spacing_deg))
 
 
-def _filtered_pyramid(pyramid: WaveletPyramid, band: WavelengthBand) -> WaveletPyramid:
-    """Step 3: the pyramid with the module rules applied for one band.
-
-    The input is left untouched; subbands the band keeps are shared with it.
-    Levels are built deepest first, so each rebuilt LL sees the final state
-    below.  A level whose larger wavelength exceeds the band top ("above")
-    gets a zero LL and is never rebuilt: that cuts the chain to deeper
-    levels, whose scales are larger still.  Every other level but the
-    deepest rebuilds LL from the level below, so the filtering propagates.
-    """
-    n_levels = pyramid.n_levels
-    levels: list[WaveletLevel] = []
-    for k in range(n_levels, 0, -1):
-        level = pyramid.levels[k - 1]
-        small, large = level_wavelengths(k, pyramid.spacing_deg)
-        if large > band.hi_deg:
-            ll = np.zeros_like(level.ll)
-        elif k == n_levels:
-            ll = level.ll
-        else:
-            deeper = levels[-1]
-            ll = haar_inverse(deeper.ll, deeper.lh, deeper.hl, deeper.hh)
-        if small <= band.lo_deg:
-            zero = np.zeros_like(level.lh)
-            levels.append(WaveletLevel(ll, zero, zero, zero))
-        else:
-            levels.append(WaveletLevel(ll, level.lh, level.hl, level.hh))
-    return WaveletPyramid(levels[::-1], pyramid.spacing_deg)
+def _band_full(decomposition: WaveletDecomposition, band: WavelengthBand) -> np.ndarray:
+    """Step 3 for one band: the padded grid from one inverse walk of the
+    shared pyramid, which it only reads."""
+    levels, spacing = decomposition.pyramid.levels, decomposition.pyramid.spacing_deg
+    start = next((k for k in range(1, len(levels) + 1)
+                  if level_wavelengths(k, spacing)[1] > band.hi_deg), None)
+    ll = levels[-1].ll if start is None else np.zeros_like(levels[start - 1].ll)
+    for k in range(start or len(levels), 0, -1):
+        level = levels[k - 1]
+        keep = level_wavelengths(k, spacing)[0] > band.lo_deg
+        ll = haar_inverse(ll, *((level.lh, level.hl, level.hh) if keep
+                                else (np.zeros_like(level.lh),) * 3))
+    return ll
 
 
 def _crop(decomposition: WaveletDecomposition, full: np.ndarray) -> GridField:
@@ -201,31 +188,21 @@ def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],
                         band: WavelengthBand) -> list[GridField]:
     """Band-pass every decomposed field under one band, in input order.
 
-    Each output is inverted once from the level-1 subbands of the filtered
-    pyramid and cropped; the all-pass band reproduces the input exactly.
+    Each output is one inverse walk of the shared pyramid, cropped; the
+    all-pass band reproduces the input exactly.
     """
-    return [_crop(d, pyramid_reconstruct(_filtered_pyramid(d.pyramid, band)))
-            for d in decompositions]
+    return [_crop(d, _band_full(d, band)) for d in decompositions]
 
 
-def wavelet_band_pass(field: GridField, band: WavelengthBand,
-                      return_stages: bool = False) -> GridField | tuple[GridField, dict]:
-    """Band-pass filter a field by zeroing out-of-band Haar coefficients.
+def wavelet_band_pass(field: GridField, band: WavelengthBand) -> GridField:
+    """Band-pass filter one field: the one-field case of
+    :func:`wavelet_band_passes`."""
+    return wavelet_band_passes([wavelet_decompose(field)], band)[0]
 
-    The field is padded (centered) to power-of-two dims, fully decomposed,
-    filtered per the module rules, inverted once from level 1, and cropped;
-    the same values as :func:`wavelet_band_passes`.  The all-pass band
-    reproduces the input exactly.
-    """
+
+def wavelet_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarray]:
+    """The pipeline's stages for inspection, on the power-of-two grid: padded
+    (the input) and full (the uncropped output, whose crop is
+    :func:`wavelet_band_pass`'s)."""
     decomposition = wavelet_decompose(field)
-    if not return_stages:
-        return wavelet_band_passes([decomposition], band)[0]
-    filtered = _filtered_pyramid(decomposition.pyramid, band)
-    full = pyramid_reconstruct(filtered)
-    stages = {
-        "padded": decomposition.padded,
-        "pyramid": decomposition.pyramid,
-        "filtered_pyramid": filtered,
-        "full": full,
-    }
-    return _crop(decomposition, full), stages
+    return {"padded": decomposition.padded, "full": _band_full(decomposition, band)}

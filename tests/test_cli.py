@@ -110,18 +110,28 @@ def test_filter_glob_out_dir_and_jobs(tmp_path):
     assert read_grid(out / "mask_000.grid").kind == "real"
 
 
-def test_filter_dump_stages(tmp_path):
+DUMPED_STAGES = {
+    "F0.1-0.4": ["filtered_mag", "full", "gain", "spectrum_mag", "tapered", "window",
+                 "windowed"],
+    "W0-0.1": ["full", "padded"],
+    "nbhd_max_r1": [],  # a neighbourhood filter has no stages
+}
+
+
+@pytest.mark.parametrize("spec", sorted(DUMPED_STAGES))
+def test_filter_dump_stages(tmp_path, spec):
     src = tmp_path / "in.grid"
     dst = tmp_path / "out.grid"
     stages = tmp_path / "stages"
     assert run(*synth_args(src)) == 0
-    assert run("filter", "--spec", "F0.1-0.4", src, dst,
+    assert run("filter", "--spec", spec, src, dst,
                "--dump-stages", stages) == 0
-    names = sorted(os.listdir(stages))
-    assert "window.grid" in names and "gain.grid" in names
+    names = [f"{name}.grid" for name in DUMPED_STAGES[spec]]
+    assert sorted(os.listdir(stages)) == names
     for name in names:
         f = read_grid(stages / name)
         assert f.kind == "real"
+
 
 
 def test_filter_usage_errors(tmp_path):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 
 from selfscore.fourier import (blackman_harris_weights, butterworth_gain,
                                fourier_band_pass, fourier_band_passes, fourier_spectrum,
-                               frequency_grid)
+                               fourier_stages, frequency_grid)
 from selfscore.grid import GridField, WavelengthBand, _pad_amounts, taper_zero_pad
 
 
@@ -181,7 +181,8 @@ def test_taper_triples_dimensions_and_preserves_eval_mask():
     emask = np.zeros((10, 12), dtype=bool)
     emask[2:8, 3:9] = True
     f = GridField(np.ones((10, 12)), 0.02, "prob", emask)
-    out, stages = fourier_band_pass(f, WavelengthBand(0.0, 0.4), return_stages=True)
+    stages = fourier_stages(f, WavelengthBand(0.0, 0.4))
+    out = fourier_band_pass(f, WavelengthBand(0.0, 0.4))
     assert stages["tapered"].shape == (30, 36)
     assert stages["gain"].shape == (30, 36)
     assert out.shape == (10, 12)

@@ -21,6 +21,7 @@ from selfscore.losses import (
     LossSpec,
     apply_filter,
     enumerate_configs,
+    filter_stages,
     grad_check,
     loss_detail,
     loss_gradient,
@@ -124,10 +125,8 @@ def test_apply_filter_dispatch():
 
 def test_apply_filter_stages():
     f = prob(np.random.default_rng(4).random((8, 8)))
-    out, stages = apply_filter(f, parse_filter_id("nbhd_max_r1"), return_stages=True)
-    assert stages == {}
-    out, stages = apply_filter(f, parse_filter_id("F0.1-0.4"), return_stages=True)
-    assert stages  # spectral pipelines expose their intermediate stages
+    assert filter_stages(f, parse_filter_id("nbhd_max_r1")) == {}
+    assert filter_stages(f, parse_filter_id("F0.1-0.4"))  # spectral pipelines expose their stages
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,8 @@ from selfscore.fourier import (TAPER_FACTOR, blackman_harris_weights, butterwort
                                frequency_grid)
 from selfscore.grid import (GridField, WavelengthBand, crop_taper, next_pow2_dims,
                             taper_zero_pad)
-from selfscore.losses import enumerate_configs, metric_table, metric_tables
+from selfscore.losses import (FilterSpec, apply_filter, enumerate_configs, filter_stages,
+                              metric_table, metric_tables)
 from selfscore.wavelet import (WaveletLevel, WaveletPyramid, haar_inverse, haar_pyramid,
                                level_wavelengths, pyramid_reconstruct, wavelet_band_pass,
                                wavelet_band_passes, wavelet_decompose)
@@ -107,17 +108,24 @@ def test_real_dft_matches_complex_dft_reference(group, band):
     assert np.abs(got - want).max() <= 1e-12
 
 
+STAGES = {"F": ["tapered", "window", "windowed", "gain", "spectrum_mag", "filtered_mag",
+                "full"],
+          "W": ["padded", "full"]}
+
+
 @SETTINGS
-@given(fields(), bands())
-def test_stages_full_grid_crops_to_the_output(group, band):
+@given(fields(), bands(), st.sampled_from(sorted(STAGES)))
+def test_stages_full_grid_crops_to_the_output(group, band, method):
     field = group[0]
-    out, stages = fourier_band_pass(field, band, return_stages=True)
-    target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
-    for name in ("tapered", "window", "windowed", "gain", "spectrum_mag",
-                 "filtered_mag", "full"):
-        assert stages[name].shape == target, name
+    fspec = FilterSpec(method, band=band)
+    stages = filter_stages(field, fspec)
+    assert list(stages) == STAGES[method]
+    target = ((TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols) if method == "F"
+              else next_pow2_dims(field.shape))
+    for name, stage in stages.items():
+        assert stage.shape == target, name
     cropped = crop_taper(GridField(stages["full"], field.spacing_deg, "real"), field.shape)
-    assert np.array_equal(cropped.values, out.values)
+    assert np.array_equal(cropped.values, apply_filter(field, fspec).values)
 
 
 @SETTINGS
