@@ -182,16 +182,23 @@ def cmd_filter(args) -> int:
     # Every input parses, and is of a kind the filter takes, before a write.
     kinds = PRED_KINDS if fspec.kind.startswith("nbhd") else GRID_KINDS
     fields = [_read_kind(src, kinds, f"{fspec.filter_id} input") for src, _ in pairs]
+    stages = {}
+    if args.dump_stages is not None:
+        stages = {os.path.join(args.dump_stages, f"{name}.grid"): stage
+                  for name, stage in filter_stages(fields[0], fspec).items()}
+        for path in stages:
+            for role, other in zip(("input", "output"), pairs[0]):
+                if os.path.realpath(path) == os.path.realpath(other):
+                    raise ValueError(f"--dump-stages would write stage {path} over the "
+                                     f"{role} {other}; nothing was written")
+        os.makedirs(args.dump_stages, exist_ok=True)
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
 
     def run_one(job: tuple[tuple[str, str], GridField]) -> None:
         (src, dst), field = job
-        if args.dump_stages is not None:
-            os.makedirs(args.dump_stages, exist_ok=True)
-            for name, stage in filter_stages(field, fspec).items():
-                write_grid(os.path.join(args.dump_stages, f"{name}.grid"),
-                           GridField(stage, field.spacing_deg, "real"))
+        for path, stage in stages.items():
+            write_grid(path, GridField(stage, field.spacing_deg, "real"))
         out = apply_filter(field, fspec)
         write_grid(dst, out)
         sidecar = {
@@ -394,10 +401,11 @@ def cmd_gradcheck(args) -> int:
 # synth
 
 def _parse_pair(text: str, caster, what: str) -> tuple:
-    parts = [s.strip() for s in text.split(",")]
-    if len(parts) != 2:
-        raise ValueError(f"{what} must be two comma-separated values, got {text!r}")
-    return caster(parts[0]), caster(parts[1])
+    try:
+        first, second = text.split(",")
+        return caster(first.strip()), caster(second.strip())
+    except ValueError as exc:
+        raise ValueError(f"{what}: want two comma-separated values, got {text!r} ({exc})") from None
 
 
 def cmd_synth(args) -> int:
@@ -506,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "non-smooth points.")
     p.add_argument("--specs", default=None,
                    help="comma-separated spec ids (default: all 336)")
-    p.add_argument("--rows", type=int, default=16)
-    p.add_argument("--cols", type=int, default=16)
+    p.add_argument("--rows", type=_bounded(int, 1), default=16)
+    p.add_argument("--cols", type=_bounded(int, 1), default=16)
     p.add_argument("--spacing", type=float, default=0.02, help="grid spacing in degrees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-5,
@@ -520,10 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Deterministic synthetic event masks (union of random "
                     "elliptical cells) and optional derived forecast fields "
                     "(translate + blur + noise).")
-    p.add_argument("--rows", type=int, default=205)
-    p.add_argument("--cols", type=int, default=205)
+    p.add_argument("--rows", type=_bounded(int, 1), default=205)
+    p.add_argument("--cols", type=_bounded(int, 1), default=205)
     p.add_argument("--spacing", type=float, default=0.02, help="grid spacing in degrees")
-    p.add_argument("--n-cells", type=int, default=12, dest="n_cells")
+    p.add_argument("--n-cells", type=_bounded(int, 0), default=12, dest="n_cells")
     p.add_argument("--radius-range", default="2,6", dest="radius_range")
     p.add_argument("--elongation-range", default="1,3", dest="elongation_range")
     p.add_argument("--seed", type=int, default=0,

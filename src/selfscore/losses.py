@@ -424,7 +424,7 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     the largest finite-difference magnitude so that noise at zero-gradient
     pixels is not amplified.  Differences inside the rounding budget of the
     central difference itself (~eps * |loss| / step, e.g. a loss that is
-    constant in one pixel) count as exact matches.
+    constant in one pixel) count as exact matches, non-finite ones as inf.
     """
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
@@ -449,11 +449,13 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
             fd[i, j] = (up - down) / (2.0 * step)
 
     checked = ~excluded
-    gmax = float(np.abs(fd[checked]).max(initial=0.0))
-    floor = max(1e-3 * gmax, 1e-12)
     diff = np.abs(analytic - fd)
+    finite = np.isfinite(diff)
+    gmax = float(np.abs(fd[checked & finite]).max(initial=0.0))
+    floor = max(1e-3 * gmax, 1e-12)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), floor)
     rel = np.where(checked & (diff > fd_noise), diff / denom, 0.0)
+    rel[checked & ~finite] = np.inf
     abs_masked = np.where(checked, diff, 0.0)
     worst = np.unravel_index(int(np.argmax(rel)), rel.shape)
     return GradCheckReport(

@@ -579,6 +579,15 @@ def test_gradcheck_checks_a_config_named_twice_once(capsys):
     assert "all 1 configs within rel tol" in out
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_gradcheck_fails_a_step_that_leaves_no_finite_difference(capsys):
+    # At a step of 1e300 every difference quotient is NaN; none may pass.
+    assert run("gradcheck", "--specs", "brier_nbhd_r1", "--step", "1e300") == 2
+    captured = capsys.readouterr()
+    assert "FAIL" in captured.out and "within rel tol" not in captured.out
+    assert "1 of 1 configs exceeded rel tol" in captured.err
+
+
 def test_gradcheck_unknown_spec():
     assert run("gradcheck", "--specs", "nope_nbhd_r1") == 1
 

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from selfscore import losses
 from selfscore.fourier import fourier_band_pass
 from selfscore.grid import GridField, WavelengthBand
 from selfscore.losses import (
@@ -360,6 +361,23 @@ def test_grad_check_report_threshold():
     assert report.spec_id == "brier_F0.1-inf"
     assert not report.passed(rel_tol=0.0) or report.max_rel_diff == 0.0
     assert report.passed(rel_tol=1.0)
+
+
+def test_grad_check_fails_a_nan_gradient_and_points_at_it(monkeypatch):
+    rng = np.random.default_rng(16)
+    p, y = random_pair(rng, (8, 8))
+    spec = parse_spec_id("brier_nbhd_r1")
+    real = losses.loss_gradient
+
+    def poisoned(*args):
+        g = real(*args)
+        g[3, 3] = math.nan
+        return g
+    monkeypatch.setattr(losses, "loss_gradient", poisoned)
+    report = grad_check(spec, p, prepare_target(spec, y))
+    assert not report.passed(rel_tol=1.0)
+    assert report.max_rel_diff == math.inf
+    assert report.worst_pixel == (3, 3)
 
 
 @pytest.mark.parametrize("step", [0.0, -1e-5, math.nan])

@@ -2,7 +2,8 @@
 
 Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
 ``rank`` one broken input, one option an empty list, or any command one
-out-of-range or ignored option, and checks the exit code, that stderr is an
+out-of-range or ignored option, or points ``filter --dump-stages`` at its
+own input or output, and checks the exit code, that stderr is an
 ``error:`` line (after argparse's usage line, for options) naming the
 offending path(s), row or option, that no traceback escapes, and that the
 output directory stays empty.
@@ -39,6 +40,7 @@ def steps(tmp_path_factory):
         "left/prob_001.grid": GridField(p.values, p.spacing_deg, "prob", left),
         "right/mask_001.grid": GridField(y.values, y.spacing_deg, "mask", ~left),
         "prob_002.grid": p,
+        "stages/window.grid": p,  # the input sits where a Fourier stage would go
     }
     for name, field in broken.items():
         (d / name).parent.mkdir(exist_ok=True)
@@ -98,12 +100,26 @@ OTHERS = {
     "score-jobs": (COMMANDS["score"] + " --jobs 0", ["--jobs"]),
     "filter-jobs": ("filter --spec F0.1-inf {d}/prob_000.grid --out-dir {out}/f --jobs -2",
                     ["--jobs"]),
+    "filter-dump-stages-over-input": ("filter --spec F0-0.1 {d}/stages/window.grid {out}/o.grid "
+                                      "--dump-stages {d}/stages",
+                                      ["{d}/stages/window.grid", "input"]),
+    "filter-dump-stages-over-output": ("filter --spec F0-0.1 {d}/prob_000.grid {out}/full.grid "
+                                       "--dump-stages {out}", ["{out}/full.grid", "output"]),
     "gradcheck-step": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --step 0", ["--step"]),
     "gradcheck-tol": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --tol -1", ["--tol"]),
+    "gradcheck-rows-negative": ("gradcheck --specs brier_nbhd_r1 --rows -2", ["--rows"]),
+    "gradcheck-rows-zero": ("gradcheck --specs brier_nbhd_r1 --rows 0", ["--rows"]),
+    "gradcheck-cols-zero": ("gradcheck --specs brier_nbhd_r1 --cols 0", ["--cols"]),
     "synth-blur-r": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
                      "--blur-r -1", ["--blur-r"]),
     "synth-noise-sd": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
                        "--noise-sd -0.5", ["--noise-sd"]),
+    "synth-rows": ("synth --rows 0 --cols 8 --out-mask {out}/m.grid", ["--rows"]),
+    "synth-cols": ("synth --rows 8 --cols 0 --out-mask {out}/m.grid", ["--cols"]),
+    "synth-n-cells": ("synth --rows 8 --cols 8 --n-cells -1 --out-mask {out}/m.grid",
+                      ["--n-cells"]),
+    "synth-offset": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
+                     "--offset 1.5,0", ["--offset"]),
     "synth-count": ("synth --rows 8 --cols 8 --count 0 --out-dir {out}/s", ["--count"]),
     "synth-ignored-out-mask": ("synth --rows 8 --cols 8 --count 2 --out-dir {out}/s "
                                "--out-mask {out}/x.grid", ["--out-mask"]),
@@ -151,5 +167,5 @@ def test_every_refusal_exits_1_and_names_its_path(steps, tmp_path, capsys, case)
     assert err.startswith("error: ") or (err.startswith("usage: ") and "\nerror: " in err), err
     assert "Traceback" not in err
     for name in named:
-        assert name.format(d=steps) in err, err
+        assert name.format(d=steps, out=out) in err, err
     assert os.listdir(out) == []
