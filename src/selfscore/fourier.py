@@ -17,9 +17,9 @@ Steps 1-3 depend on the field only and steps 4-6 on the band, so a field is
 transformed once (:func:`fourier_spectrum`) and then filtered under any
 number of bands; :func:`fourier_band_passes` applies one band's gain to
 several spectra, building the gain once.  :func:`fourier_band_pass` is its
-one-field case.  The padded rows are zero, so steps 1-3 pad and window the
-data rows only; :func:`fourier_stages` builds every step on the full padded
-grid, for inspection.
+one-field case.  The padded rows are zero, so steps 1-2 build the data rows
+only and step 3 transforms only those along rows; :func:`fourier_stages`
+builds every step on the full padded grid, for inspection.
 
 The gain depends on the wavenumber magnitude only, so it is the same at a
 wavenumber and at its mirror; the filtered spectrum keeps the conjugate

@@ -133,7 +133,6 @@ def test_filter_dump_stages(tmp_path, spec):
         assert f.kind == "real"
 
 
-
 def test_filter_usage_errors(tmp_path):
     src = tmp_path / "in.grid"
     assert run(*synth_args(src)) == 0
