@@ -22,8 +22,11 @@ the rest.  Every score and gradient is read through one record dispatch,
 ``_record``: a ``PairSums`` against a spectral target or an ``NbhdPair``
 with a neighbourhood one.  So ``loss_gradient`` is the exact derivative of
 ``loss_value``, from the same sums and the same fallback tests (a constant
-fallback has gradient zero).  ``grad_check`` verifies the gradient against
-central finite differences away from non-smooth points.
+fallback has gradient zero).  A ``PreparedTarget`` keeps the record of the
+last prediction scored against it, keyed by the ``GridField`` object, so
+all scores and gradients of a filter read one set of sums and one window
+max or mean of it.  ``grad_check`` verifies the gradient against central
+finite differences away from non-smooth points.
 """
 
 from __future__ import annotations
@@ -252,6 +255,9 @@ class PreparedTarget:
     ``clamp_max_abs`` records how far the spectral filter output had to be
     clamped to return to [0, 1] (0 for neighbourhood specs).  ``nbhd`` holds
     a neighbourhood spec's filtered masks, made on first use (else None).
+    ``last`` keeps ``(p, record)``: the last prediction scored against the
+    target and its record, keyed by the ``GridField`` object, whose values
+    are read-only; every score and gradient of ``p`` reads that record.
     """
 
     spec: LossSpec
@@ -259,10 +265,12 @@ class PreparedTarget:
     filtered: GridField
     clamp_max_abs: float = 0.0
     nbhd: NbhdObs | None = field(init=False, repr=False, compare=False)
+    last: tuple = field(init=False, repr=False, compare=False)  # (p, record)
 
     def __post_init__(self):
         object.__setattr__(self, "nbhd", None if self.spec.is_spectral
                            else NbhdObs(self.observed.values, self.spec.half_width))
+        object.__setattr__(self, "last", (None, None))
 
 
 def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
@@ -302,20 +310,28 @@ def _record(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
     return PairSums(pv, target.filtered.values, w)
 
 
-def _loss(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
-          w: np.ndarray) -> ScoreResult:
-    """The spec's score of ``pv`` against the prepared target over the
-    scored pixels ``w``, negatively oriented."""
-    result = _record(spec, pv, target, w).score(spec.score)
+def _scored(spec: LossSpec, p: GridField, target: PreparedTarget) -> NbhdPair | PairSums:
+    """The record of ``p`` against ``target``: the kept one when ``p`` is the
+    field last scored against it, else a new one, which is then kept."""
+    if target.spec.filter_id != spec.filter_id:
+        raise ValueError("target was prepared with a different filter")
+    last, record = target.last  # one read: a racing call can only rebuild
+    if last is not p:
+        record = _record(spec, p.values, target, scored_weights(p, target.filtered))
+        object.__setattr__(target, "last", (p, record))
+    return record
+
+
+def _loss(spec: LossSpec, record: NbhdPair | PairSums) -> ScoreResult:
+    """The spec's score read from ``record``, negatively oriented."""
+    result = record.score(spec.score)
     value = result.value if ORIENTATION[spec.score] < 0 else 1.0 - result.value
     return ScoreResult(value, result.fallbacks)
 
 
 def loss_detail(spec: LossSpec, p: GridField, target: PreparedTarget) -> ScoreResult:
     """Loss value plus fallback flags for one prediction field."""
-    if target.spec.filter_id != spec.filter_id:
-        raise ValueError("target was prepared with a different filter")
-    return _loss(spec, p.values, target, scored_weights(p, target.filtered))
+    return _loss(spec, _scored(spec, p, target))
 
 
 def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
@@ -373,10 +389,7 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
     """Exact gradient of the loss with respect to every prediction pixel,
     from the record the loss value is read from."""
-    if target.spec.filter_id != spec.filter_id:
-        raise ValueError("target was prepared with a different filter")
-    d_score = _record(spec, p.values, target,
-                      scored_weights(p, target.filtered)).gradient(spec.score)
+    d_score = _scored(spec, p, target).gradient(spec.score)
     return d_score if ORIENTATION[spec.score] < 0 else -d_score
 
 
@@ -432,7 +445,7 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     w = scored_weights(p, target.filtered)
     pv = p.values.copy()
     excluded = _excluded_pixels(spec, pv, target.filtered.values, w, step)
-    loss_scale = max(1.0, abs(_loss(spec, pv, target, w).value))
+    loss_scale = max(1.0, abs(_loss(spec, _record(spec, pv, target, w)).value))
     fd_noise = 64.0 * np.finfo(np.float64).eps * loss_scale / step
 
     fd = np.zeros_like(pv)
@@ -442,9 +455,9 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
                 continue
             orig = pv[i, j]
             pv[i, j] = orig + step
-            up = _loss(spec, pv, target, w).value
+            up = _loss(spec, _record(spec, pv, target, w)).value
             pv[i, j] = orig - step
-            down = _loss(spec, pv, target, w).value
+            down = _loss(spec, _record(spec, pv, target, w)).value
             pv[i, j] = orig
             fd[i, j] = (up - down) / (2.0 * step)
 

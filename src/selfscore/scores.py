@@ -149,8 +149,8 @@ class PairSums:
 
     The pixels are gathered only when ``w`` excludes one: a whole
     C-ordered grid gives the same pairwise sums, bit for bit, without the
-    copy.  The record then holds the caller's arrays, so it must not
-    outlive an in-place change to them."""
+    copy.  The record then holds the caller's arrays; its sums hold while
+    they do not change, as a ``GridField``'s read-only values never do."""
 
     def __init__(self, pv: np.ndarray, yv: np.ndarray, w: np.ndarray):
         self.pv, self.yv, self.w = pv, yv, w
@@ -211,7 +211,8 @@ class PairSums:
         zero event ratio is a constant, with gradient zero.  Per pixel,
         d(a, b, c, d)/dp = (y, 1 - y, -y, y - 1); a + c and b + d are fixed."""
         s, g, p, y = self._sum, self.g, self.pv, self.yv
-        wf = self.w.astype(np.float64)
+        # Weights of 1.0 leave every product's bits as they are, so a whole grid needs no array.
+        wf = _kept(self, "_wf", lambda: 1.0 if g == self.w.size else self.w.astype(np.float64))
         if kind == "brier":
             return (2.0 / g) * wf * (p - y)
         if kind == "dice":

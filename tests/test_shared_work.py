@@ -374,6 +374,21 @@ def test_prepared_target_is_filtered_on_first_use_only(monkeypatch):
         log.calls.clear()
 
 
+def test_a_prediction_is_filtered_once_for_its_scores_and_gradients(monkeypatch):
+    y, (p, q) = scene(n_preds=2)
+    log = FilterLog(monkeypatch, scores, losses)
+    for r in (0, 2, 6):
+        specs = [LossSpec(kind, "nbhd", half_width=r) for kind in NBHD_SCORE_KINDS]
+        target = prepare_target(specs[0], y)
+        for field in (p, q):
+            for spec in specs:
+                loss_value(spec, field, target)
+                loss_gradient(spec, field, target)
+            assert sorted(log.on(field.values)) == [("max_filter_array", r),
+                                                    ("mean_filter_array", r)]
+        log.calls.clear()
+
+
 @pytest.mark.parametrize("spec_id", ["brier_nbhd_r3", "fss_W0.1-0.4"])
 def test_spec_ids_are_formatted_once(spec_id, monkeypatch):
     spec = losses.parse_spec_id(spec_id)
