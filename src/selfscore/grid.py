@@ -28,12 +28,29 @@ from __future__ import annotations
 
 import math
 import os
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 MAGIC = b"GRID1"
 GRID_KINDS = ("mask", "prob", "real")
+
+
+#: The arrays fields have copied and made read-only, by id.  It holds them
+#: weakly and only spares fields from copying them again.
+_FROZEN: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
+
+
+def _frozen(array, dtype) -> np.ndarray:
+    """A read-only C-ordered copy of ``array`` as ``dtype``, or ``array``
+    itself when it is one a field made."""
+    if _FROZEN.get(id(array)) is array and array.dtype == dtype:
+        return array
+    out = np.array(array, dtype=dtype, order="C")
+    out.flags.writeable = False
+    _FROZEN[id(out)] = out
+    return out
 
 
 @dataclass(frozen=True)
@@ -44,6 +61,10 @@ class GridField:
     :param spacing_deg: grid spacing in degrees, > 0.
     :param kind: one of "mask", "prob", "real".
     :param eval_mask: optional boolean array marking scored pixels.
+
+    ``values`` and ``eval_mask`` are read-only copies, shared only with
+    other fields: no array the caller holds, nor a view of one, can change a
+    field after it is made.
     """
 
     values: np.ndarray
@@ -52,7 +73,7 @@ class GridField:
     eval_mask: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        values = _frozen(self.values, np.float64)
         if values.ndim != 2 or values.size == 0:
             raise ValueError("values must be a non-empty 2-D array")
         if not np.isfinite(values).all():
@@ -65,13 +86,11 @@ class GridField:
             raise ValueError("prob fields must lie in [0, 1]")
         if not (np.isfinite(self.spacing_deg) and self.spacing_deg > 0):
             raise ValueError("spacing_deg must be positive and finite")
-        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         if self.eval_mask is not None:
-            emask = np.ascontiguousarray(np.asarray(self.eval_mask, dtype=bool))
+            emask = _frozen(self.eval_mask, bool)
             if emask.shape != values.shape:
                 raise ValueError("eval_mask shape must match values")
-            emask.flags.writeable = False
             object.__setattr__(self, "eval_mask", emask)
 
     @property

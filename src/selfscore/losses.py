@@ -25,14 +25,16 @@ with a neighbourhood one.  So ``loss_gradient`` is the exact derivative of
 fallback has gradient zero).  A ``PreparedTarget`` keeps the record of the
 last prediction scored against it, keyed by the ``GridField`` object, so
 all scores and gradients of a filter read one set of sums and one window
-max or mean of it.  ``grad_check`` verifies the gradient against central
-finite differences away from non-smooth points.
+max or mean of it.  The target holds that field weakly, so the record goes
+with it.  ``grad_check`` verifies the gradient against central finite
+differences away from non-smooth points.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,9 +257,11 @@ class PreparedTarget:
     ``clamp_max_abs`` records how far the spectral filter output had to be
     clamped to return to [0, 1] (0 for neighbourhood specs).  ``nbhd`` holds
     a neighbourhood spec's filtered masks, made on first use (else None).
-    ``last`` keeps ``(p, record)``: the last prediction scored against the
-    target and its record, keyed by the ``GridField`` object, whose values
-    are read-only; every score and gradient of ``p`` reads that record.
+    ``last`` keeps ``(weakref to p, record)`` (else None): the last
+    prediction scored against the target, keyed by the ``GridField`` object,
+    whose values are read-only, and the record every score and gradient of
+    ``p`` reads.  The record goes with ``p``, so a target held across time
+    steps keeps none for a prediction the caller has dropped.
     """
 
     spec: LossSpec
@@ -265,12 +269,12 @@ class PreparedTarget:
     filtered: GridField
     clamp_max_abs: float = 0.0
     nbhd: NbhdObs | None = field(init=False, repr=False, compare=False)
-    last: tuple = field(init=False, repr=False, compare=False)  # (p, record)
+    last: tuple | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nbhd", None if self.spec.is_spectral
                            else NbhdObs(self.observed.values, self.spec.half_width))
-        object.__setattr__(self, "last", (None, None))
+        object.__setattr__(self, "last", None)
 
 
 def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
@@ -315,11 +319,25 @@ def _scored(spec: LossSpec, p: GridField, target: PreparedTarget) -> NbhdPair | 
     field last scored against it, else a new one, which is then kept."""
     if target.spec.filter_id != spec.filter_id:
         raise ValueError("target was prepared with a different filter")
-    last, record = target.last  # one read: a racing call can only rebuild
-    if last is not p:
-        record = _record(spec, p.values, target, scored_weights(p, target.filtered))
-        object.__setattr__(target, "last", (p, record))
+    kept = target.last  # one read: a racing call can only rebuild
+    if kept is not None and kept[0]() is p:
+        return kept[1]
+    object.__setattr__(target, "last", None)  # the old record goes before the new one is made
+    record = _record(spec, p.values, target, scored_weights(p, target.filtered))
+    object.__setattr__(target, "last", (weakref.ref(p, _forget(target)), record))
     return record
+
+
+def _forget(target: PreparedTarget):
+    """The callback that drops ``target``'s kept record when its field dies."""
+    target_ref = weakref.ref(target)
+
+    def forget(field_ref):
+        t = target_ref()
+        kept = None if t is None else t.last
+        if kept is not None and kept[0] is field_ref:
+            object.__setattr__(t, "last", None)
+    return forget
 
 
 def _loss(spec: LossSpec, record: NbhdPair | PairSums) -> ScoreResult:

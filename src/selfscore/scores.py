@@ -212,7 +212,7 @@ class PairSums:
         d(a, b, c, d)/dp = (y, 1 - y, -y, y - 1); a + c and b + d are fixed."""
         s, g, p, y = self._sum, self.g, self.pv, self.yv
         # Weights of 1.0 leave every product's bits as they are, so a whole grid needs no array.
-        wf = _kept(self, "_wf", lambda: 1.0 if g == self.w.size else self.w.astype(np.float64))
+        wf = 1.0 if g == self.w.size else self.w.astype(np.float64)
         if kind == "brier":
             return (2.0 / g) * wf * (p - y)
         if kind == "dice":

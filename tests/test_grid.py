@@ -291,3 +291,17 @@ def test_read_grid_raises_only_value_error_on_fuzzed_files(tmp_path, blob):
         assert str(exc).startswith(f"{path}: ")
     else:
         assert isinstance(field, GridField)
+
+
+def test_a_field_copies_what_the_caller_keeps_and_shares_what_a_field_made():
+    values, mask = np.zeros((3, 3)), np.ones((3, 3), dtype=bool)
+    view, mask_view = values[:], mask[:]
+    f = _field(values, eval_mask=mask)
+    view[:] = 7.0
+    mask_view[:] = False
+    assert values.flags.writeable and mask.flags.writeable
+    assert (f.values == 0.0).all() and f.eval_mask.all()
+    g = f.with_values(f.values)
+    assert g.values is f.values and g.eval_mask is f.eval_mask
+    h = _field(f.values.astype(bool), eval_mask=f.values)  # a field's array, as another dtype
+    assert h.eval_mask.dtype == bool and not h.eval_mask.any()

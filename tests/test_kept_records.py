@@ -7,9 +7,12 @@ kept record gives, bit for bit, what a fresh record per call gives (the
 reference below), for all 336 configs and in every order of calls: the
 census order, gradients before values, predictions alternating, and a copy
 of a field, which is a new object and so gets a new record.  Two threads
-sharing one target must get the serial results.
+sharing one target must get the serial results.  The target holds the
+field weakly, so the record goes with it, and a field copies its arrays,
+so no array the caller keeps can leave a kept record stale.
 """
 
+import gc
 import sys
 import threading
 
@@ -109,10 +112,10 @@ def test_kept_records_score_as_fresh_ones(case):
     copy = p.with_values(p.values.copy())
     for spec in CONFIGS:
         target = targets[spec.filter_id]
-        last, record = target.last
+        last, record = target.last[0](), target.last[1]
         assert last is p or last is copy
         assert loss_value(spec, copy, target) == reference(spec, p)[0]
-        assert target.last[0] is copy and (last is copy or target.last[1] is not record)
+        assert target.last[0]() is copy and (last is copy or target.last[1] is not record)
         assert loss_gradient(spec, copy, target).tobytes() == reference(spec, p)[2]
         assert loss_detail(spec, copy, target).fallbacks == reference(spec, p)[1]
 
@@ -146,3 +149,33 @@ def test_threads_sharing_a_target_get_the_serial_results(filter_id):
     assert not any(t.is_alive() for t in threads)
     assert len(done) == len(threads)
     assert mismatches == []
+
+
+def test_a_kept_record_goes_with_its_field():
+    y, p, _ = CASES["plain"]
+    targets = prepare_targets(CONFIGS, y)
+    field = p.with_values(p.values.copy())
+    for spec in CONFIGS:
+        loss_gradient(spec, field, targets[spec.filter_id])
+    assert all(t.last is not None for t in targets.values())
+    del field
+    gc.collect()
+    assert all(t.last is None for t in targets.values())
+    for spec in CONFIGS[:12]:  # a target with no record scores as a fresh one
+        assert kept(spec, p, targets) == fresh(spec, p, targets[spec.filter_id])
+
+
+def test_an_array_the_caller_keeps_cannot_leave_a_record_stale():
+    y, p, _ = CASES["plain"]
+    spec = next(s for s in CONFIGS if s.spec_id == "brier_nbhd_r1")
+    target = prepare_targets([spec], y)[spec.filter_id]
+    values, mask = p.values.copy(), np.ones(SHAPE, dtype=bool)
+    view, mask_view = values[:], mask[:]
+    field = GridField(values, SPACING, "prob", mask)
+    before = (loss_value(spec, field, target), loss_gradient(spec, field, target).tobytes())
+    view[:] = 0.0
+    mask_view[:] = False
+    assert values.flags.writeable and mask.flags.writeable
+    assert (field.values == p.values).all() and field.eval_mask.all()
+    after = (loss_value(spec, field, target), loss_gradient(spec, field, target).tobytes())
+    assert after == before == fresh(spec, field, target)[::2]
