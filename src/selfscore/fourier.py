@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _pad_amounts, taper_zero_pad
+from .grid import GridField, WavelengthBand, _centred, taper_zero_pad
 
 TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
@@ -166,14 +166,13 @@ def fourier_spectrum(field: GridField) -> FourierSpectrum:
     equals ``np.fft.rfft2`` (rows, then columns) of the windowed taper bit
     for bit, the padded rows all taking a zero row's transform (some of its
     zeros are -0.0)."""
-    rows, cols = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
-    top = _pad_amounts(field.rows, rows)[0]
-    left = _pad_amounts(field.cols, cols)[0]
+    rows, cols = target = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
+    data_rows, data_cols = _centred(field.shape, target)
     block = np.zeros((field.rows, cols))
-    block[:, left:left + field.cols] = field.values
-    block *= blackman_harris_weights((rows, cols))[top:top + field.rows]
+    block[:, data_cols] = field.values
+    block *= blackman_harris_weights(target)[data_rows]
     coeffs = np.tile(np.fft.rfft(np.zeros(cols)), (rows, 1))
-    coeffs[top:top + field.rows] = np.fft.rfft(block)
+    coeffs[data_rows] = np.fft.rfft(block)
     np.fft.fft(coeffs, axis=0, out=coeffs)
     return FourierSpectrum(field, _read_only(coeffs))
 
@@ -184,12 +183,10 @@ def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray, work: np.ndarr
     keeps only; per row that is the transform ``irfft2`` runs, so the kept
     values are those of a full ``irfft2`` bit for bit."""
     field = spectrum.field
-    rows, cols = spectrum.target
-    top = _pad_amounts(field.rows, rows)[0]
-    left = _pad_amounts(field.cols, cols)[0]
+    data_rows, data_cols = _centred(field.shape, spectrum.target)
     np.multiply(spectrum.coeffs, gain, out=work)
-    by_col = np.fft.ifft(work, axis=0, out=work)[top:top + field.rows]
-    out = np.fft.irfft(by_col, n=cols, axis=1)[:, left:left + field.cols]
+    by_col = np.fft.ifft(work, axis=0, out=work)[data_rows]
+    out = np.fft.irfft(by_col, n=spectrum.target[1], axis=1)[:, data_cols]
     return GridField(out, field.spacing_deg, "real", field.eval_mask)
 
 

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 import os
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -37,23 +36,14 @@ MAGIC = b"GRID1"
 GRID_KINDS = ("mask", "prob", "real")
 
 
-#: The arrays fields have copied and made read-only, by id.  It holds them
-#: weakly and only spares fields from copying them again.
-_FROZEN: "weakref.WeakValueDictionary[int, np.ndarray]" = weakref.WeakValueDictionary()
-
-
 def _frozen(array, dtype) -> np.ndarray:
-    """A read-only C-ordered copy of ``array`` as ``dtype``, or ``array``
-    itself when it is one a field made."""
-    if _FROZEN.get(id(array)) is array and array.dtype == dtype:
-        return array
+    """A read-only C-ordered copy of ``array`` as ``dtype``."""
     out = np.array(array, dtype=dtype, order="C")
     out.flags.writeable = False
-    _FROZEN[id(out)] = out
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridField:
     """A 2-D field with grid spacing in degrees and a value-kind contract.
 
@@ -62,9 +52,9 @@ class GridField:
     :param kind: one of "mask", "prob", "real".
     :param eval_mask: optional boolean array marking scored pixels.
 
-    ``values`` and ``eval_mask`` are read-only copies, shared only with
-    other fields: no array the caller holds, nor a view of one, can change a
-    field after it is made.
+    A field always copies what it is given: ``values`` and ``eval_mask``
+    are its own read-only arrays, so no array the caller holds, nor a view
+    of one, can change it after it is made.  Fields compare by identity.
     """
 
     values: np.ndarray
@@ -135,12 +125,12 @@ def next_pow2_dims(shape: tuple[int, int]) -> tuple[int, int]:
     return tuple(1 << max(0, int(n - 1).bit_length()) for n in shape)
 
 
-def _pad_amounts(orig: int, target: int) -> tuple[int, int]:
-    """Centered padding split; an odd remainder goes to the bottom/right."""
-    if target < orig:
-        raise ValueError(f"target {target} smaller than original {orig}")
-    before = (target - orig) // 2
-    return before, target - orig - before
+def _centred(shape: tuple[int, int], target: tuple[int, int]) -> tuple[slice, slice]:
+    """The rows and columns of ``shape`` centred in ``target``; an odd
+    remainder goes to the bottom/right."""
+    if target[0] < shape[0] or target[1] < shape[1]:
+        raise ValueError(f"target {tuple(target)} smaller than original {tuple(shape)}")
+    return tuple(slice((t - n) // 2, (t - n) // 2 + n) for n, t in zip(shape, target))
 
 
 def taper_zero_pad(field: GridField, target_shape: tuple[int, int]) -> GridField:
@@ -150,19 +140,15 @@ def taper_zero_pad(field: GridField, target_shape: tuple[int, int]) -> GridField
     the bottom/right.  The eval_mask, if any, is dropped (padding pixels are
     not scored; the tapered grid is an intermediate for spectral filtering).
     """
-    (top, _), (left, _) = (_pad_amounts(field.rows, target_shape[0]),
-                           _pad_amounts(field.cols, target_shape[1]))
     out = np.zeros(target_shape, dtype=np.float64)
-    out[top:top + field.rows, left:left + field.cols] = field.values
+    out[_centred(field.shape, target_shape)] = field.values
     return GridField(out, field.spacing_deg, field.kind)
 
 
 def crop_taper(field: GridField, orig_shape: tuple[int, int]) -> GridField:
     """Undo :func:`taper_zero_pad`: crop the centered original-shape window."""
-    (top, _), (left, _) = (_pad_amounts(orig_shape[0], field.rows),
-                           _pad_amounts(orig_shape[1], field.cols))
-    out = field.values[top:top + orig_shape[0], left:left + orig_shape[1]]
-    return GridField(out.copy(), field.spacing_deg, field.kind)
+    return GridField(field.values[_centred(orig_shape, field.shape)],
+                     field.spacing_deg, field.kind)
 
 
 def _format_header(field: GridField) -> bytes:

@@ -132,4 +132,4 @@ def synth_prob(mask: GridField, blur_r: int = 0, offset_px: tuple[int, int] = (0
         values = values + rng.normal(0.0, noise_sd, size=values.shape)
     values = np.clip(values, 0.0, 1.0)
     return GridField(values=values, spacing_deg=mask.spacing_deg, kind="prob",
-                     eval_mask=None if mask.eval_mask is None else mask.eval_mask.copy())
+                     eval_mask=mask.eval_mask)

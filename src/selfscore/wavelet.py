@@ -25,7 +25,7 @@ off above, i.e. when hi is at least the padded-domain scale):
    deeper level's does too), or from the deepest LL when no level's does;
    a level with detail wavelength d*2^k at or below lo inverts with zero
    details, every other level with its own;
-4. crop the padding.
+4. crop the padding, one slice of the padded grid into the one output field.
 
 The bottom band edge is exclusive so that complementary bands [0, x] and
 [x, inf] split every coefficient exactly once: the detail subbands at
@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, crop_taper, next_pow2_dims, taper_zero_pad
+from .grid import GridField, WavelengthBand, _centred, next_pow2_dims, taper_zero_pad
 
 
 def _check_even(values: np.ndarray) -> np.ndarray:
@@ -180,8 +180,8 @@ def _band_full(decomposition: WaveletDecomposition, band: WavelengthBand) -> np.
 def _crop(decomposition: WaveletDecomposition, full: np.ndarray) -> GridField:
     """Step 4's crop back to the original shape, keeping the eval mask."""
     field = decomposition.field
-    out = crop_taper(GridField(full, field.spacing_deg, "real"), field.shape)
-    return GridField(out.values, field.spacing_deg, "real", field.eval_mask)
+    return GridField(full[_centred(field.shape, full.shape)], field.spacing_deg, "real",
+                     field.eval_mask)
 
 
 def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],

@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose
 from selfscore.fourier import (blackman_harris_weights, butterworth_gain,
                                fourier_band_pass, fourier_band_passes, fourier_spectrum,
                                fourier_stages, frequency_grid)
-from selfscore.grid import GridField, WavelengthBand, _pad_amounts, taper_zero_pad
+from selfscore.grid import GridField, WavelengthBand, taper_zero_pad
 
 
 def _field(values, spacing=0.02, kind="real"):
@@ -223,7 +223,7 @@ def allocating_inverse(spectrum, gain):
     reused one work array: a fresh product and a fresh column transform."""
     field = spectrum.field
     rows, cols = spectrum.target
-    top, left = _pad_amounts(field.rows, rows)[0], _pad_amounts(field.cols, cols)[0]
+    top, left = (rows - field.rows) // 2, (cols - field.cols) // 2
     by_col = np.fft.ifft(spectrum.coeffs * gain, axis=0)[top:top + field.rows]
     return np.fft.irfft(by_col, n=cols, axis=1)[:, left:left + field.cols]
 

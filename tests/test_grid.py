@@ -293,7 +293,7 @@ def test_read_grid_raises_only_value_error_on_fuzzed_files(tmp_path, blob):
         assert isinstance(field, GridField)
 
 
-def test_a_field_copies_what_the_caller_keeps_and_shares_what_a_field_made():
+def test_a_field_owns_one_read_only_copy_of_what_it_is_given():
     values, mask = np.zeros((3, 3)), np.ones((3, 3), dtype=bool)
     view, mask_view = values[:], mask[:]
     f = _field(values, eval_mask=mask)
@@ -301,7 +301,18 @@ def test_a_field_copies_what_the_caller_keeps_and_shares_what_a_field_made():
     mask_view[:] = False
     assert values.flags.writeable and mask.flags.writeable
     assert (f.values == 0.0).all() and f.eval_mask.all()
-    g = f.with_values(f.values)
-    assert g.values is f.values and g.eval_mask is f.eval_mask
+    g = f.with_values(f.values)  # a field's own arrays are copied again
+    assert g.values is not f.values and g.eval_mask is not f.eval_mask
+    assert_array_equal(g.values, f.values)
+    assert_array_equal(g.eval_mask, f.eval_mask)
+    assert not (g.values.flags.writeable or g.eval_mask.flags.writeable)
     h = _field(f.values.astype(bool), eval_mask=f.values)  # a field's array, as another dtype
     assert h.eval_mask.dtype == bool and not h.eval_mask.any()
+
+
+def test_fields_compare_and_hash_by_identity():
+    p = _field(np.zeros((2, 2)))
+    q = p.with_values(p.values)
+    assert p == p and p != q
+    assert p in [q, p] and q not in [p]
+    assert {p: 1, q: 2}[q] == 2

@@ -67,6 +67,16 @@ def bands(draw):
     return WavelengthBand(lo, hi)
 
 
+def assert_owns_copy_of_mask(out, field):
+    """``out`` keeps the input's eval mask by value, in read-only arrays."""
+    assert not out.values.flags.writeable
+    if field.eval_mask is None:
+        assert out.eval_mask is None
+    else:
+        assert np.array_equal(out.eval_mask, field.eval_mask)
+        assert not out.eval_mask.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Fourier
 
@@ -96,7 +106,7 @@ def test_shared_spectra_match_single_band_calls_bit_for_bit(group, band_list):
             single = fourier_band_pass(field, band)
             assert np.array_equal(out.values, single.values)
             assert out.kind == single.kind == "real"
-            assert out.eval_mask is field.eval_mask
+            assert_owns_copy_of_mask(out, field)
 
 
 @SETTINGS
@@ -190,7 +200,7 @@ def test_shared_pyramid_matches_copy_and_zero_bit_for_bit(group, band_list):
             want = copy_and_zero_band_pass(field, band)
             assert np.array_equal(out.values, want)
             assert np.array_equal(wavelet_band_pass(field, band).values, want)
-            assert out.eval_mask is field.eval_mask
+            assert_owns_copy_of_mask(out, field)
     for d, lls in zip(decompositions, before):  # the shared pyramid is never modified
         assert all(np.array_equal(lev.ll, ll) for lev, ll in zip(d.pyramid.levels, lls))
 
@@ -208,6 +218,24 @@ def test_complementary_haar_bands_sum_to_input(group, where):
     (low,) = wavelet_band_passes([decomposition], WavelengthBand(0.0, edge))
     (high,) = wavelet_band_passes([decomposition], WavelengthBand(edge, math.inf))
     assert np.abs(low.values + high.values - field.values).max() <= 1e-10
+
+
+@SETTINGS
+@given(fields(count=3), bands())
+def test_each_band_output_builds_one_field(group, band):
+    prepared = {fourier_band_passes: [fourier_spectrum(f) for f in group],
+                wavelet_band_passes: [wavelet_decompose(f) for f in group]}
+    built = []
+    post_init = GridField.__post_init__
+    GridField.__post_init__ = lambda self: (built.append(self), post_init(self))[1]
+    try:
+        for band_passes, inputs in prepared.items():
+            built.clear()
+            outs = band_passes(inputs, band)
+            assert len(built) == len(outs) == len(group)
+            assert all(a is b for a, b in zip(built, outs))
+    finally:
+        GridField.__post_init__ = post_init
 
 
 # ---------------------------------------------------------------------------
