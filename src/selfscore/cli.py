@@ -26,6 +26,7 @@ import csv
 import glob as globmod
 import io
 import json
+import math
 import os
 import re
 import sys
@@ -55,9 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _bounded(cast, low, strict: bool = False):
-    """argparse ``type=``: ``cast(text)``, refused below ``low`` (or at it, if strict)."""
+    """argparse ``type=``: ``cast(text)``, refused below ``low`` (or at it, if
+    strict) or, for a float, if not finite."""
     def parse(text: str):
         value = cast(text)
+        if cast is float and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         if not (value > low if strict else value >= low):
             raise argparse.ArgumentTypeError(
                 f"must be {'>' if strict else '>='} {low}, got {text!r}")
@@ -176,6 +180,11 @@ def cmd_filter(args) -> int:
                 raise ValueError(f"{dst}: inputs {sources[dst]} and {src} would both "
                                  f"be written here; nothing was written")
             sources[dst] = src
+    outputs = {os.path.realpath(p): p for _, dst in pairs for p in (dst, dst + ".json")}
+    for src, _ in pairs:
+        if (dst := outputs.get(os.path.realpath(src))) is not None:
+            raise ValueError(f"output {dst} would be written over the input {src}; "
+                             f"nothing was written")
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
@@ -516,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated spec ids (default: all 336)")
     p.add_argument("--rows", type=_bounded(int, 1), default=16)
     p.add_argument("--cols", type=_bounded(int, 1), default=16)
-    p.add_argument("--spacing", type=float, default=0.02, help="grid spacing in degrees")
+    p.add_argument("--spacing", type=_bounded(float, 0.0, strict=True), default=0.02,
+                   help="grid spacing in degrees")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-5,
                    help="finite-difference step")
@@ -530,7 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "(translate + blur + noise).")
     p.add_argument("--rows", type=_bounded(int, 1), default=205)
     p.add_argument("--cols", type=_bounded(int, 1), default=205)
-    p.add_argument("--spacing", type=float, default=0.02, help="grid spacing in degrees")
+    p.add_argument("--spacing", type=_bounded(float, 0.0, strict=True), default=0.02,
+                   help="grid spacing in degrees")
     p.add_argument("--n-cells", type=_bounded(int, 0), default=12, dest="n_cells")
     p.add_argument("--radius-range", default="2,6", dest="radius_range")
     p.add_argument("--elongation-range", default="1,3", dest="elongation_range")

@@ -2,8 +2,8 @@
 
 Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
 ``rank`` one broken input, one option an empty list, or any command one
-out-of-range or ignored option, or points ``filter --dump-stages`` at its
-own input or output, and checks the exit code, that stderr is an
+out-of-range, non-finite or ignored option, or points ``filter
+--dump-stages`` at its own input or output, and checks the exit code, that stderr is an
 ``error:`` line (after argparse's usage line, for options) naming the
 offending path(s), row or option, that no traceback escapes, and that the
 output directory stays empty.
@@ -107,6 +107,12 @@ OTHERS = {
                                        "--dump-stages {out}", ["{out}/full.grid", "output"]),
     "gradcheck-step": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --step 0", ["--step"]),
     "gradcheck-tol": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --tol -1", ["--tol"]),
+    "gradcheck-step-inf": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --step inf",
+                           ["--step"]),
+    "gradcheck-tol-nan": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --tol nan",
+                          ["--tol"]),
+    "gradcheck-spacing": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --spacing -1",
+                          ["--spacing"]),
     "gradcheck-rows-negative": ("gradcheck --specs brier_nbhd_r1 --rows -2", ["--rows"]),
     "gradcheck-rows-zero": ("gradcheck --specs brier_nbhd_r1 --rows 0", ["--rows"]),
     "gradcheck-cols-zero": ("gradcheck --specs brier_nbhd_r1 --cols 0", ["--cols"]),
@@ -114,6 +120,12 @@ OTHERS = {
                      "--blur-r -1", ["--blur-r"]),
     "synth-noise-sd": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
                        "--noise-sd -0.5", ["--noise-sd"]),
+    "synth-noise-sd-inf": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid "
+                           "--out-prob {out}/p.grid --noise-sd inf", ["--noise-sd"]),
+    "synth-spacing": ("synth --rows 8 --cols 8 --spacing 0 --out-mask {out}/m.grid",
+                      ["--spacing"]),
+    "synth-spacing-nan": ("synth --rows 8 --cols 8 --spacing nan --out-mask {out}/m.grid",
+                          ["--spacing"]),
     "synth-rows": ("synth --rows 0 --cols 8 --out-mask {out}/m.grid", ["--rows"]),
     "synth-cols": ("synth --rows 8 --cols 0 --out-mask {out}/m.grid", ["--cols"]),
     "synth-n-cells": ("synth --rows 8 --cols 8 --n-cells -1 --out-mask {out}/m.grid",
@@ -169,3 +181,23 @@ def test_every_refusal_exits_1_and_names_its_path(steps, tmp_path, capsys, case)
     for name in named:
         assert name.format(d=steps, out=out) in err, err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("spec,outputs", [("F0-0.1", "{d}/same.grid"),
+                                          ("F0-0.1", "{d}/./same.grid"),
+                                          ("W0-0.1", "--out-dir {d}")])
+def test_filter_refuses_to_write_over_its_input(tmp_path, capsys, spec, outputs):
+    d = tmp_path / "d"
+    d.mkdir()
+    m = synth_mask(SynthSpec(rows=16, cols=16, spacing_deg=0.05, n_cells=2, seed=60))
+    for name in ("same.grid", "other.grid"):
+        write_grid(d / name, synth_prob(m, blur_r=1))
+    before = {p: p.read_bytes() for p in d.iterdir()}
+    inputs = f"{d}/*.grid" if outputs.startswith("--out-dir") else f"{d}/same.grid"
+    argv = f"filter --spec {spec} {inputs} {outputs.format(d=d)}".split()
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: output ") and "nothing was written" in err, err
+    assert err.count(str(d)) == 2, err  # the output and the input it would overwrite
+    assert {p: p.read_bytes() for p in d.iterdir()} == before
