@@ -10,7 +10,7 @@ import numpy as np
 
 from selfscore.grid import GridField
 from selfscore.neighbourhood import max_filter, mean_filter
-from selfscore.scores import nbhd_contingency, prob_contingency
+from selfscore.scores import NbhdObs, NbhdPair, scored_weights
 from selfscore.synthetic import SynthSpec, synth_mask
 
 spec = SynthSpec(rows=48, cols=48, spacing_deg=0.02, n_cells=5, seed=3)
@@ -31,14 +31,18 @@ rng = np.random.default_rng(7)
 p = GridField(np.clip(mean_filter(y, 2).values
                       + rng.normal(0, 0.05, y.shape), 0, 1),
               y.spacing_deg, "prob")
-t0 = prob_contingency(p, y)
-print(f"\npixelwise table:      a={t0.a:8.2f}  b={t0.b:8.2f}  "
-      f"c={t0.c:8.2f}  d={t0.d:8.2f}")
+pv, yv = p.values, y.values
+a = np.sum(pv * yv)
+b = np.sum(pv * (1.0 - yv))
+c = np.sum((1.0 - pv) * yv)
+d = np.sum((1.0 - pv) * (1.0 - yv))
+print(f"\npixelwise table:      a={a:8.2f}  b={b:8.2f}  c={c:8.2f}  d={d:8.2f}")
 
 # The neighbourhood table forgives small displacements: the observation pass
 # credits the best probability within r of each event, the prediction pass
 # bills probability placed far from any event.
 for r in (1, 4):
-    t = nbhd_contingency(p, y, r)
-    print(f"neighbourhood (r={r}): a_obs={t.a_obs:6.2f}  "
-          f"a_pred={t.a_pred:8.2f}  b={t.b:8.2f}  c={t.c:6.2f}")
+    pair = NbhdPair(pv, NbhdObs(yv, r), scored_weights(p, y))
+    a_obs, a_pred, b, c = pair.contingency()
+    print(f"neighbourhood (r={r}): a_obs={a_obs:6.2f}  "
+          f"a_pred={a_pred:8.2f}  b={b:8.2f}  c={c:6.2f}")

@@ -13,7 +13,7 @@ import numpy as np
 from selfscore.grid import GridField
 from selfscore.losses import (enumerate_configs, grad_check, loss_value,
                               parse_spec_id, prepare_target)
-from selfscore.scores import nbhd_score, pixelwise_score
+from selfscore.scores import NbhdObs, NbhdPair, PairSums, scored_weights
 from selfscore.synthetic import synth_mask, SynthSpec, translate
 
 y = synth_mask(SynthSpec(rows=48, cols=48, spacing_deg=0.02, n_cells=1,
@@ -28,8 +28,10 @@ print(f"disc observation vs the same disc shifted 2 px "
 
 
 def print_row(label, kind, forecast):
-    row = [pixelwise_score(kind, forecast, y)]
-    row += [nbhd_score(kind, forecast, y, r) for r in (1, 2, 4)]
+    w = scored_weights(forecast, y)
+    row = [PairSums(forecast.values, y.values, w).score(kind).value]
+    row += [NbhdPair(forecast.values, NbhdObs(y.values, r), w).score(kind).value
+            for r in (1, 2, 4)]
     print(f"{label:<10}" + "".join(f"{v:>11.3f}" for v in row))
 
 

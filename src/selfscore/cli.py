@@ -409,17 +409,17 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # synth
 
-def _parse_pair(text: str, caster, what: str) -> tuple:
+def _parse_pair(text: str, parse, what: str) -> tuple:
     try:
         first, second = text.split(",")
-        return caster(first.strip()), caster(second.strip())
-    except ValueError as exc:
+        return parse(first.strip()), parse(second.strip())
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"{what}: want two comma-separated values, got {text!r} ({exc})") from None
 
 
 def cmd_synth(args) -> int:
-    radius = _parse_pair(args.radius_range, float, "--radius-range")
-    elong = _parse_pair(args.elongation_range, float, "--elongation-range")
+    radius = _parse_pair(args.radius_range, _bounded(float, 0.0, strict=True), "--radius-range")
+    elong = _parse_pair(args.elongation_range, _bounded(float, 1.0), "--elongation-range")
     offset = _parse_pair(args.offset, int, "--offset")
     if args.count == 1 and (args.out_mask is None or args.out_dir is not None):
         raise ValueError("a single step takes --out-mask (and --out-prob), not --out-dir")

@@ -388,8 +388,3 @@ def emit_report(attr: AttributesData, perf: PerformanceData,
                          "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"], rows)
     return json_path, csv_path
 
-
-def load_report(json_path: str | os.PathLike) -> dict:
-    """Read back a report written by :func:`emit_report`."""
-    with open(json_path) as fh:
-        return json.load(fh)

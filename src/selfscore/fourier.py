@@ -38,7 +38,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred, taper_zero_pad
+from .grid import GridField, WavelengthBand, _centred
 
 TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
@@ -221,7 +221,8 @@ def fourier_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarr
     tapered, window, windowed, gain, spectrum_mag, filtered_mag and full
     (the uncropped output, whose crop is :func:`fourier_band_pass`'s)."""
     target = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
-    tapered = taper_zero_pad(field, target).values
+    tapered = np.zeros(target)
+    tapered[_centred(field.shape, target)] = field.values
     window = blackman_harris_weights(target)
     gain = butterworth_gain(target, field.spacing_deg, band)
     windowed = window * tapered

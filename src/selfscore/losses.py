@@ -44,7 +44,7 @@ from .grid import GridField, WavelengthBand
 from .neighbourhood import max_filter, max_filter_array, mean_filter
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
                      NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max,
-                     nbhd_score_detail, pixelwise_score_detail, scored_weights)
+                     scored_weights)
 from .wavelet import (wavelet_band_pass, wavelet_band_passes, wavelet_decompose,
                       wavelet_stages)
 
@@ -364,10 +364,11 @@ def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
     its natural orientation (not the loss).  The test reference: one field
     at a time, apart from the filter walk of ``metric_tables``.
     """
-    if spec.filter_kind == "nbhd":
-        return nbhd_score_detail(spec.score, p, y, spec.half_width)
-    p2, y2 = (_clamped(_spectral(spec.filter_kind)[0](f, spec.band)) for f in (p, y))
-    return pixelwise_score_detail(spec.score, p2, y2)
+    w, p_out, y_out = scored_weights(p, y), p, y
+    if spec.is_spectral:
+        p_out, y_out = (_spectral(spec.filter_kind)[0](f, spec.band) for f in (p, y))
+        p_out = _clamped(p_out)
+    return _record(spec, p_out.values, _target(spec, y, y_out), w).score(spec.score)
 
 
 def metric_table(specs: list[LossSpec], p: GridField,

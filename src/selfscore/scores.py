@@ -20,10 +20,11 @@ consequence is that the neighbourhood CSI at half-width 0 is NOT the
 pixelwise CSI (it double-counts misses into b).  The rule is kept because
 it is the documented accumulation; treat neighbourhood CSI as its own score.
 
-Scores that meet share their work: ``PairSums`` reduces each sum of a
-(prediction, target) pair once, for all its scores, and ``NbhdObs`` filters
-an observation once per half-width, for every prediction (``NbhdPair``).
-Each sum is the reduction its score would run alone, so no bit changes.
+Every score is read from one of two records: ``PairSums`` reduces each sum
+of a (prediction, target) pair once, for all its scores, and ``NbhdPair``
+pairs a prediction with an ``NbhdObs``, which filters an observation once
+per half-width.  ``losses`` builds both and makes the refusals.  Each sum
+is the reduction its score would run alone, so no bit changes.
 ``PairSums.gradient`` differentiates each score from the same sums and the
 same fallback tests as ``PairSums.score``, so a loss and its gradient
 cannot take different branches.  ``NbhdPair.gradient`` does the same for
@@ -69,30 +70,6 @@ class ScoreResult:
 
     value: float
     fallbacks: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class ContingencyCounts:
-    """Probabilistic 2x2 contingency table (fractional counts)."""
-
-    a: float  # hits
-    b: float  # false alarms
-    c: float  # misses
-    d: float  # correct nulls
-
-    @property
-    def n(self) -> float:
-        return self.a + self.b + self.c + self.d
-
-
-@dataclass(frozen=True)
-class NbhdContingency:
-    """Two-sided neighbourhood contingency (fractional counts)."""
-
-    a_obs: float   # observation-oriented hits
-    a_pred: float  # prediction-oriented hits
-    b: float       # false alarms
-    c: float       # misses
 
 
 def scored_weights(p: GridField, y: GridField) -> np.ndarray:
@@ -243,21 +220,6 @@ class PairSums:
         return wf * (y * (1.0 + 1.0 / r) - (1.0 - y) * (1.0 + r)) / n
 
 
-def prob_contingency(p: GridField, y: GridField) -> ContingencyCounts:
-    """Accumulate the probabilistic contingency table over scored pixels."""
-    sums = PairSums(p.values, y.values, scored_weights(p, y))
-    return ContingencyCounts(*(sums._sum(k) for k in "abcd"))
-
-
-def pixelwise_score_detail(kind: str, p: GridField, y: GridField) -> ScoreResult:
-    """Pixelwise score of a probability field against a target in [0, 1]."""
-    return PairSums(p.values, y.values, scored_weights(p, y)).score(kind)
-
-
-def pixelwise_score(kind: str, p: GridField, y: GridField) -> float:
-    return pixelwise_score_detail(kind, p, y).value
-
-
 # ---------------------------------------------------------------------------
 # Neighbourhood scores: one filtered observation per half-width.
 
@@ -379,18 +341,6 @@ class NbhdPair:
         return -(csi ** 2) * dinv
 
 
-def nbhd_contingency(p: GridField, y: GridField, half_width: int) -> NbhdContingency:
-    """Two-sided neighbourhood contingency at the given half-width.
-
-    Neighbourhood maxima are taken over the full grid (filters see every
-    pixel); only the accumulation is restricted to scored pixels.
-    """
-    if y.kind != "mask":
-        raise ValueError("nbhd_contingency needs a binary observation mask")
-    w = scored_weights(p, y)
-    return NbhdContingency(*NbhdPair(p.values, NbhdObs(y.values, half_width), w).contingency())
-
-
 def _nbhd_csi_from_counts(a_obs: float, a_pred: float, b: float,
                           c: float) -> tuple[float, list[str]]:
     """CSI = 1 / (1/POD + 1/SR - 1); a factor with a zero denominator
@@ -407,27 +357,3 @@ def _nbhd_csi_from_counts(a_obs: float, a_pred: float, b: float,
         else:
             inv += den / hits
     return 1.0 / (inv - 1.0), fallbacks
-
-
-def nbhd_score_detail(kind: str, p: GridField, y: GridField,
-                      half_width: int) -> ScoreResult:
-    """Neighbourhood score of a probability field against a binary mask.
-
-    For brier/iou/dice/xent the observation is replaced by its neighbourhood
-    maximum; the ring this dilation adds is charged to every forecast, a
-    perfect one included, and a shift of at most ``half_width`` adds nothing
-    to that charge.  fss compares neighbourhood means of both fields; csi is
-    built from the two-sided neighbourhood contingency.  Contingency-only
-    scores (heidke, peirce, gerrity) are rejected.
-    """
-    if kind not in NBHD_SCORE_KINDS:
-        raise ValueError(
-            f"no neighbourhood form for {kind!r}; valid: {NBHD_SCORE_KINDS}")
-    if y.kind != "mask":
-        raise ValueError("neighbourhood scores need a binary observation mask")
-    w = scored_weights(p, y)
-    return NbhdPair(p.values, NbhdObs(y.values, half_width), w).score(kind)
-
-
-def nbhd_score(kind: str, p: GridField, y: GridField, half_width: int) -> float:
-    return nbhd_score_detail(kind, p, y, half_width).value

@@ -53,11 +53,11 @@ class SynthSpec:
         if self.n_cells < 0:
             raise ValueError("n_cells must be non-negative")
         lo, hi = self.radius_range
-        if not (0 < lo <= hi):
-            raise ValueError("radius_range must satisfy 0 < lo <= hi")
+        if not (0 < lo <= hi < np.inf):
+            raise ValueError("radius_range must satisfy 0 < lo <= hi < inf")
         lo, hi = self.elongation_range
-        if not (1.0 <= lo <= hi):
-            raise ValueError("elongation_range must satisfy 1 <= lo <= hi")
+        if not (1.0 <= lo <= hi < np.inf):
+            raise ValueError("elongation_range must satisfy 1 <= lo <= hi < inf")
 
 
 def sample_cells(spec: SynthSpec) -> list[Cell]:

@@ -50,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred, next_pow2_dims, taper_zero_pad
+from .grid import GridField, WavelengthBand, _centred, next_pow2_dims
 
 
 def _check_even(values: np.ndarray) -> np.ndarray:
@@ -156,7 +156,8 @@ def wavelet_decompose(field: GridField) -> WaveletDecomposition:
     target = next_pow2_dims(field.shape)
     if min(target) < 2:
         raise ValueError("grid too small for a 2-D wavelet decomposition")
-    padded = taper_zero_pad(field, target).values
+    padded = np.zeros(target)
+    padded[_centred(field.shape, target)] = field.values
     n_levels = int(math.log2(min(target)))
     return WaveletDecomposition(field, padded,
                                 haar_pyramid(padded, n_levels, field.spacing_deg))

@@ -32,12 +32,12 @@ from selfscore.grid import GridField, WavelengthBand, crop_taper, taper_zero_pad
 from selfscore.losses import (NBHD_HALF_WIDTHS, enumerate_configs, grad_check,
                               parse_spec_id, prepare_targets)
 from selfscore.ranking import MetricMatrix, best_per_filter, rank_models
-from selfscore.scores import (SCORE_KINDS, nbhd_contingency, nbhd_score,
-                              pixelwise_score, pixelwise_score_detail,
-                              prob_contingency)
+from selfscore.scores import SCORE_KINDS
 from selfscore.wavelet import haar_forward, haar_inverse, haar_pyramid
 from selfscore import fourier as fourier_mod
 from selfscore import wavelet as wavelet_mod
+
+from _records import counts, score
 
 SPACING = 0.02
 
@@ -215,11 +215,11 @@ def test_05_score_correctness(capsys):
     failures = []
 
     # Single-pixel probabilistic contingency splits.
-    t = prob_contingency(prob([[0.8]]), mask([[1.0]]))
-    if not (t.a == 0.8 and abs(t.c - 0.2) <= 1e-15 and t.b == t.d == 0.0):
+    a, b, c, d = counts(prob([[0.8]]), mask([[1.0]]))
+    if not (a == 0.8 and abs(c - 0.2) <= 1e-15 and b == d == 0.0):
         failures.append("event-pixel split")
-    t = prob_contingency(prob([[0.8]]), mask([[0.0]]))
-    if not (t.b == 0.8 and abs(t.d - 0.2) <= 1e-15 and t.a == t.c == 0.0):
+    a, b, c, d = counts(prob([[0.8]]), mask([[0.0]]))
+    if not (b == 0.8 and abs(d - 0.2) <= 1e-15 and a == c == 0.0):
         failures.append("no-event-pixel split")
 
     # Neighbourhood contingency: observation pass and both prediction cases.
@@ -227,19 +227,19 @@ def test_05_score_correctness(capsys):
     pv[1, 2], pv[2, 3], pv[5, 6] = 0.8, 0.5, 0.2
     yv = np.zeros((7, 7))
     yv[1, 1] = 1.0
-    t = nbhd_contingency(prob(pv, eval_mask=only([(1, 1)], pv.shape)),
-                         mask(yv, eval_mask=only([(1, 1)], pv.shape)), 2)
-    if not (t.a_obs == pytest.approx(0.8, abs=1e-15)
-            and t.c == pytest.approx(0.2, abs=1e-15)):
+    a_obs, _, _, c = counts(prob(pv, eval_mask=only([(1, 1)], pv.shape)),
+                            mask(yv, eval_mask=only([(1, 1)], pv.shape)), 2)
+    if not (a_obs == pytest.approx(0.8, abs=1e-15)
+            and c == pytest.approx(0.2, abs=1e-15)):
         failures.append("nbhd observation pass")
-    t = nbhd_contingency(prob(pv, eval_mask=only([(2, 3)], pv.shape)),
-                         mask(yv, eval_mask=only([(2, 3)], pv.shape)), 2)
-    if not (t.a_pred == pytest.approx(0.5, abs=1e-15)
-            and t.b == pytest.approx(0.5, abs=1e-15)):
+    _, a_pred, b, _ = counts(prob(pv, eval_mask=only([(2, 3)], pv.shape)),
+                             mask(yv, eval_mask=only([(2, 3)], pv.shape)), 2)
+    if not (a_pred == pytest.approx(0.5, abs=1e-15)
+            and b == pytest.approx(0.5, abs=1e-15)):
         failures.append("nbhd near-event prediction")
-    t = nbhd_contingency(prob(pv, eval_mask=only([(5, 6)], pv.shape)),
-                         mask(yv, eval_mask=only([(5, 6)], pv.shape)), 2)
-    if not (t.b == pytest.approx(0.2, abs=1e-15) and t.a_pred == 0.0):
+    _, a_pred, b, _ = counts(prob(pv, eval_mask=only([(5, 6)], pv.shape)),
+                             mask(yv, eval_mask=only([(5, 6)], pv.shape)), 2)
+    if not (b == pytest.approx(0.2, abs=1e-15) and a_pred == 0.0):
         failures.append("nbhd far prediction")
 
     # All nine scores on one worked 2x2 example.
@@ -265,7 +265,7 @@ def test_05_score_correctness(capsys):
         "gerrity": (a / r + d * r - b - c) / 4.0,
     }
     for kind, want in expected.items():
-        res = pixelwise_score_detail(kind, p, y)
+        res = score(kind, p, y)
         if res.value != pytest.approx(want, abs=1e-14) or res.fallbacks:
             failures.append(f"hand value {kind}")
 
@@ -274,9 +274,9 @@ def test_05_score_correctness(capsys):
     optimal = {"brier": 0.0, "fss": 1.0, "iou": 1.0, "dice": 1.0, "csi": 1.0,
                "heidke": 1.0, "peirce": 1.0, "gerrity": 1.0}
     for kind, want in optimal.items():
-        if pixelwise_score(kind, prob(yv), mask(yv)) != want:
+        if score(kind, prob(yv), mask(yv)).value != want:
             failures.append(f"optimum {kind}")
-    if not 0.0 <= pixelwise_score("xent", prob(yv), mask(yv)) < 1e-6:
+    if not 0.0 <= score("xent", prob(yv), mask(yv)).value < 1e-6:
         failures.append("optimum xent")
 
     # Ranges over 10^4 random inputs.
@@ -287,7 +287,7 @@ def test_05_score_correctness(capsys):
         pv = rng.uniform(size=(5, 5))
         yv = (rng.uniform(size=(5, 5)) < 0.35).astype(float)
         p, y = prob(pv), mask(yv)
-        vals = {kind: pixelwise_score(kind, p, y) for kind in SCORE_KINDS}
+        vals = {kind: score(kind, p, y).value for kind in SCORE_KINDS}
         if not all(0.0 <= vals[k] <= 1.0 for k in unit):
             failures.append(f"unit range draw {i}")
             break
@@ -355,10 +355,10 @@ def test_07_double_penalty_rescue(capsys):
     charged = {}
     for k in (1, 2, 4):
         p = prob(disc((48, 48), (24, 24 + k), 3.2))
-        positives.append(pixelwise_score("brier", p, y) > 0.0)
+        positives.append(score("brier", p, y).value > 0.0)
         for r in NBHD_HALF_WIDTHS:
-            pair = (nbhd_score("brier", p, y, r),
-                    nbhd_score("brier", perfect, y, r))
+            pair = (score("brier", p, y, r).value,
+                    score("brier", perfect, y, r).value)
             (rescued if r >= k else charged)[(k, r)] = pair
 
     pixel_ok = all(positives)

@@ -20,7 +20,6 @@ from selfscore.evaluation import (
     bootstrap_ci,
     consistency_bars,
     emit_report,
-    load_report,
     paired_bootstrap_test,
     performance_diagram,
     report_dict,
@@ -279,7 +278,7 @@ def test_report_json_csv_round_trip(tmp_path):
     attr, perf = _small_report_inputs()
     json_path, csv_path = emit_report(attr, perf, tmp_path, stem="rep")
     assert os.path.basename(json_path) == "rep.json"
-    data = load_report(json_path)
+    data = json.loads(open(json_path).read())
     assert data == report_dict(attr, perf)
     assert set(data["summary"]) == set(SUMMARY_KEYS)
     # NaN must appear as JSON null, never as bare NaN.
@@ -296,7 +295,7 @@ def test_report_empty_bins_serialise_as_blank_cells(tmp_path):
     perf = performance_diagram(prob([0.42] * 5), mask([1.0, 0.0, 0.0, 0.0, 0.0]),
                                thresholds=[0.5])
     json_path, csv_path = emit_report(attr, perf, tmp_path)
-    data = load_report(json_path)
+    data = json.loads(open(json_path).read())
     assert data["attributes"]["bin_mean_forecast"][0] is None
     assert data["attributes"]["consistency_lo"] is None  # bars never computed
     row0 = open(csv_path).read().splitlines()[1].split(",")
@@ -307,7 +306,7 @@ def test_report_extra_sections_json_only(tmp_path):
     attr, perf = _small_report_inputs()
     extra = {"bootstrap": {"bss": [0.1, 0.05, 0.15]}}
     json_path, csv_path = emit_report(attr, perf, tmp_path, extra_sections=extra)
-    data = load_report(json_path)
+    data = json.loads(open(json_path).read())
     assert data["bootstrap"] == {"bss": [0.1, 0.05, 0.15]}
     lines = open(csv_path).read().splitlines()
     assert len(lines) == 1 + N_PROB_BINS + len(perf.thresholds) + len(SUMMARY_KEYS)

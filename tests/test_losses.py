@@ -34,8 +34,10 @@ from selfscore.losses import (
     prepare_target,
 )
 from selfscore.neighbourhood import max_filter, mean_filter
-from selfscore.scores import ORIENTATION, SCORE_KINDS, pixelwise_score_detail
+from selfscore.scores import ORIENTATION, SCORE_KINDS
 from selfscore.wavelet import wavelet_band_pass
+
+from _records import score
 
 SPACING = 0.05
 
@@ -224,22 +226,21 @@ def test_training_filters_obs_only_evaluation_filters_both():
 def test_loss_orientation():
     rng = np.random.default_rng(6)
     p, y = random_pair(rng)
-    for score in SCORE_KINDS:
-        spec = parse_spec_id(f"{score}_F0.1-inf")
+    for kind in SCORE_KINDS:
+        spec = parse_spec_id(f"{kind}_F0.1-inf")
         t = prepare_target(spec, y)
-        raw = pixelwise_score_detail(score, p, t.filtered).value
+        raw = score(kind, p, t.filtered).value
         loss = loss_value(spec, p, t)
-        if ORIENTATION[score] < 0:
+        if ORIENTATION[kind] < 0:
             assert loss == raw
         else:
             assert loss == 1.0 - raw
-    for score in ("brier", "fss", "iou", "dice", "csi", "xent"):
-        spec = parse_spec_id(f"{score}_nbhd_r2")
+    for kind in ("brier", "fss", "iou", "dice", "csi", "xent"):
+        spec = parse_spec_id(f"{kind}_nbhd_r2")
         t = prepare_target(spec, y)
-        from selfscore.scores import nbhd_score
-        raw = nbhd_score(score, p, y, 2)
+        raw = score(kind, p, y, 2).value
         loss = loss_value(spec, p, t)
-        assert loss == (raw if ORIENTATION[score] < 0 else 1.0 - raw)
+        assert loss == (raw if ORIENTATION[kind] < 0 else 1.0 - raw)
 
 
 def test_loss_detail_mismatched_target_rejected():
@@ -267,15 +268,24 @@ def test_prepared_target_shared_across_scores_with_same_filter():
 
 def test_metric_table_matches_metric_value_across_census():
     rng = np.random.default_rng(8)
+    plain = random_pair(rng)
     p, y = random_pair(rng)
+    masked = (prob(p.values, rng.random(p.shape) < 0.7),
+              mask(y.values, rng.random(y.shape) < 0.7))
+    odd = random_pair(rng, shape=(37, 52))
+    no_events = (p, mask(np.zeros(p.shape)))
     configs = enumerate_configs()
-    table = metric_table(configs, p, y)
-    assert len(table) == 336
-    for spec in configs:
-        single = metric_value(spec, p, y)
-        cached = table[spec.spec_id]
-        assert cached.value == single.value, spec.spec_id
-        assert cached.fallbacks == single.fallbacks, spec.spec_id
+    fired = set()
+    for p, y in (plain, masked, odd, no_events):
+        table = metric_table(configs, p, y)
+        assert len(table) == 336
+        for spec in configs:
+            single = metric_value(spec, p, y)
+            cached = table[spec.spec_id]
+            assert cached.value == single.value, spec.spec_id
+            assert cached.fallbacks == single.fallbacks, spec.spec_id
+            fired.update(single.fallbacks)
+    assert {"peirce_empty_class", "nbhd_csi_pod_undefined"} <= fired
 
 
 def test_band_pass_unknown_method():

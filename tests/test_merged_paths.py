@@ -23,7 +23,9 @@ from selfscore.grid import GridField, WavelengthBand, write_grid
 from selfscore.losses import (FilterSpec, LossSpec, enumerate_configs, loss_detail,
                               parse_filter_id, parse_spec_id, prepare_target,
                               prepare_targets)
-from selfscore.scores import ORIENTATION, nbhd_score_detail, pixelwise_score_detail
+from selfscore.scores import ORIENTATION
+
+from _records import score
 
 SPACING = 0.05
 
@@ -149,9 +151,9 @@ def test_loss_detail_is_the_oriented_score_for_every_config(fields):
     for spec in enumerate_configs():
         target = targets[spec.filter_id]
         if spec.filter_kind == "nbhd":
-            ref = nbhd_score_detail(spec.score, p, y, spec.half_width)
+            ref = score(spec.score, p, y, spec.half_width)
         else:
-            ref = pixelwise_score_detail(spec.score, p, target.filtered)
+            ref = score(spec.score, p, target.filtered)
         want = ref.value if ORIENTATION[spec.score] < 0 else 1.0 - ref.value
         got = loss_detail(spec, p, target)
         assert got.value == want, spec.spec_id

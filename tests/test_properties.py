@@ -19,7 +19,9 @@ from selfscore.losses import (CENSUS_BANDS, SPECTRAL_METHODS, FilterSpec, apply_
                               parse_spec_id)
 from selfscore.neighbourhood import mean_filter_array
 from selfscore.ranking import MetricMatrix, rank_models
-from selfscore.scores import nbhd_score, pixelwise_score, scored_weights
+from selfscore.scores import scored_weights
+
+from _records import score
 
 UNIT = ("brier", "fss", "iou", "dice", "csi")
 
@@ -47,11 +49,11 @@ def scored_pairs(draw, shape=None):
 def test_scores_stay_in_range(pair, half_width):
     p, y = pair
     for kind in UNIT:
-        assert 0.0 <= pixelwise_score(kind, p, y) <= 1.0, kind
-        assert 0.0 <= nbhd_score(kind, p, y, half_width) <= 1.0, kind
-    assert -1.0 <= pixelwise_score("peirce", p, y) <= 1.0
-    assert pixelwise_score("xent", p, y) >= 0.0
-    assert nbhd_score("xent", p, y, half_width) >= 0.0
+        assert 0.0 <= score(kind, p, y).value <= 1.0, kind
+        assert 0.0 <= score(kind, p, y, half_width).value <= 1.0, kind
+    assert -1.0 <= score("peirce", p, y).value <= 1.0
+    assert score("xent", p, y).value >= 0.0
+    assert score("xent", p, y, half_width).value >= 0.0
 
 
 @st.composite

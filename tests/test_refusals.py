@@ -132,6 +132,12 @@ OTHERS = {
                       ["--n-cells"]),
     "synth-offset": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --out-prob {out}/p.grid "
                      "--offset 1.5,0", ["--offset"]),
+    "synth-radius-range-inf": ("synth --rows 8 --cols 8 --radius-range inf,inf "
+                               "--out-mask {out}/m.grid", ["--radius-range"]),
+    "synth-radius-range-hi-inf": ("synth --rows 8 --cols 8 --radius-range 1,inf "
+                                  "--out-mask {out}/m.grid", ["--radius-range"]),
+    "synth-elongation-range-inf": ("synth --rows 8 --cols 8 --elongation-range 1,inf "
+                                   "--out-mask {out}/m.grid", ["--elongation-range"]),
     "synth-count": ("synth --rows 8 --cols 8 --count 0 --out-dir {out}/s", ["--count"]),
     "synth-ignored-out-mask": ("synth --rows 8 --cols 8 --count 2 --out-dir {out}/s "
                                "--out-mask {out}/x.grid", ["--out-mask"]),

@@ -12,18 +12,10 @@ import numpy as np
 import pytest
 
 from selfscore.grid import GridField
-from selfscore.scores import (
-    NBHD_SCORE_KINDS,
-    ORIENTATION,
-    SCORE_KINDS,
-    XENT_EPS,
-    nbhd_contingency,
-    nbhd_score,
-    nbhd_score_detail,
-    pixelwise_score,
-    pixelwise_score_detail,
-    prob_contingency,
-)
+from selfscore.losses import LossSpec, metric_tables, metric_value, prepare_targets
+from selfscore.scores import NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS
+
+from _records import counts, score
 
 SPACING = 0.1
 
@@ -49,27 +41,21 @@ def only(rows_cols, shape):
 
 def test_prob_contingency_single_pixel_event():
     # Probability 0.8 against an observed event: 0.8 to hits, 0.2 to misses.
-    t = prob_contingency(prob([[0.8]]), mask([[1.0]]))
-    assert t.a == pytest.approx(0.8, abs=1e-15)
-    assert t.b == 0.0
-    assert t.c == pytest.approx(0.2, abs=1e-15)
-    assert t.d == 0.0
+    assert counts(prob([[0.8]]), mask([[1.0]])) == (
+        pytest.approx(0.8, abs=1e-15), 0.0, pytest.approx(0.2, abs=1e-15), 0.0)
 
 
 def test_prob_contingency_single_pixel_no_event():
     # Probability 0.8 with no event: 0.8 to false alarms, 0.2 to correct nulls.
-    t = prob_contingency(prob([[0.8]]), mask([[0.0]]))
-    assert t.a == 0.0
-    assert t.b == pytest.approx(0.8, abs=1e-15)
-    assert t.c == 0.0
-    assert t.d == pytest.approx(0.2, abs=1e-15)
+    assert counts(prob([[0.8]]), mask([[0.0]])) == (
+        0.0, pytest.approx(0.8, abs=1e-15), 0.0, pytest.approx(0.2, abs=1e-15))
 
 
 def test_prob_contingency_accumulates_and_n():
-    t = prob_contingency(prob([[0.8, 0.8]]), mask([[1.0, 0.0]]))
-    assert (t.a, t.b) == (pytest.approx(0.8), pytest.approx(0.8))
-    assert (t.c, t.d) == (pytest.approx(0.2), pytest.approx(0.2))
-    assert t.n == pytest.approx(2.0)
+    a, b, c, d = counts(prob([[0.8, 0.8]]), mask([[1.0, 0.0]]))
+    assert (a, b) == (pytest.approx(0.8), pytest.approx(0.8))
+    assert (c, d) == (pytest.approx(0.2), pytest.approx(0.2))
+    assert a + b + c + d == pytest.approx(2.0)
 
 
 def test_prob_contingency_binary_reduction_oracle():
@@ -78,12 +64,9 @@ def test_prob_contingency_binary_reduction_oracle():
     for _ in range(50):
         pv = (rng.random((6, 5)) < 0.4).astype(float)
         yv = (rng.random((6, 5)) < 0.3).astype(float)
-        t = prob_contingency(prob(pv), mask(yv))
         pb, yb = pv.astype(bool), yv.astype(bool)
-        assert t.a == float(np.sum(pb & yb))
-        assert t.b == float(np.sum(pb & ~yb))
-        assert t.c == float(np.sum(~pb & yb))
-        assert t.d == float(np.sum(~pb & ~yb))
+        assert counts(prob(pv), mask(yv)) == tuple(
+            float(np.sum(x)) for x in (pb & yb, pb & ~yb, ~pb & yb, ~pb & ~yb))
 
 
 # ---------------------------------------------------------------------------
@@ -107,39 +90,39 @@ def test_nbhd_contingency_observed_pixel_contribution():
     # pixel contributes 0.8 to a_obs and 0.2 to c.
     pv, yv = _figure_grid()
     em = only([(1, 1)], pv.shape)
-    t = nbhd_contingency(prob(pv, em), mask(yv, em), half_width=2)
-    assert t.a_obs == pytest.approx(0.8, abs=1e-15)
-    assert t.c == pytest.approx(0.2, abs=1e-15)
+    a_obs, a_pred, b, c = counts(prob(pv, em), mask(yv, em), 2)
+    assert a_obs == pytest.approx(0.8, abs=1e-15)
+    assert c == pytest.approx(0.2, abs=1e-15)
 
 
 def test_nbhd_contingency_prediction_near_event():
     # p = 0.5 with an event within reach: 0.5 to a_pred AND 0.5 to b.
     pv, yv = _figure_grid()
     em = only([(2, 3)], pv.shape)
-    t = nbhd_contingency(prob(pv, em), mask(yv, em), half_width=2)
-    assert t.a_pred == pytest.approx(0.5, abs=1e-15)
-    assert t.b == pytest.approx(0.5, abs=1e-15)
-    assert t.a_obs == 0.0 and t.c == 0.0
+    a_obs, a_pred, b, c = counts(prob(pv, em), mask(yv, em), 2)
+    assert a_pred == pytest.approx(0.5, abs=1e-15)
+    assert b == pytest.approx(0.5, abs=1e-15)
+    assert a_obs == 0.0 and c == 0.0
 
 
 def test_nbhd_contingency_prediction_far_from_event():
     # p = 0.2 with no event within reach: 0.2 to b, nothing to a_pred.
     pv, yv = _figure_grid()
     em = only([(5, 6)], pv.shape)
-    t = nbhd_contingency(prob(pv, em), mask(yv, em), half_width=2)
-    assert t.a_pred == 0.0
-    assert t.b == pytest.approx(0.2, abs=1e-15)
+    a_obs, a_pred, b, c = counts(prob(pv, em), mask(yv, em), 2)
+    assert a_pred == 0.0
+    assert b == pytest.approx(0.2, abs=1e-15)
 
 
 def test_nbhd_contingency_whole_grid():
     # Full accumulation over all 49 pixels: the near set is the 4x4 block
     # rows 0..3 x cols 0..3 (16 pixels), everything else is far.
     pv, yv = _figure_grid()
-    t = nbhd_contingency(prob(pv), mask(yv), half_width=2)
-    assert t.a_obs == pytest.approx(0.8, abs=1e-15)
-    assert t.c == pytest.approx(0.2, abs=1e-15)
-    assert t.a_pred == pytest.approx(0.8 + 0.5, abs=1e-15)
-    assert t.b == pytest.approx((16 - 1.3) + 0.2, abs=1e-12)
+    a_obs, a_pred, b, c = counts(prob(pv), mask(yv), 2)
+    assert a_obs == pytest.approx(0.8, abs=1e-15)
+    assert c == pytest.approx(0.2, abs=1e-15)
+    assert a_pred == pytest.approx(0.8 + 0.5, abs=1e-15)
+    assert b == pytest.approx((16 - 1.3) + 0.2, abs=1e-12)
 
 
 def test_nbhd_contingency_filter_sees_excluded_pixels():
@@ -148,16 +131,16 @@ def test_nbhd_contingency_filter_sees_excluded_pixels():
     pv = np.array([[0.0, 0.5, 0.0]])
     yv = np.array([[1.0, 0.0, 0.0]])
     em = only([(0, 1), (0, 2)], pv.shape)  # the event pixel is not scored
-    t = nbhd_contingency(prob(pv, em), mask(yv, em), half_width=1)
-    assert t.a_obs == 0.0 and t.c == 0.0  # no scored event pixels
-    assert t.a_pred == pytest.approx(0.5)  # (0,1) is within reach of the event
+    a_obs, a_pred, b, c = counts(prob(pv, em), mask(yv, em), 1)
+    assert a_obs == 0.0 and c == 0.0  # no scored event pixels
+    assert a_pred == pytest.approx(0.5)  # (0,1) is within reach of the event
     # b: 1-p at the near pixel (0,1) plus p at the far pixel (0,2).
-    assert t.b == pytest.approx(0.5 + 0.0)
+    assert b == pytest.approx(0.5 + 0.0)
 
 
 def test_nbhd_contingency_requires_mask_obs():
-    with pytest.raises(ValueError, match="binary observation mask"):
-        nbhd_contingency(prob([[0.5]]), prob([[0.5]]), half_width=1)
+    with pytest.raises(ValueError, match="binary masks"):
+        prepare_targets([LossSpec("csi", "nbhd", half_width=1)], prob([[0.5]]))
 
 
 # ---------------------------------------------------------------------------
@@ -172,8 +155,7 @@ Y22 = [[1.0, 0.0], [1.0, 0.0]]
 def test_hand_values_pixelwise():
     p, y = prob(P22), mask(Y22)
     a, b, c, d = 1.4, 0.7, 0.6, 1.3
-    t = prob_contingency(p, y)
-    assert (t.a, t.b, t.c, t.d) == (
+    assert counts(p, y) == (
         pytest.approx(a), pytest.approx(b), pytest.approx(c), pytest.approx(d))
 
     sse = 0.2 ** 2 + 0.2 ** 2 + 0.4 ** 2 + 0.5 ** 2          # 0.49
@@ -198,7 +180,7 @@ def test_hand_values_pixelwise():
         "gerrity": (a / r + d * r - b - c) / 4.0,
     }
     for kind, want in expected.items():
-        res = pixelwise_score_detail(kind, p, y)
+        res = score(kind, p, y)
         assert res.value == pytest.approx(want, abs=1e-14), kind
         assert res.fallbacks == ()
 
@@ -209,10 +191,10 @@ def test_perfect_forecast_is_optimal_pixelwise():
     optimal = {"brier": 0.0, "fss": 1.0, "iou": 1.0, "dice": 1.0, "csi": 1.0,
                "heidke": 1.0, "peirce": 1.0, "gerrity": 1.0}
     for kind, want in optimal.items():
-        assert pixelwise_score(kind, p, y) == want, kind
+        assert score(kind, p, y).value == want, kind
     # Probabilities are clamped away from {0, 1}, so perfect cross-entropy
     # is within the clamp margin of zero rather than exactly zero.
-    assert 0.0 <= pixelwise_score("xent", p, y) < 1e-6
+    assert 0.0 <= score("xent", p, y).value < 1e-6
 
 
 def test_binary_inputs_match_integer_contingency_formulas():
@@ -227,13 +209,13 @@ def test_binary_inputs_match_integer_contingency_formulas():
         d = float(np.sum(~pb & ~yb))
         n = a + b + c + d
         if a + b + c > 0:
-            got = pixelwise_score("csi", prob(pv), mask(yv))
+            got = score("csi", prob(pv), mask(yv)).value
             assert got == pytest.approx(a / (a + b + c), abs=1e-14)
         if (a + c) > 0 and (b + d) > 0:
-            got = pixelwise_score("peirce", prob(pv), mask(yv))
+            got = score("peirce", prob(pv), mask(yv)).value
             assert got == pytest.approx(a / (a + c) - b / (b + d), abs=1e-14)
             n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
-            got = pixelwise_score("heidke", prob(pv), mask(yv))
+            got = score("heidke", prob(pv), mask(yv)).value
             assert got == pytest.approx((a + d - n_rand) / (n - n_rand), abs=1e-14)
 
 
@@ -247,8 +229,8 @@ def test_gerrity_equals_peirce_when_both_classes_present():
         yv = (rng.random((6, 6)) < 0.5).astype(float)
         if yv.min() == yv.max():
             continue
-        g = pixelwise_score("gerrity", prob(pv), mask(yv))
-        s = pixelwise_score("peirce", prob(pv), mask(yv))
+        g = score("gerrity", prob(pv), mask(yv)).value
+        s = score("peirce", prob(pv), mask(yv)).value
         assert g == pytest.approx(s, abs=1e-12)
 
 
@@ -260,7 +242,7 @@ def test_score_ranges_random_inputs():
         yv = (rng.random((9, 8)) < 0.3).astype(float)
         p, y = prob(pv), mask(yv)
         for kind in SCORE_KINDS:
-            v = pixelwise_score(kind, p, y)
+            v = score(kind, p, y).value
             assert np.isfinite(v), kind
             if kind in unit:
                 assert 0.0 <= v <= 1.0, kind
@@ -288,7 +270,7 @@ def test_nbhd_reduces_to_pixelwise_at_zero_half_width():
     yv = (rng.random((7, 6)) < 0.4).astype(float)
     p, y = prob(pv), mask(yv)
     for kind in ("brier", "fss", "iou", "dice", "xent"):
-        assert nbhd_score(kind, p, y, 0) == pixelwise_score(kind, p, y), kind
+        assert score(kind, p, y, 0).value == score(kind, p, y).value, kind
 
 
 def test_nbhd_csi_at_zero_half_width_double_counts_misses():
@@ -299,10 +281,10 @@ def test_nbhd_csi_at_zero_half_width_double_counts_misses():
     pv = rng.random((7, 6))
     yv = (rng.random((7, 6)) < 0.4).astype(float)
     p, y = prob(pv), mask(yv)
-    t = prob_contingency(p, y)
-    got = nbhd_score("csi", p, y, 0)
-    assert got == pytest.approx(t.a / (t.a + t.b + 2.0 * t.c), abs=1e-12)
-    assert got < pixelwise_score("csi", p, y)  # c > 0 here, so strictly less
+    a, b, c, _ = counts(p, y)
+    got = score("csi", p, y, 0).value
+    assert got == pytest.approx(a / (a + b + 2.0 * c), abs=1e-12)
+    assert got < score("csi", p, y).value  # c > 0 here, so strictly less
 
 
 def test_nbhd_hand_values_on_figure_grid():
@@ -312,21 +294,21 @@ def test_nbhd_hand_values_on_figure_grid():
     ymax[0:4, 0:4] = 1.0  # event at (1,1) dilated by half-width 2
 
     sse = float(np.sum((pv - ymax) ** 2))
-    assert nbhd_score("brier", p, y, 2) == pytest.approx(sse / 49.0, abs=1e-14)
+    assert score("brier", p, y, 2).value == pytest.approx(sse / 49.0, abs=1e-14)
 
     inter = 0.8 + 0.5
     union = float(np.sum(np.maximum(pv, ymax)))  # 16 block cells + 0.2 far
     assert union == pytest.approx(16.2)
-    assert nbhd_score("iou", p, y, 2) == pytest.approx(inter / union, abs=1e-14)
+    assert score("iou", p, y, 2).value == pytest.approx(inter / union, abs=1e-14)
 
     agree = inter + float(np.sum((1.0 - pv) * (1.0 - ymax)))
-    assert nbhd_score("dice", p, y, 2) == pytest.approx(agree / 49.0, abs=1e-14)
+    assert score("dice", p, y, 2).value == pytest.approx(agree / 49.0, abs=1e-14)
 
     # CSI from the frozen whole-grid table: POD = 0.8, SR = 1.3 / 16.2.
     pod = 0.8 / (0.8 + 0.2)
     sr = 1.3 / (1.3 + 14.9)
     want = 1.0 / (1.0 / pod + 1.0 / sr - 1.0)
-    assert nbhd_score("csi", p, y, 2) == pytest.approx(want, abs=1e-12)
+    assert score("csi", p, y, 2).value == pytest.approx(want, abs=1e-12)
 
 
 def test_nbhd_fss_uses_mean_filters_of_both_fields():
@@ -338,10 +320,10 @@ def test_nbhd_fss_uses_mean_filters_of_both_fields():
     ybar = np.array([1.0, 1.0, 0.0]) / 3.0
     sse = float(np.sum((pbar - ybar) ** 2))
     ref = float(np.sum(pbar ** 2 + ybar ** 2))
-    assert nbhd_score("fss", p, y, 1) == pytest.approx(1.0 - sse / ref, abs=1e-14)
+    assert score("fss", p, y, 1).value == pytest.approx(1.0 - sse / ref, abs=1e-14)
     # Displaced by one pixel: pixelwise FSS is heavily penalised, the
     # neighbourhood FSS forgives the miss.
-    assert nbhd_score("fss", p, y, 1) > pixelwise_score("fss", p, y)
+    assert score("fss", p, y, 1).value > score("fss", p, y).value
 
 
 def test_nbhd_optimal_forecasts():
@@ -352,26 +334,28 @@ def test_nbhd_optimal_forecasts():
     ymax[2:5, 3:6] = 1.0
     # Matching the dilated mask is optimal for the dilated-target scores.
     p_dilated = prob(ymax)
-    assert nbhd_score("brier", p_dilated, y, 1) == 0.0
-    assert nbhd_score("iou", p_dilated, y, 1) == 1.0
-    assert nbhd_score("dice", p_dilated, y, 1) == 1.0
-    assert nbhd_score("xent", p_dilated, y, 1) < 1e-6
-    assert nbhd_score("csi", p_dilated, y, 1) == 1.0
+    assert score("brier", p_dilated, y, 1).value == 0.0
+    assert score("iou", p_dilated, y, 1).value == 1.0
+    assert score("dice", p_dilated, y, 1).value == 1.0
+    assert score("xent", p_dilated, y, 1).value < 1e-6
+    assert score("csi", p_dilated, y, 1).value == 1.0
     # Matching the raw mask is optimal for FSS (identical window means).
-    assert nbhd_score("fss", prob(yv), y, 1) == 1.0
+    assert score("fss", prob(yv), y, 1).value == 1.0
 
 
 def test_nbhd_rejects_contingency_only_scores():
-    p, y = prob([[0.5]]), mask([[1.0]])
     for kind in ("heidke", "peirce", "gerrity"):
         with pytest.raises(ValueError, match="no neighbourhood form"):
-            nbhd_score_detail(kind, p, y, 1)
+            LossSpec(kind, "nbhd", half_width=1)
     assert set(NBHD_SCORE_KINDS) == set(SCORE_KINDS) - {"heidke", "peirce", "gerrity"}
 
 
 def test_nbhd_requires_mask_obs():
+    spec = LossSpec("brier", "nbhd", half_width=1)
     with pytest.raises(ValueError, match="binary observation mask"):
-        nbhd_score_detail("brier", prob([[0.5]]), prob([[1.0]]), 1)
+        metric_tables([spec], [prob([[0.5]])], prob([[1.0]]))
+    with pytest.raises(ValueError, match="binary observation mask"):
+        metric_value(spec, prob([[0.5]]), prob([[1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -387,26 +371,26 @@ def test_fallbacks_on_empty_fields():
         "peirce": (0.0, ("peirce_empty_class",)),
     }
     for kind, (value, names) in cases.items():
-        res = pixelwise_score_detail(kind, p, y)
+        res = score(kind, p, y)
         assert (res.value, res.fallbacks) == (value, names), kind
     # Brier, dice and xent have no degenerate branch on this input.
-    assert pixelwise_score("brier", p, y) == 0.0
-    assert pixelwise_score_detail("dice", p, y).value == 1.0
+    assert score("brier", p, y).value == 0.0
+    assert score("dice", p, y).value == 1.0
 
 
 def test_gerrity_fallbacks():
     # All-event observations: b + d = 0.
-    res = pixelwise_score_detail("gerrity", prob([[0.5, 0.5]]), mask([[1.0, 1.0]]))
+    res = score("gerrity", prob([[0.5, 0.5]]), mask([[1.0, 1.0]]))
     assert (res.value, res.fallbacks) == (0.0, ("gerrity_zero_denominator",))
     # No observed events with nonzero probabilities: the hits term drops out
     # and what remains is -(b + c) / n.
-    res = pixelwise_score_detail("gerrity", prob([[0.5, 0.5]]), mask([[0.0, 0.0]]))
+    res = score("gerrity", prob([[0.5, 0.5]]), mask([[0.0, 0.0]]))
     assert res.fallbacks == ("gerrity_zero_event_ratio",)
     assert res.value == pytest.approx(-0.5, abs=1e-15)
 
 
 def test_peirce_fallback_on_all_event_obs():
-    res = pixelwise_score_detail("peirce", prob([[0.3, 0.9]]), mask([[1.0, 1.0]]))
+    res = score("peirce", prob([[0.3, 0.9]]), mask([[1.0, 1.0]]))
     assert (res.value, res.fallbacks) == (0.0, ("peirce_empty_class",))
 
 
@@ -417,29 +401,29 @@ def test_nbhd_csi_fallbacks():
 
     # No events, no probability mass anywhere: both factors degenerate and
     # the score is taken as perfect.
-    res = nbhd_score_detail("csi", prob(zero), mask(zero), 1)
+    res = score("csi", prob(zero), mask(zero), 1)
     assert res.value == 1.0
     assert res.fallbacks == ("nbhd_csi_pod_undefined", "nbhd_csi_sr_undefined")
 
     # No events but probability mass present: zero prediction-oriented hits.
     pv = zero.copy()
     pv[2, 2] = 0.7
-    res = nbhd_score_detail("csi", prob(pv), mask(zero), 1)
+    res = score("csi", prob(pv), mask(zero), 1)
     assert res.value == 0.0
     assert res.fallbacks == ("nbhd_csi_pod_undefined", "nbhd_csi_sr_zero")
 
     # Events present but zero probability everywhere: POD factor is zero.
-    res = nbhd_score_detail("csi", prob(zero), mask(one_event), 1)
+    res = score("csi", prob(zero), mask(one_event), 1)
     assert res.value == 0.0
     assert res.fallbacks == ("nbhd_csi_pod_zero",)
 
 
 def test_xent_clamps_certain_misses():
     # A certainty-zero forecast of an observed event costs -log2(eps), not inf.
-    got = pixelwise_score("xent", prob([[0.0]]), mask([[1.0]]))
+    got = score("xent", prob([[0.0]]), mask([[1.0]])).value
     assert got == pytest.approx(-math.log2(XENT_EPS), abs=1e-12)
     # The mirrored case picks up one rounding step: 1 - (1 - eps) != eps.
-    got = pixelwise_score("xent", prob([[1.0]]), mask([[0.0]]))
+    got = score("xent", prob([[1.0]]), mask([[0.0]])).value
     assert got == pytest.approx(-math.log2(1.0 - (1.0 - XENT_EPS)), abs=1e-12)
 
 
@@ -452,35 +436,34 @@ def test_eval_mask_restricts_score_sums():
     em = np.array([[True, True], [False, False]])
     p, y = prob(pv, em), mask(yv, em)
     # Only the top row is scored: a perfect-looking forecast there.
-    assert pixelwise_score("brier", p, y) == pytest.approx(
+    assert score("brier", p, y).value == pytest.approx(
         (0.1 ** 2 + 0.1 ** 2) / 2.0, abs=1e-15)
-    t = prob_contingency(p, y)
-    assert t.n == pytest.approx(2.0)
+    assert sum(counts(p, y)) == pytest.approx(2.0)
 
 
 def test_eval_mask_from_either_field_applies():
     pv = np.array([[0.9, 0.1]])
     yv = np.array([[1.0, 1.0]])
     em = np.array([[True, False]])
-    direct = pixelwise_score("brier", prob(pv, em), mask(yv))
-    other = pixelwise_score("brier", prob(pv), mask(yv, em))
+    direct = score("brier", prob(pv, em), mask(yv)).value
+    other = score("brier", prob(pv), mask(yv, em)).value
     assert direct == other == pytest.approx(0.1 ** 2, abs=1e-15)
 
 
 def test_all_excluded_raises():
     em = np.array([[False]])
     with pytest.raises(ValueError, match="no scored pixels"):
-        pixelwise_score("brier", prob([[0.5]], em), mask([[1.0]]))
+        score("brier", prob([[0.5]], em), mask([[1.0]])).value
 
 
 def test_shape_and_spacing_mismatch_raise():
     with pytest.raises(ValueError, match="shape mismatch"):
-        pixelwise_score("brier", prob([[0.5]]), mask([[1.0, 0.0]]))
+        score("brier", prob([[0.5]]), mask([[1.0, 0.0]])).value
     p = GridField(np.array([[0.5]]), 0.2, "prob")
     with pytest.raises(ValueError, match="spacing mismatch"):
-        pixelwise_score("brier", p, mask([[1.0]]))
+        score("brier", p, mask([[1.0]])).value
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="unknown score kind"):
-        pixelwise_score("accuracy", prob([[0.5]]), mask([[1.0]]))
+        score("accuracy", prob([[0.5]]), mask([[1.0]])).value

@@ -18,11 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfscore import fourier as fourier_mod
+from selfscore.cli import main
 from selfscore.fourier import (TAPER_FACTOR, blackman_harris_weights, butterworth_gain,
                                fourier_band_pass, fourier_band_passes, fourier_spectrum,
                                frequency_grid)
 from selfscore.grid import (GridField, WavelengthBand, crop_taper, next_pow2_dims,
-                            taper_zero_pad)
+                            taper_zero_pad, write_grid)
 from selfscore.losses import (FilterSpec, apply_filter, enumerate_configs, filter_stages,
                               metric_table, metric_tables)
 from selfscore.wavelet import (WaveletLevel, WaveletPyramid, haar_inverse, haar_pyramid,
@@ -236,6 +237,18 @@ def test_each_band_output_builds_one_field(group, band):
             assert all(a is b for a, b in zip(built, outs))
     finally:
         GridField.__post_init__ = post_init
+
+
+def test_wavelet_filter_builds_only_its_input_and_output_fields(tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    write_grid(tmp_path / "in.grid", GridField(rng.uniform(size=(13, 10)), 0.02, "prob"))
+    built = []
+    post_init = GridField.__post_init__
+    monkeypatch.setattr(GridField, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    assert main(["filter", "--spec", "W0-0.1", str(tmp_path / "in.grid"),
+                 str(tmp_path / "out.grid")]) == 0
+    assert len(built) == 2  # the padded grid is an array, not a field
 
 
 # ---------------------------------------------------------------------------

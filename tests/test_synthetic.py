@@ -1,11 +1,12 @@
 """Tests for synthetic event masks and derived probability forecasts."""
 
+import math
+
 import numpy as np
 import pytest
 
 from selfscore.grid import GridField
 from selfscore.neighbourhood import mean_filter_array
-from selfscore.scores import nbhd_score, pixelwise_score
 from selfscore.synthetic import (
     Cell,
     SynthSpec,
@@ -15,6 +16,8 @@ from selfscore.synthetic import (
     synth_prob,
     translate,
 )
+
+from _records import score
 
 
 def test_synth_mask_deterministic():
@@ -149,6 +152,14 @@ def test_synth_spec_validation():
     with pytest.raises(ValueError, match="elongation_range"):
         SynthSpec(rows=4, cols=4, spacing_deg=0.1, n_cells=1,
                   elongation_range=(0.5, 2.0))
+    for edges in ((1.0, math.inf), (math.inf, math.inf), (1.0, math.nan)):
+        with pytest.raises(ValueError, match="radius_range"):
+            SynthSpec(rows=4, cols=4, spacing_deg=0.1, n_cells=1, radius_range=edges)
+        with pytest.raises(ValueError, match="elongation_range"):
+            SynthSpec(rows=4, cols=4, spacing_deg=0.1, n_cells=1, elongation_range=edges)
+    # A finite radius is not capped: a cell larger than the grid covers it.
+    huge = SynthSpec(rows=4, cols=4, spacing_deg=0.1, n_cells=1, radius_range=(1.0, 1e308))
+    assert synth_mask(huge).values.min() == 1.0
 
 
 def test_displaced_forecast_double_penalty_behaviour():
@@ -162,11 +173,11 @@ def test_displaced_forecast_double_penalty_behaviour():
                              radius_range=(3.0, 3.0), seed=11))
     for k in (1, 2, 4):
         p = synth_prob(m, offset_px=(k, 0))
-        pixelwise = pixelwise_score("brier", p, m)
+        pixelwise = score("brier", p, m).value
         assert pixelwise > 0.0
         for r in (k, 2 * k):
-            assert nbhd_score("brier", p, m, r) > 0.0
+            assert score("brier", p, m, r).value > 0.0
         widths = [0, 1, 2, 4, 6]
-        fss = [nbhd_score("fss", p, m, r) for r in widths]
-        assert fss[0] == pixelwise_score("fss", p, m)
+        fss = [score("fss", p, m, r).value for r in widths]
+        assert fss[0] == score("fss", p, m).value
         assert all(f1 < f2 for f1, f2 in zip(fss, fss[1:]))
