@@ -22,28 +22,16 @@ codes: 0 success, 1 validation/usage error, 2 a ``gradcheck`` failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import glob as globmod
-import io
-import json
 import math
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
-                         consistency_bars, emit_report, paired_bootstrap_test,
-                         performance_diagram, pooled_bs, pooled_bss, write_csv)
+# Each command imports the modules it runs: ``synth`` loads no scoring layer.
 from .grid import GRID_KINDS, GridField, atomic_write, read_grid, write_grid
-from .losses import (apply_filter, enumerate_configs, filter_stages, grad_check,
-                     metric_tables, parse_filter_id, parse_spec_id, prepare_targets)
-from .ranking import (MetricMatrix, best_per_filter, filter_mean_ranks,
-                      overall_mean_ranks, rank_models)
-from .scores import scored_weights
-from .synthetic import SynthSpec, synth_mask, synth_prob
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,6 +61,7 @@ def _bounded(cast, low, strict: bool = False):
 def _map(fn, items, jobs: int) -> list:
     """``[fn(x) for x in items]``, on ``jobs`` threads when that is more than one."""
     if jobs > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]
@@ -108,6 +97,7 @@ def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
 def _read_scored(path: str, obs_path: str, obs: GridField) -> GridField:
     """Read the prediction at ``path``; refuse it, naming both files, unless
     it and ``obs`` (from ``obs_path``) meet ``scores.scored_weights``."""
+    from .scores import scored_weights
     pred = _read_kind(path, PRED_KINDS, "prediction")
     try:
         scored_weights(pred, obs)
@@ -148,6 +138,7 @@ def _check_pairing(paths: list[str], obs_paths: list[str], what: str) -> None:
 def _select_specs(text: str | None) -> list:
     """The configs named by comma-separated spec ids (all 336 for None),
     one per canonical id (``brier_nbhd_r1,BRIER_nbhd_r1`` is one), sorted."""
+    from .losses import enumerate_configs, parse_spec_id
     specs = (enumerate_configs() if text is None
              else [parse_spec_id(s) for s in text.split(",") if s.strip()])
     if not specs:
@@ -163,6 +154,8 @@ def _float_cell(x: float) -> str:
 # filter
 
 def cmd_filter(args) -> int:
+    import json
+    from .losses import apply_filter, filter_stages, parse_filter_id
     fspec = parse_filter_id(args.spec)
     if args.out_dir is None:
         if len(args.paths) != 2:
@@ -247,6 +240,8 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_score(args) -> int:
+    from .evaluation import write_csv
+    from .losses import metric_tables
     if not (args.all_336 or args.specs):
         raise ValueError("give --specs or --all-336")
     specs = _select_specs(None if args.all_336 else args.specs)
@@ -278,6 +273,9 @@ def cmd_score(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
+    from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
+                             consistency_bars, emit_report, paired_bootstrap_test,
+                             performance_diagram, pooled_bs, pooled_bss)
     texts = {"--pred": args.pred, "--compare": args.compare}
     obs, sides = _read_sides(args.obs, {k: v for k, v in texts.items() if v is not None})
     preds, cmp_preds = sides["--pred"], sides.get("--compare")
@@ -316,6 +314,10 @@ def cmd_eval(args) -> int:
 def _read_scores(path: str) -> MetricMatrix:
     """The models x configs matrix of a scores CSV.  A refusal names the
     file and, for a broken row, its line."""
+    import csv
+    import io
+    from .losses import parse_spec_id
+    from .ranking import MetricMatrix
     line = 0
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -349,6 +351,8 @@ def _read_scores(path: str) -> MetricMatrix:
 
 
 def cmd_rank(args) -> int:
+    from .evaluation import write_csv
+    from .ranking import best_per_filter, filter_mean_ranks, overall_mean_ranks, rank_models
     matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)
     fids, means = filter_mean_ranks(matrix, ranks)
@@ -379,6 +383,7 @@ def cmd_rank(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
+    from .losses import grad_check, prepare_targets
     specs = _select_specs(args.specs)
     rng = np.random.default_rng(args.seed)
     shape = (args.rows, args.cols)
@@ -409,17 +414,24 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # synth
 
-def _parse_pair(text: str, parse, what: str) -> tuple:
+def _parse_pair(text: str, parse, what: str, ordered: bool = False) -> tuple:
+    """Two comma-separated values read by ``parse``; if ``ordered``, lo <= hi."""
     try:
         first, second = text.split(",")
-        return parse(first.strip()), parse(second.strip())
+        pair = parse(first.strip()), parse(second.strip())
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"{what}: want two comma-separated values, got {text!r} ({exc})") from None
+    if ordered and pair[0] > pair[1]:
+        raise ValueError(f"{what}: want lo <= hi, got {text!r}")
+    return pair
 
 
 def cmd_synth(args) -> int:
-    radius = _parse_pair(args.radius_range, _bounded(float, 0.0, strict=True), "--radius-range")
-    elong = _parse_pair(args.elongation_range, _bounded(float, 1.0), "--elongation-range")
+    from .synthetic import SynthSpec, synth_mask, synth_prob
+    radius = _parse_pair(args.radius_range, _bounded(float, 0.0, strict=True),
+                         "--radius-range", ordered=True)
+    elong = _parse_pair(args.elongation_range, _bounded(float, 1.0), "--elongation-range",
+                        ordered=True)
     offset = _parse_pair(args.offset, int, "--offset")
     if args.count == 1 and (args.out_mask is None or args.out_dir is not None):
         raise ValueError("a single step takes --out-mask (and --out-prob), not --out-dir")
@@ -569,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

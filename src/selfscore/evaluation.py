@@ -196,7 +196,8 @@ def aupd_from_curve(sr: np.ndarray, pod: np.ndarray) -> float:
 
 def performance_diagram(pred_fields, obs_fields,
                         thresholds: Sequence[float] | None = None) -> PerformanceData:
-    """POD/SR/CSI/bias at each probability threshold, plus AUPD."""
+    """POD/SR/CSI/bias at each probability threshold, plus AUPD.  The hits and
+    false alarms at every threshold are counted at once, from sorted pixels."""
     if thresholds is None:
         thresholds = np.linspace(0.0, 1.0, 101)
     thresholds = np.asarray(thresholds, dtype=np.float64)
@@ -211,18 +212,15 @@ def performance_diagram(pred_fields, obs_fields,
     if n1 == 0:
         fallbacks.append("no_events")
         return PerformanceData(thresholds, pod, sr, csi, bias, 0.0, 0, tuple(fallbacks))
-    for i, tau in enumerate(thresholds):
-        hot = pv >= tau
-        a = float(np.sum(hot & events))
-        b = float(np.sum(hot & ~events))
-        c = float(n1) - a
-        pod[i] = a / (a + c)
-        if a + b > 0:
-            sr[i] = a / (a + b)
-            if sr[i] > 0:
-                bias[i] = pod[i] / sr[i]
-        if a + b + c > 0:
-            csi[i] = a / (a + b + c)
+    a, b = (float(x.size) - np.searchsorted(np.sort(x), thresholds).astype(np.float64)
+            for x in (pv[events], pv[~events]))
+    c = float(n1) - a
+    pod = a / (a + c)
+    flagged, scored = a + b > 0, a + b + c > 0
+    sr[flagged] = a[flagged] / (a + b)[flagged]
+    biased = flagged & (sr > 0)
+    bias[biased] = pod[biased] / sr[biased]
+    csi[scored] = a[scored] / (a + b + c)[scored]
     aupd = aupd_from_curve(sr, pod)
     return PerformanceData(thresholds, pod, sr, csi, bias, aupd, n1, tuple(fallbacks))
 

@@ -279,10 +279,11 @@ class PreparedTarget:
 
 def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
     """``y``'s target for ``spec`` from its filter output ``out``: clamped
-    to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
+    to [0, 1] for a spectral spec, the mask itself for a neighbourhood one.
+    Every spec refuses an observation that is not a binary mask."""
+    if y.kind != "mask":
+        raise ValueError(f"observations must be binary masks, got kind {y.kind!r}")
     if not spec.is_spectral:
-        if y.kind != "mask":
-            raise ValueError("neighbourhood scores need a binary observation mask")
         return PreparedTarget(spec, y, y)
     filtered = _clamped(out)
     return PreparedTarget(spec, y, filtered,
@@ -292,8 +293,6 @@ def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
 def prepare_targets(specs: list[LossSpec], y: GridField) -> dict[str, PreparedTarget]:
     """One target per filter of ``specs``, keyed by filter id, from one
     transform of ``y`` per spectral method."""
-    if y.kind != "mask":
-        raise ValueError("targets must be binary masks")
     return {group[0].filter_id: _target(group[0], y, y_out)
             for group, (y_out,) in _filtered(specs, [y])}
 

@@ -74,21 +74,29 @@ def sample_cells(spec: SynthSpec) -> list[Cell]:
     return cells
 
 
+def _span(centre: float, half: float, n: int) -> slice:
+    """The pixels of an axis of ``n`` within ``half`` of ``centre``; all of
+    them when the bounds are not numbers (a NaN or an infinite cell)."""
+    lo, hi = np.clip([np.floor(centre - half), np.ceil(centre + half) + 1.0], 0, n)
+    return slice(0, n) if np.isnan(lo + hi) else slice(int(lo), int(hi))
+
+
 def rasterize(cells: list[Cell], rows: int, cols: int) -> np.ndarray:
     """Union of cells as a {0, 1} array; a pixel is set iff its centre
-    lies inside some cell's ellipse."""
+    lies inside some cell's ellipse.  Each cell is tested only in its bounding
+    box: its larger radius and 1e-9 more, rounded out to whole pixels, a margin
+    far above the test's rounding, so the mask is that of a whole-grid test."""
     out = np.zeros((rows, cols), dtype=np.float64)
-    if not cells:
-        return out
-    ii, jj = np.mgrid[0:rows, 0:cols]
     for cell in cells:
-        di = ii - cell.center_row
-        dj = jj - cell.center_col
+        half = max(abs(cell.radius_major), abs(cell.radius_minor)) * (1.0 + 1e-9)
+        box = _span(cell.center_row, half, rows), _span(cell.center_col, half, cols)
+        di = np.arange(rows)[box[0], None] - cell.center_row
+        dj = np.arange(cols)[box[1]] - cell.center_col
         cos_t, sin_t = np.cos(cell.angle_rad), np.sin(cell.angle_rad)
         u = cos_t * dj + sin_t * di
         v = -sin_t * dj + cos_t * di
         inside = (u / cell.radius_major) ** 2 + (v / cell.radius_minor) ** 2 <= 1.0
-        out[inside] = 1.0
+        out[box][inside] = 1.0
     return out
 
 

@@ -11,10 +11,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfscore.evaluation import (
     N_PROB_BINS,
     SUMMARY_KEYS,
+    _stack_scored,
     attributes_diagram,
     aupd_from_curve,
     bootstrap_ci,
@@ -175,6 +178,68 @@ def test_performance_no_events_fallback():
     assert perf.fallbacks == ("no_events",)
     assert perf.aupd == 0.0 and perf.n_events == 0
     assert np.all(np.isnan(perf.pod))
+
+
+def performance_by_loop(pred_fields, obs_fields, thresholds):
+    """The reference: POD, SR, CSI and bias from two passes over the scored
+    pixels per threshold."""
+    pv, yv = _stack_scored(pred_fields, obs_fields)
+    events = yv == 1.0
+    n1 = int(events.sum())
+    pod, sr, csi, bias = (np.full(len(thresholds), np.nan) for _ in range(4))
+    for i, tau in enumerate(thresholds):
+        hot = pv >= tau
+        a = float(np.sum(hot & events))
+        b = float(np.sum(hot & ~events))
+        c = float(n1) - a
+        if n1 == 0:
+            continue
+        pod[i] = a / (a + c)
+        if a + b > 0:
+            sr[i] = a / (a + b)
+            if sr[i] > 0:
+                bias[i] = pod[i] / sr[i]
+        if a + b + c > 0:
+            csi[i] = a / (a + b + c)
+    return pod, sr, csi, bias
+
+
+LEVELS = [k / 8 for k in range(9)]
+
+
+@st.composite
+def scenes(draw):
+    """1-3 steps of (prediction, observation) fields; predictions on a 1/8
+    lattice, some steps with an eval mask."""
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6)))
+    n = shape[0] * shape[1]
+    preds, obs = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        em = None
+        if draw(st.booleans()):
+            em = np.reshape(draw(st.lists(st.booleans(), min_size=n, max_size=n)), shape)
+            em.flat[0] = True
+        pv = draw(st.lists(st.sampled_from(LEVELS), min_size=n, max_size=n))
+        yv = draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n))
+        preds.append(prob(np.reshape(pv, shape), em))
+        obs.append(mask(np.reshape(yv, shape), em))
+    return preds, obs
+
+
+@settings(max_examples=150, deadline=None)
+@given(scene=scenes(),
+       thresholds=st.lists(st.one_of(st.sampled_from(LEVELS), st.floats(-0.5, 1.5)),
+                           min_size=1, max_size=12))
+@example(scene=([prob([0.5, 0.0, 1.0, 0.25])], [mask([1.0, 0.0, 1.0, 0.0])]),
+         thresholds=[1.5, 0.5, -0.5, 0.0, 1.0, 0.25])
+@example(scene=([prob([0.5, 0.75])], [mask([0.0, 0.0])]), thresholds=[0.5, 0.0])
+def test_performance_matches_a_threshold_loop(scene, thresholds):
+    # Pixels sit exactly at some thresholds, thresholds come unsorted and
+    # reach outside [0, 1], and a scene may have no events.
+    perf = performance_diagram(*scene, thresholds)
+    want = performance_by_loop(*scene, thresholds)
+    for got, ref in zip((perf.pod, perf.sr, perf.csi, perf.bias), want):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_aupd_perfect_forecast_is_one():

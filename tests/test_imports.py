@@ -3,11 +3,12 @@
 A static check over ``src/selfscore/*.py``: a name a module imports at top
 level must appear in its code or in an annotation (the modules use
 ``from __future__ import annotations``, and some annotations are strings).
-And a run of every command with scipy blocked: the package needs numpy
-only.
+A run of every command with scipy blocked: the package needs numpy only.
+And the modules a command loads: each imports only those it runs.
 """
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -90,10 +91,45 @@ assert loaded == [], loaded
 """
 
 
-def test_every_command_runs_without_scipy(tmp_path):
+def run_script(script: str, *args: str, cwd=None) -> str:
+    """Run ``script`` in a fresh interpreter that imports this selfscore;
+    its standard output."""
     src = Path(selfscore.__file__).resolve().parent.parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    proc = subprocess.run([sys.executable, "-c", NO_SCIPY_SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, *args], cwd=cwd, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_every_command_runs_without_scipy(tmp_path):
+    run_script(NO_SCIPY_SCRIPT, str(tmp_path))
+
+
+LOADED_SCRIPT = """
+import json, sys
+from selfscore.cli import main
+
+assert main(json.loads(sys.argv[1])) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith(("selfscore.", "concurrent.")))))
+"""
+
+
+def loaded_by(argv: list[str], cwd) -> set[str]:
+    """The selfscore and concurrent modules a fresh interpreter holds after
+    ``main(argv)``."""
+    return set(json.loads(run_script(LOADED_SCRIPT, json.dumps(argv), cwd=cwd).splitlines()[-1]))
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    synth = loaded_by(["synth", "--rows", "24", "--cols", "24", "--count", "2",
+                       "--out-dir", "d", "--blur-r", "1"], tmp_path)
+    assert synth == {"selfscore.cli", "selfscore.grid", "selfscore.synthetic",
+                     "selfscore.neighbourhood"}
+    evaluated = loaded_by(["eval", "--pred", "d/prob_*.grid", "--obs", "d/mask_*.grid",
+                           "--n-boot", "5", "--n-boot-bars", "5", "--out-dir", "r"], tmp_path)
+    assert "selfscore.evaluation" in evaluated
+    assert evaluated.isdisjoint({f"selfscore.{m}" for m in
+                                 ("losses", "fourier", "wavelet", "ranking", "synthetic")})

@@ -138,6 +138,10 @@ OTHERS = {
                                   "--out-mask {out}/m.grid", ["--radius-range"]),
     "synth-elongation-range-inf": ("synth --rows 8 --cols 8 --elongation-range 1,inf "
                                    "--out-mask {out}/m.grid", ["--elongation-range"]),
+    "synth-radius-range-reversed": ("synth --rows 8 --cols 8 --radius-range 3,2 "
+                                    "--out-mask {out}/m.grid", ["--radius-range"]),
+    "synth-elongation-range-reversed": ("synth --rows 8 --cols 8 --elongation-range 2,1.5 "
+                                        "--out-mask {out}/m.grid", ["--elongation-range"]),
     "synth-count": ("synth --rows 8 --cols 8 --count 0 --out-dir {out}/s", ["--count"]),
     "synth-ignored-out-mask": ("synth --rows 8 --cols 8 --count 2 --out-dir {out}/s "
                                "--out-mask {out}/x.grid", ["--out-mask"]),

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from selfscore.grid import GridField
-from selfscore.losses import LossSpec, metric_tables, metric_value, prepare_targets
+from selfscore.losses import (LossSpec, metric_tables, metric_value, parse_spec_id,
+                             prepare_targets)
 from selfscore.scores import NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS
 
 from _records import counts, score
@@ -139,8 +140,11 @@ def test_nbhd_contingency_filter_sees_excluded_pixels():
 
 
 def test_nbhd_contingency_requires_mask_obs():
-    with pytest.raises(ValueError, match="binary masks"):
-        prepare_targets([LossSpec("csi", "nbhd", half_width=1)], prob([[0.5]]))
+    # One rule for every spec: the spectral target refuses what the
+    # neighbourhood one does.
+    for spec_id in ("csi_nbhd_r1", "csi_F0.1-inf", "csi_W0-0.2"):
+        with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
+            prepare_targets([parse_spec_id(spec_id)], prob(np.full((8, 8), 0.5)))
 
 
 # ---------------------------------------------------------------------------
@@ -351,11 +355,15 @@ def test_nbhd_rejects_contingency_only_scores():
 
 
 def test_nbhd_requires_mask_obs():
-    spec = LossSpec("brier", "nbhd", half_width=1)
-    with pytest.raises(ValueError, match="binary observation mask"):
-        metric_tables([spec], [prob([[0.5]])], prob([[1.0]]))
-    with pytest.raises(ValueError, match="binary observation mask"):
-        metric_value(spec, prob([[0.5]]), prob([[1.0]]))
+    # Evaluation refuses a non-mask observation under every spec, as
+    # training does (``prepare_targets``).
+    p, y = prob(np.full((8, 8), 0.5)), prob(np.ones((8, 8)))
+    for spec_id in ("brier_nbhd_r1", "brier_F0.1-inf", "brier_W0-0.2"):
+        spec = parse_spec_id(spec_id)
+        with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
+            metric_tables([spec], [p], y)
+        with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
+            metric_value(spec, p, y)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from selfscore.grid import GridField
 from selfscore.neighbourhood import mean_filter_array
@@ -87,6 +89,37 @@ def test_raster_union_of_cells():
     both = rasterize([Cell(3.0, 3.0, 2.0, 2.0, 0.0),
                       Cell(8.0, 8.0, 2.0, 2.0, 0.0)], 12, 12)
     np.testing.assert_array_equal(both, np.maximum(a, b))
+
+
+def whole_grid_raster(cells, rows, cols):
+    """The reference: every cell tested at every pixel of the grid."""
+    out = np.zeros((rows, cols))
+    ii, jj = np.mgrid[0:rows, 0:cols]
+    for cell in cells:
+        di, dj = ii - cell.center_row, jj - cell.center_col
+        cos_t, sin_t = np.cos(cell.angle_rad), np.sin(cell.angle_rad)
+        u = cos_t * dj + sin_t * di
+        v = -sin_t * dj + cos_t * di
+        out[(u / cell.radius_major) ** 2 + (v / cell.radius_minor) ** 2 <= 1.0] = 1.0
+    return out
+
+
+RADII = st.one_of(st.floats(0.05, 12.0), st.floats(12.0, 1e6), st.just(1e308))
+CELLS = st.builds(Cell, st.floats(-40.0, 60.0), st.floats(-40.0, 60.0), RADII, RADII,
+                  st.floats(0.0, 2.0 * math.pi))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells=st.lists(CELLS, max_size=6), rows=st.integers(1, 24), cols=st.integers(1, 24))
+@example(cells=[], rows=5, cols=7)
+@example(cells=[Cell(3.0, -2.0, math.inf, 2.0, 0.4)], rows=9, cols=6)
+@example(cells=[Cell(4.0, 4.0, 2.5, 2.5, 0.0), Cell(30.5, 2.0, 3.0, 1.5, 1.0)], rows=8, cols=8)
+def test_rasterize_matches_the_whole_grid_test(cells, rows, cols):
+    # Off-grid centres, elongated and rotated cells, cells wider than the
+    # grid and an infinite radius (a Cell is not validated): each cell's
+    # bounding box must hold every pixel the whole-grid test sets.
+    got = rasterize(cells, rows, cols)
+    assert got.tobytes() == whole_grid_raster(cells, rows, cols).tobytes()
 
 
 def test_translate_oracle():
