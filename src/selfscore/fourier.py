@@ -15,18 +15,18 @@ The pipeline for one field is:
 
 Steps 1-3 depend on the field only and steps 4-6 on the band, so a field is
 transformed once (:func:`fourier_spectrum`) and then filtered under any
-number of bands; :func:`fourier_band_passes` applies one band's gain to
-several spectra, building the gain once.  :func:`fourier_band_pass` is its
-one-field case.  The padded rows are zero, so steps 1-2 build the data rows
-only and step 3 transforms only those along rows; :func:`fourier_stages`
-builds every step on the full padded grid, for inspection.
+number of bands; :func:`fourier_band_passes` builds one band's gain once
+and inverts several spectra as one stack.  :func:`fourier_band_pass` is its
+one-field case.  The padded rows are zero, so steps 1-2 build (window
+included) the data rows only and step 3 transforms only those along rows;
+:func:`fourier_stages` builds every step on the full padded grid.
 
 The gain depends on the wavenumber magnitude only, so it is the same at a
-wavenumber and at its mirror; the filtered spectrum keeps the conjugate
-symmetry of a real field's and the inverse real DFT returns its real
-output exactly, with no imaginary residue to drop.  The window and the
-wavenumber grid depend on the padded shape (and spacing) alone; they are
-built once per shape and shared read-only.
+wavenumber and at its mirror (rows k and N-k are built once); the filtered
+spectrum keeps the conjugate symmetry of a real field's and the inverse
+real DFT returns its real output exactly, with no imaginary residue to
+drop.  The window and the wavenumber grid depend on the padded shape (and
+spacing) alone; they are built once per shape and shared read-only.
 """
 
 from __future__ import annotations
@@ -86,12 +86,13 @@ def frequency_grid(shape: tuple[int, int], spacing_deg: float) -> FrequencyGrid:
 
 
 @functools.lru_cache(maxsize=8)
-def _blackman_harris(shape: tuple[int, int]) -> np.ndarray:
-    rows, cols = shape
-    center_r, center_c = (rows - 1) / 2.0, (cols - 1) / 2.0
-    radius = min(rows - 1, cols - 1) / 2.0
-    rr = np.arange(rows)[:, None] - center_r
-    cc = np.arange(cols)[None, :] - center_c
+def _blackman_harris(shape: tuple[int, int], rows: tuple[int, int]) -> np.ndarray:
+    """Rows ``rows[0]:rows[1]`` of the window of ``shape``; each row is that
+    row of the full window bit for bit."""
+    center_r, center_c = (shape[0] - 1) / 2.0, (shape[1] - 1) / 2.0
+    radius = min(shape[0] - 1, shape[1] - 1) / 2.0
+    rr = np.arange(*rows)[:, None] - center_r
+    cc = np.arange(shape[1])[None, :] - center_c
     dist = np.sqrt(rr ** 2 + cc ** 2)
     if radius == 0:
         return _read_only((dist == 0).astype(np.float64))
@@ -115,7 +116,8 @@ def blackman_harris_weights(shape: tuple[int, int]) -> np.ndarray:
     (half the smaller of rows-1, cols-1), so w(0) = 1 and w(R) = 0.
     Built once per shape; the array is shared and read-only.
     """
-    return _blackman_harris((int(shape[0]), int(shape[1])))
+    shape = int(shape[0]), int(shape[1])
+    return _blackman_harris(shape, (0, shape[0]))
 
 
 def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
@@ -133,16 +135,21 @@ def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
     With ``half_plane=True`` only the columns 0..cols//2 that a real DFT
     keeps are built; they equal those columns of the full grid exactly.
     """
-    nu = frequency_grid(shape, spacing_deg).nu_total
+    rows, half = shape[0], shape[0] // 2 + 1
+    nu = frequency_grid(shape, spacing_deg).nu_total[:half]
     if half_plane:
         nu = nu[:, :shape[1] // 2 + 1]
-    gain = np.ones(nu.shape, dtype=np.float64)
+    # Rows k and rows-k share |nu| bit for bit: build rows 0..rows//2 and
+    # mirror the rest.
+    gain = np.ones((rows, nu.shape[1]), dtype=np.float64)
+    built = gain[:half]
     if band.lo_deg > 0:
         nu_max = 1.0 / band.lo_deg
-        gain *= 1.0 / (1.0 + (nu / nu_max) ** (2 * order))
+        built *= 1.0 / (1.0 + (nu / nu_max) ** (2 * order))
     if not math.isinf(band.hi_deg):
         nu_min = 1.0 / band.hi_deg
-        gain *= 1.0 - 1.0 / (1.0 + (nu / nu_min) ** (2 * order))
+        built *= 1.0 - 1.0 / (1.0 + (nu / nu_min) ** (2 * order))
+    gain[half:] = built[rows - half:0:-1]
     return gain
 
 
@@ -170,33 +177,24 @@ def fourier_spectrum(field: GridField) -> FourierSpectrum:
     data_rows, data_cols = _centred(field.shape, target)
     block = np.zeros((field.rows, cols))
     block[:, data_cols] = field.values
-    block *= blackman_harris_weights(target)[data_rows]
+    block *= _blackman_harris(target, (data_rows.start, data_rows.stop))
     coeffs = np.tile(np.fft.rfft(np.zeros(cols)), (rows, 1))
     coeffs[data_rows] = np.fft.rfft(block)
     np.fft.fft(coeffs, axis=0, out=coeffs)
     return FourierSpectrum(field, _read_only(coeffs))
 
 
-def _inverse_cropped(spectrum: FourierSpectrum, gain: np.ndarray, work: np.ndarray) -> GridField:
-    """Steps 4-6, in ``work`` (the spectrum's shape).  The inverse runs down
-    the columns over the whole padded grid, then along the rows the crop
-    keeps only; per row that is the transform ``irfft2`` runs, so the kept
-    values are those of a full ``irfft2`` bit for bit."""
-    field = spectrum.field
-    data_rows, data_cols = _centred(field.shape, spectrum.target)
-    np.multiply(spectrum.coeffs, gain, out=work)
-    by_col = np.fft.ifft(work, axis=0, out=work)[data_rows]
-    out = np.fft.irfft(by_col, n=spectrum.target[1], axis=1)[:, data_cols]
-    return GridField(out, field.spacing_deg, "real", field.eval_mask)
-
-
 def fourier_band_passes(spectra: Sequence[FourierSpectrum],
                         band: WavelengthBand) -> list[GridField]:
-    """Band-pass every transformed field under one band.
+    """Band-pass every transformed field under one band (steps 4-6).
 
     The fields must share shape and spacing; the band's gain is built once
-    and applied to each spectrum.  Returns "real"-kind fields of the
-    original shape, in input order (window attenuation is not undone).
+    and multiplied into one stack of the spectra.  The inverse runs down the
+    columns of the whole stack, then along the rows the crop keeps only.
+    Each line is transformed on its own, as ``irfft2`` of one spectrum
+    transforms it, so the kept values are those of a full ``irfft2`` bit
+    for bit.  Returns "real"-kind fields of the original shape, in input
+    order (window attenuation is not undone).
     """
     if not spectra:
         return []
@@ -205,9 +203,16 @@ def fourier_band_passes(spectra: Sequence[FourierSpectrum],
         if (spectrum.field.shape != first.shape
                 or spectrum.field.spacing_deg != first.spacing_deg):
             raise ValueError("spectra must share shape and spacing")
-    gain = butterworth_gain(spectra[0].target, first.spacing_deg, band, half_plane=True)
-    work = np.empty_like(spectra[0].coeffs)
-    return [_inverse_cropped(spectrum, gain, work) for spectrum in spectra]
+    target = spectra[0].target
+    data_rows, data_cols = _centred(first.shape, target)
+    gain = butterworth_gain(target, first.spacing_deg, band, half_plane=True)
+    work = np.empty((len(spectra), *spectra[0].coeffs.shape), dtype=np.complex128)
+    for spectrum, plane in zip(spectra, work):
+        np.multiply(spectrum.coeffs, gain, out=plane)
+    by_col = np.fft.ifft(work, axis=1, out=work)[:, data_rows]
+    out = np.fft.irfft(by_col, n=target[1], axis=2)[:, :, data_cols]
+    return [GridField(values, s.field.spacing_deg, "real", s.field.eval_mask)
+            for values, s in zip(out, spectra)]
 
 
 def fourier_band_pass(field: GridField, band: WavelengthBand) -> GridField:

@@ -236,17 +236,26 @@ def _clamped(filtered: GridField) -> GridField:
 def _filtered(specs: list[LossSpec], fields: list[GridField]):
     """Group ``specs`` by filter (first-seen order per kind); yield each group
     with its outputs for ``fields``: the fields for a neighbourhood group (its
-    records filter), else each band-passed from one transform per method."""
+    records filter), else each band-passed from one transform per method.
+    Fields equal in shape, spacing, ``values`` bytes and eval-mask bytes
+    (bytes, so -0.0 and 0.0 differ) are transformed once and share one
+    output: the first such field for a neighbourhood group."""
     groups: dict[str, list[LossSpec]] = {}
     for spec in specs:
         groups.setdefault(spec.filter_id, []).append(spec)
+    keys: dict[tuple, int] = {}
+    slots = [keys.setdefault((f.shape, f.spacing_deg, f.values.tobytes(),
+                              None if f.eval_mask is None else f.eval_mask.tobytes()),
+                             len(keys)) for f in fields]
+    distinct = [fields[slots.index(k)] for k in range(len(keys))]
     for kind in ("nbhd", *SPECTRAL_METHODS):
         kind_groups = [group for group in groups.values() if group[0].filter_kind == kind]
         if kind != "nbhd" and kind_groups:
             _, transform, band_passes = _spectral(kind)
-            transforms = [transform(f) for f in fields]
+            transforms = [transform(f) for f in distinct]
         for group in kind_groups:
-            yield group, fields if kind == "nbhd" else band_passes(transforms, group[0].band)
+            outs = distinct if kind == "nbhd" else band_passes(transforms, group[0].band)
+            yield group, [outs[k] for k in slots]
 
 
 @dataclass(frozen=True)
@@ -277,12 +286,17 @@ class PreparedTarget:
         object.__setattr__(self, "last", None)
 
 
-def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
-    """``y``'s target for ``spec`` from its filter output ``out``: clamped
-    to [0, 1] for a spectral spec, the mask itself for a neighbourhood one.
-    Every spec refuses an observation that is not a binary mask."""
+def _observed(y: GridField) -> GridField:
+    """``y``, refused before any filter runs unless it is a binary mask: the
+    one observation rule of targets and metrics."""
     if y.kind != "mask":
         raise ValueError(f"observations must be binary masks, got kind {y.kind!r}")
+    return y
+
+
+def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
+    """``y``'s target for ``spec`` from its filter output ``out``: clamped
+    to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
     if not spec.is_spectral:
         return PreparedTarget(spec, y, y)
     filtered = _clamped(out)
@@ -294,7 +308,7 @@ def prepare_targets(specs: list[LossSpec], y: GridField) -> dict[str, PreparedTa
     """One target per filter of ``specs``, keyed by filter id, from one
     transform of ``y`` per spectral method."""
     return {group[0].filter_id: _target(group[0], y, y_out)
-            for group, (y_out,) in _filtered(specs, [y])}
+            for group, (y_out,) in _filtered(specs, [_observed(y)])}
 
 
 def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
@@ -363,7 +377,7 @@ def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
     its natural orientation (not the loss).  The test reference: one field
     at a time, apart from the filter walk of ``metric_tables``.
     """
-    w, p_out, y_out = scored_weights(p, y), p, y
+    w, p_out, y_out = scored_weights(p, _observed(y)), p, y
     if spec.is_spectral:
         p_out, y_out = (_spectral(spec.filter_kind)[0](f, spec.band) for f in (p, y))
         p_out = _clamped(p_out)
@@ -384,7 +398,7 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
                   y: GridField) -> list[dict[str, ScoreResult]]:
     """``metric_table`` for several predictions of one observation.
 
-    One walk over the filters (``_filtered``) transforms every field once
+    One walk over the filters (``_filtered``) transforms each distinct field once
     per spectral method.  Per filter the observation becomes a target as for
     training, each prediction's output is clamped to [0, 1], and each pair's
     record is read for every config of the filter.  Returns one table per
@@ -395,7 +409,7 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
     # Band-passed fields keep their eval masks, so one weight array per
     # prediction serves every filter.
     weights = [scored_weights(p, y) for p in preds]
-    for group, (y_out, *p_outs) in _filtered(specs, [y, *preds]):
+    for group, (y_out, *p_outs) in _filtered(specs, [_observed(y), *preds]):
         target = _target(group[0], y, y_out)
         for p_out, w, table in zip(p_outs, weights, tables):
             pv = np.clip(p_out.values, 0.0, 1.0) if group[0].is_spectral else p_out.values
