@@ -106,10 +106,9 @@ def _read_scored(path: str, obs_path: str, obs: GridField) -> GridField:
     return pred
 
 
-def _read_sides(obs_text: str, sides: dict[str, str]):
-    """The observations ``--obs`` names and, per ``{option: text}`` side, the
+def _read_sides(obs_paths: list[str], sides: dict[str, str]):
+    """The observations at ``obs_paths`` and, per ``{option: text}`` side, the
     predictions paired with them: every file read and checked before any is scored."""
-    obs_paths = _expand_paths(obs_text, "--obs")
     obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
     preds = {}
     for option, text in sides.items():
@@ -144,6 +143,15 @@ def _select_specs(text: str | None) -> list:
     if not specs:
         raise ValueError(f"--specs: {text!r} names no config")
     return sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
+
+
+def _fitting(path: str, field: GridField, fn, *args):
+    """``fn(*args)``, a ``MemoryError`` raised again naming ``path`` and its shape."""
+    try:
+        return fn(*args)
+    except MemoryError as exc:
+        message = f"{path} ({field.rows}x{field.cols}) does not fit in memory: {exc}"
+    raise MemoryError(message)  # outside the handler, so the failed frames are freed
 
 
 def _float_cell(x: float) -> str:
@@ -201,7 +209,7 @@ def cmd_filter(args) -> int:
         (src, dst), field = job
         for path, stage in stages.items():
             write_grid(path, GridField(stage, field.spacing_deg, "real"))
-        out = apply_filter(field, fspec)
+        out = _fitting(src, field, apply_filter, field, fspec)
         write_grid(dst, out)
         sidecar = {
             "filter_id": fspec.filter_id,
@@ -246,11 +254,13 @@ def cmd_score(args) -> int:
         raise ValueError("give --specs or --all-336")
     specs = _select_specs(None if args.all_336 else args.specs)
     models = _parse_model_args(args.pred)
-    obs, sides = _read_sides(args.obs, {f"--pred of model {name!r}": text
+    obs_paths = _expand_paths(args.obs, "--obs")
+    obs, sides = _read_sides(obs_paths, {f"--pred of model {name!r}": text
                                         for name, text in models})
 
     def step_tables(i: int) -> list[dict]:
-        return metric_tables(specs, [side[i] for side in sides.values()], obs[i])
+        return _fitting(obs_paths[i], obs[i], metric_tables, specs,
+                        [side[i] for side in sides.values()], obs[i])
 
     tables = _map(step_tables, range(len(obs)), args.jobs)
 
@@ -277,7 +287,8 @@ def cmd_eval(args) -> int:
                              consistency_bars, emit_report, paired_bootstrap_test,
                              performance_diagram, pooled_bs, pooled_bss)
     texts = {"--pred": args.pred, "--compare": args.compare}
-    obs, sides = _read_sides(args.obs, {k: v for k, v in texts.items() if v is not None})
+    obs, sides = _read_sides(_expand_paths(args.obs, "--obs"),
+                             {k: v for k, v in texts.items() if v is not None})
     preds, cmp_preds = sides["--pred"], sides.get("--compare")
 
     attr = attributes_diagram(preds, obs)
@@ -584,6 +595,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        message = f"{args.command}: {str(exc) or 'out of memory'}"
+    # Printed once the failed command's frames, and their arrays, are freed.
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -26,7 +26,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, replace
 
@@ -115,10 +114,6 @@ class WavelengthBand:
         if not (self.lo_deg >= 0 and self.hi_deg > self.lo_deg):
             raise ValueError("band must satisfy 0 <= lo < hi")
 
-    @property
-    def is_all_pass(self) -> bool:
-        return self.lo_deg == 0 and math.isinf(self.hi_deg)
-
 
 def next_pow2_dims(shape: tuple[int, int]) -> tuple[int, int]:
     """Smallest power-of-two dimensions >= shape, per axis."""
@@ -131,24 +126,6 @@ def _centred(shape: tuple[int, int], target: tuple[int, int]) -> tuple[slice, sl
     if target[0] < shape[0] or target[1] < shape[1]:
         raise ValueError(f"target {tuple(target)} smaller than original {tuple(shape)}")
     return tuple(slice((t - n) // 2, (t - n) // 2 + n) for n, t in zip(shape, target))
-
-
-def taper_zero_pad(field: GridField, target_shape: tuple[int, int]) -> GridField:
-    """Embed the field centered in a larger zero grid.
-
-    The original values sit in the middle; an odd padding remainder goes to
-    the bottom/right.  The eval_mask, if any, is dropped (padding pixels are
-    not scored; the tapered grid is an intermediate for spectral filtering).
-    """
-    out = np.zeros(target_shape, dtype=np.float64)
-    out[_centred(field.shape, target_shape)] = field.values
-    return GridField(out, field.spacing_deg, field.kind)
-
-
-def crop_taper(field: GridField, orig_shape: tuple[int, int]) -> GridField:
-    """Undo :func:`taper_zero_pad`: crop the centered original-shape window."""
-    return GridField(field.values[_centred(orig_shape, field.shape)],
-                     field.spacing_deg, field.kind)
 
 
 def _format_header(field: GridField) -> bytes:

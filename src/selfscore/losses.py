@@ -228,11 +228,6 @@ def enumerate_configs() -> list[LossSpec]:
     return configs
 
 
-def _clamped(filtered: GridField) -> GridField:
-    return GridField(np.clip(filtered.values, 0.0, 1.0), filtered.spacing_deg, "prob",
-                     filtered.eval_mask)
-
-
 def _filtered(specs: list[LossSpec], fields: list[GridField]):
     """Group ``specs`` by filter (first-seen order per kind); yield each group
     with its outputs for ``fields``: the fields for a neighbourhood group (its
@@ -299,7 +294,7 @@ def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
     to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
     if not spec.is_spectral:
         return PreparedTarget(spec, y, y)
-    filtered = _clamped(out)
+    filtered = GridField(np.clip(out.values, 0.0, 1.0), out.spacing_deg, "prob", out.eval_mask)
     return PreparedTarget(spec, y, filtered,
                           float(np.max(np.abs(out.values - filtered.values))))
 
@@ -369,41 +364,25 @@ def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
     return loss_detail(spec, p, target).value
 
 
-def metric_value(spec: LossSpec, p: GridField, y: GridField) -> ScoreResult:
-    """Evaluation-time metric: for spectral specs both fields are filtered.
-
-    Unlike the training loss, model comparison filters predictions and
-    observations alike (then clamps both to [0, 1]).  Returns the score in
-    its natural orientation (not the loss).  The test reference: one field
-    at a time, apart from the filter walk of ``metric_tables``.
-    """
-    w, p_out, y_out = scored_weights(p, _observed(y)), p, y
-    if spec.is_spectral:
-        p_out, y_out = (_spectral(spec.filter_kind)[0](f, spec.band) for f in (p, y))
-        p_out = _clamped(p_out)
-    return _record(spec, p_out.values, _target(spec, y, y_out), w).score(spec.score)
-
-
 def metric_table(specs: list[LossSpec], p: GridField,
                  y: GridField) -> dict[str, ScoreResult]:
-    """``metric_value`` for many configs at once, filtering once per filter.
-
-    The one-prediction case of :func:`metric_tables`.  Keys are spec ids in
-    the order of ``specs``; values match ``metric_value`` exactly.
-    """
+    """The one-prediction case of :func:`metric_tables`: the evaluation
+    metric of ``p`` against ``y`` per config, keyed by spec id in the order
+    of ``specs``."""
     return metric_tables(specs, [p], y)[0]
 
 
 def metric_tables(specs: list[LossSpec], preds: list[GridField],
                   y: GridField) -> list[dict[str, ScoreResult]]:
-    """``metric_table`` for several predictions of one observation.
+    """Evaluation-time metrics of several predictions of one observation.
 
-    One walk over the filters (``_filtered``) transforms each distinct field once
-    per spectral method.  Per filter the observation becomes a target as for
-    training, each prediction's output is clamped to [0, 1], and each pair's
-    record is read for every config of the filter.  Returns one table per
-    prediction, in input order, keyed by spec id in the order of ``specs``;
-    values match ``metric_value`` exactly.
+    Unlike the training loss, evaluation filters predictions and
+    observations alike.  One walk over the filters (``_filtered``)
+    transforms each distinct field once per spectral method.  Per filter the
+    observation becomes a target as for training, each prediction's output
+    is clamped to [0, 1], and each pair's record is read for every config of
+    the filter.  Returns one table per prediction, in input order, keyed by
+    spec id in the order of ``specs``, of scores (not losses).
     """
     tables: list[dict[str, ScoreResult]] = [{} for _ in preds]
     # Band-passed fields keep their eval masks, so one weight array per

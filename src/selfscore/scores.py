@@ -270,10 +270,11 @@ def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) 
 
     Exact ties within a window split the unit weight equally.
     """
-    grad = np.zeros_like(pv)
-    for k, at, ties in _near_window_max(pv, w & (yv == 1.0), r, 0.0):
-        np.add.at(grad, at, (1.0 / ties)[k])  # in event order, as a loop adds
-    return grad
+    blocks = list(_near_window_max(pv, w & (yv == 1.0), r, 0.0))
+    flat = [np.zeros(0, dtype=np.intp)] + [i * pv.shape[1] + j for _, (i, j), _ in blocks]
+    share = [np.zeros(0)] + [(1.0 / ties)[k] for k, _, ties in blocks]
+    # bincount adds in input order: in event order, as a loop adds.
+    return np.bincount(np.concatenate(flat), np.concatenate(share), pv.size).reshape(pv.shape)
 
 
 class NbhdPair:

@@ -135,12 +135,6 @@ def haar_pyramid(values: np.ndarray, n_levels: int, spacing_deg: float) -> Wavel
     return WaveletPyramid(levels, spacing_deg)
 
 
-def pyramid_reconstruct(pyramid: WaveletPyramid) -> np.ndarray:
-    """Invert a full pyramid back to the spatial domain (exact)."""
-    level1 = pyramid.levels[0]
-    return haar_inverse(level1.ll, level1.lh, level1.hl, level1.hh)
-
-
 @dataclass(frozen=True)
 class WaveletDecomposition:
     """Steps 1-2 of the band-pass for one field: its power-of-two padding

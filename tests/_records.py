@@ -1,7 +1,12 @@
 """Scores and contingency counts of one (prediction, observation) pair, read
 from the records training and evaluation read: ``PairSums`` pixelwise,
-``NbhdPair`` at neighbourhood half-width ``r``."""
+``NbhdPair`` at neighbourhood half-width ``r``; and ``metric_value``, one
+config's evaluation metric of one prediction, the reference of the
+``metric_tables`` filter walk."""
 
+import numpy as np
+
+from selfscore.losses import FilterSpec, apply_filter
 from selfscore.scores import NbhdObs, NbhdPair, PairSums, ScoreResult, scored_weights
 
 
@@ -20,3 +25,15 @@ def counts(p, y, r=None) -> tuple:
     """(a, b, c, d) pixelwise, or (a_obs, a_pred, b, c) at half-width r."""
     rec = record(p, y, r)
     return tuple(rec._sum(k) for k in "abcd") if r is None else rec.contingency()
+
+
+
+def metric_value(spec, p, y) -> ScoreResult:
+    """One config's evaluation metric, one field at a time: for a spectral
+    config both fields are filtered (``apply_filter``), then clamped to
+    [0, 1], and scored from a ``record``."""
+    if spec.is_spectral:
+        fspec = FilterSpec(spec.filter_kind, band=spec.band)
+        p, y = (f.with_values(np.clip(apply_filter(f, fspec).values, 0.0, 1.0), "prob")
+                for f in (p, y))
+    return score(spec.score, p, y, spec.half_width)

@@ -28,7 +28,7 @@ from selfscore.cli import main
 from selfscore.evaluation import (attributes_diagram, consistency_bars,
                                   performance_diagram)
 from selfscore.fourier import blackman_harris_weights, butterworth_gain
-from selfscore.grid import GridField, WavelengthBand, crop_taper, taper_zero_pad
+from selfscore.grid import GridField, WavelengthBand
 from selfscore.losses import (NBHD_HALF_WIDTHS, enumerate_configs, grad_check,
                               parse_spec_id, prepare_targets)
 from selfscore.ranking import MetricMatrix, best_per_filter, rank_models
@@ -38,6 +38,7 @@ from selfscore import fourier as fourier_mod
 from selfscore import wavelet as wavelet_mod
 
 from _records import counts, score
+from _spectral import crop, taper
 
 SPACING = 0.02
 
@@ -164,10 +165,7 @@ def test_03_transform_exactness(capsys):
 def fourier_windowed_reference(field):
     target = (fourier_mod.TAPER_FACTOR * field.rows,
               fourier_mod.TAPER_FACTOR * field.cols)
-    tapered = taper_zero_pad(field, target)
-    windowed = blackman_harris_weights(target) * tapered.values
-    full = GridField(windowed, field.spacing_deg, "real")
-    return crop_taper(full, field.shape).values
+    return crop(blackman_harris_weights(target) * taper(field, target), field.shape)
 
 
 def test_04_band_complementarity(capsys):

@@ -5,7 +5,7 @@ fields equal in shape, spacing, ``values`` bytes and eval-mask bytes share
 one transform and one output, so a model that is the observation itself
 costs no extra Fourier or Haar work.  ``fourier_band_passes`` inverts one
 stack of spectra per band, and ``butterworth_gain`` builds rows 0..N//2
-and mirrors the rest.  These tests pin each of those against the
+of the half plane on the quarter |nu| plane and mirrors the rest.  These tests pin each of those against the
 per-field or full-grid computation it replaced, byte for byte, and pin
 that a non-mask observation is refused before any transform runs.
 """
@@ -18,11 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfscore import fourier, losses, wavelet
-from selfscore.fourier import (BUTTERWORTH_ORDER, butterworth_gain, fourier_band_pass, fourier_band_passes,
-                               fourier_spectrum, frequency_grid)
+from selfscore.fourier import (_quarter_nu, butterworth_gain, fourier_band_pass,
+                               fourier_band_passes, fourier_spectrum, fourier_stages)
 from selfscore.grid import GridField, WavelengthBand
-from selfscore.losses import (CENSUS_BANDS, enumerate_configs, metric_tables, metric_value,
-                              parse_spec_id, prepare_targets)
+from selfscore.losses import (CENSUS_BANDS, enumerate_configs, metric_tables, parse_spec_id,
+                              prepare_targets)
+
+from _records import metric_value
+from _spectral import full_gain, full_nu
 
 SPACING = 0.05
 # Odd, even, one row, one column and non-square grids.
@@ -51,28 +54,27 @@ def count_calls(monkeypatch, module, *names):
 # ---------------------------------------------------------------------------
 # One stack of spectra per band, and the mirrored gain.
 
-def full_row_gain(shape, spacing_deg, band, half_plane):
-    """The gain built over every row, as before the mirror."""
-    nu = frequency_grid(shape, spacing_deg).nu_total
-    if half_plane:
-        nu = nu[:, :shape[1] // 2 + 1]
-    gain = np.ones(nu.shape, dtype=np.float64)
-    if band.lo_deg > 0:
-        nu_max = 1.0 / band.lo_deg
-        gain *= 1.0 / (1.0 + (nu / nu_max) ** (2 * BUTTERWORTH_ORDER))
-    if not math.isinf(band.hi_deg):
-        nu_min = 1.0 / band.hi_deg
-        gain *= 1.0 - 1.0 / (1.0 + (nu / nu_min) ** (2 * BUTTERWORTH_ORDER))
-    return gain
-
-
 @pytest.mark.parametrize("shape", SHAPES + [(3 * r, 3 * c) for r, c in SHAPES])
-@pytest.mark.parametrize("half_plane", [False, True], ids=["full", "half-plane"])
-def test_mirrored_gain_equals_a_full_row_build(shape, half_plane):
+@pytest.mark.parametrize("plane", ["full", "half-plane", "quarter"])
+def test_mirrored_gain_equals_a_full_row_build(shape, plane):
+    """Each mirrored plane equals that part of a build at every row and
+    column: the full gain ``fourier_stages`` mirrors from the half plane (of
+    a field of ``shape``, so of 3x its padded size), the half-plane gain and
+    the quarter |nu| plane."""
+    half = shape[0] // 2 + 1, shape[1] // 2 + 1
     for spacing in (0.02, SPACING):
+        if plane == "quarter":
+            got, want = _quarter_nu(shape, spacing), full_nu(shape, spacing)[:half[0], :half[1]]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), shape
+            continue
         for band in BANDS + list(CENSUS_BANDS):
-            got = butterworth_gain(shape, spacing, band, half_plane=half_plane)
-            want = full_row_gain(shape, spacing, band, half_plane)
+            if plane == "full":
+                field = GridField(np.zeros(shape), spacing, "real")
+                got = fourier_stages(field, band)["gain"]
+                want = full_gain((3 * shape[0], 3 * shape[1]), spacing, band)
+            else:
+                got = butterworth_gain(shape, spacing, band)
+                want = full_gain(shape, spacing, band)[:, :half[1]]
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (shape, band)
 
 
@@ -202,6 +204,4 @@ def test_non_mask_observation_is_refused_before_any_transform(monkeypatch):
             metric_tables([spec], [y], y)
         with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
             metric_tables([spec], [], y)
-        with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
-            metric_value(spec, y, y)
     assert all(n == 0 for counts in counted for n in counts.values())

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from selfscore.fourier import (blackman_harris_weights, butterworth_gain,
-                               fourier_band_pass, fourier_band_passes, fourier_spectrum,
-                               fourier_stages, frequency_grid)
-from selfscore.grid import GridField, WavelengthBand, taper_zero_pad
+from selfscore.fourier import (BUTTERWORTH_ORDER, _axis_frequencies, blackman_harris_weights,
+                               butterworth_gain, fourier_band_pass, fourier_band_passes,
+                               fourier_spectrum, fourier_stages)
+from selfscore.grid import GridField, WavelengthBand
+
+from _spectral import full_nu, taper
 
 
 def _field(values, spacing=0.02, kind="real"):
@@ -23,21 +25,19 @@ def _field(values, spacing=0.02, kind="real"):
 
 def test_axis_frequencies_match_known_values():
     # Even length: index n/2 is the positive Nyquist frequency.
-    grid = frequency_grid((8, 8), spacing_deg=0.5)
     n, d = 8, 0.5
     want = np.array([0, 1, 2, 3, 4, -3, -2, -1]) / (n * d)
-    assert_allclose(grid.nu_rows, want, atol=0)
+    assert_allclose(_axis_frequencies(n, d), want, atol=0)
     # Odd length.
-    grid = frequency_grid((5, 5), spacing_deg=1.0)
     want = np.array([0, 1, 2, -2, -1]) / 5.0
-    assert_allclose(grid.nu_rows, want, atol=0)
+    assert_allclose(_axis_frequencies(5, 1.0), want, atol=0)
 
 
 def test_frequency_magnitude_is_radial():
-    grid = frequency_grid((6, 10), spacing_deg=0.1)
-    assert grid.nu_total[0, 0] == 0.0
-    assert grid.nu_total[2, 3] == pytest.approx(
-        math.hypot(grid.nu_rows[2], grid.nu_cols[3]))
+    nu = full_nu((6, 10), spacing_deg=0.1)
+    assert nu[0, 0] == 0.0
+    assert nu[2, 3] == pytest.approx(
+        math.hypot(_axis_frequencies(6, 0.1)[2], _axis_frequencies(10, 0.1)[3]))
 
 
 def test_pure_mode_lands_on_expected_bin():
@@ -49,8 +49,7 @@ def test_pure_mode_lands_on_expected_bin():
     spectrum = np.abs(np.fft.fft2(values))
     hot = np.argwhere(spectrum > spectrum.max() / 2)
     assert {tuple(h) for h in hot} == {(0, k), (0, n - k)}
-    grid = frequency_grid((n, n), spacing)
-    assert grid.nu_cols[k] == pytest.approx(k / (n * spacing))
+    assert _axis_frequencies(n, spacing)[k] == pytest.approx(k / (n * spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -87,8 +86,8 @@ def test_window_rectangular_uses_smaller_half_width():
 def test_gain_constants_at_cutoff_and_zero():
     band = WavelengthBand(0.5, math.inf)  # low-pass stage only, nu_max = 2
     shape, spacing = (40, 40), 0.05  # axis frequencies k/2: bin 4 sits at nu=2
-    gain = butterworth_gain(shape, spacing, band)
-    nu = frequency_grid(shape, spacing).nu_total
+    gain = butterworth_gain(shape, spacing, band)  # columns 0..cols//2
+    nu = full_nu(shape, spacing)[:, :shape[1] // 2 + 1]
     at_cut = nu == 2.0
     assert at_cut.any()
     assert_allclose(gain[at_cut], 0.5, atol=1e-12)
@@ -96,10 +95,10 @@ def test_gain_constants_at_cutoff_and_zero():
 
 
 def test_gain_formula_pointwise():
-    shape, spacing, order = (16, 24), 0.1, 2
+    shape, spacing, order = (16, 24), 0.1, BUTTERWORTH_ORDER
     lo, hi = 0.4, 1.6
-    gain = butterworth_gain(shape, spacing, WavelengthBand(lo, hi), order=order)
-    nu = frequency_grid(shape, spacing).nu_total
+    gain = butterworth_gain(shape, spacing, WavelengthBand(lo, hi))
+    nu = full_nu(shape, spacing)[:, :shape[1] // 2 + 1]
     low_stage = 1.0 / (1.0 + (nu * lo) ** (2 * order))
     high_stage = 1.0 - 1.0 / (1.0 + (nu * hi) ** (2 * order))
     assert_allclose(gain, low_stage * high_stage, atol=1e-15)
@@ -125,8 +124,7 @@ def windowed_reference(field):
     """The tapered + windowed original, cropped back: what an all-pass run
     must reproduce."""
     target = (3 * field.rows, 3 * field.cols)
-    tapered = taper_zero_pad(field, target)
-    windowed = blackman_harris_weights(target) * tapered.values
+    windowed = blackman_harris_weights(target) * taper(field, target)
     top = (target[0] - field.rows) // 2
     left = (target[1] - field.cols) // 2
     return windowed[top:top + field.rows, left:left + field.cols]
@@ -233,7 +231,7 @@ def allocating_inverse(spectrum, gain):
 def test_spectrum_is_rfft2_of_the_windowed_taper(fields):
     for field in fields:
         target = (3 * field.rows, 3 * field.cols)
-        windowed = blackman_harris_weights(target) * taper_zero_pad(field, target).values
+        windowed = blackman_harris_weights(target) * taper(field, target)
         want = np.fft.rfft2(windowed)
         got = fourier_spectrum(field).coeffs
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
@@ -243,7 +241,7 @@ def test_spectrum_is_rfft2_of_the_windowed_taper(fields):
 @given(field_groups(), BANDS)
 def test_band_passes_match_an_inverse_per_field(fields, band):
     spectra = [fourier_spectrum(f) for f in fields]
-    gain = butterworth_gain(spectra[0].target, 0.02, band, half_plane=True)
+    gain = butterworth_gain(spectra[0].target, 0.02, band)
     outs = fourier_band_passes(spectra, band)
     assert len(outs) == len(spectra)
     for spectrum, out in zip(spectra, outs):

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
-from selfscore.grid import (GridField, WavelengthBand, crop_taper,
-                            next_pow2_dims, read_grid, taper_zero_pad,
-                            write_grid)
+from selfscore.fourier import fourier_stages
+from selfscore.grid import GridField, WavelengthBand, _centred, next_pow2_dims, read_grid, write_grid
+from selfscore.wavelet import wavelet_stages
 
 
 def _field(values, kind="real", spacing=0.02, eval_mask=None):
@@ -89,12 +89,11 @@ def test_band_validation():
         WavelengthBand(0.1, 0.1)
     with pytest.raises(ValueError):
         WavelengthBand(-0.1, 0.2)
-    assert WavelengthBand(0.0, math.inf).is_all_pass
-    assert not WavelengthBand(0.0, 0.8).is_all_pass
 
 
 # ---------------------------------------------------------------------------
-# padding helpers
+# padding: ``_centred`` places a field in the padded grid of either spectral
+# method, which ``fourier_stages`` and ``wavelet_stages`` show.
 
 def test_next_pow2_dims():
     assert next_pow2_dims((205, 205)) == (256, 256)
@@ -103,14 +102,14 @@ def test_next_pow2_dims():
 
 
 def test_taper_pad_centers_with_odd_remainder_bottom_right():
-    f = _field(np.arange(6.0).reshape(2, 3))
-    padded = taper_zero_pad(f, (5, 6))
     # rows: 2 -> 5: one above, two below; cols: 3 -> 6: one left, two right
-    assert padded.shape == (5, 6)
-    assert_array_equal(padded.values[1:3, 1:4], f.values)
-    assert padded.values.sum() == f.values.sum()
-    back = crop_taper(padded, (2, 3))
-    assert_array_equal(back.values, f.values)
+    assert _centred((2, 3), (5, 6)) == (slice(1, 3), slice(1, 4))
+    # The Haar grid of a 2x3 field is 2x4: the odd column goes right.
+    f = _field(np.arange(6.0).reshape(2, 3))
+    padded = wavelet_stages(f, WavelengthBand(0.0, math.inf))["padded"]
+    assert padded.shape == (2, 4)
+    assert_array_equal(padded[:, :3], f.values)
+    assert padded.sum() == f.values.sum()
 
 
 def test_taper_pad_round_trip_random_shapes():
@@ -120,14 +119,17 @@ def test_taper_pad_round_trip_random_shapes():
         cols = int(rng.integers(1, 30))
         f = _field(rng.normal(size=(rows, cols)))
         target = (rows + int(rng.integers(0, 10)), cols + int(rng.integers(0, 10)))
-        back = crop_taper(taper_zero_pad(f, target), (rows, cols))
-        assert_array_equal(back.values, f.values)
+        for s, n, t in zip(_centred((rows, cols), target), (rows, cols), target):
+            assert (s.start, s.stop) == ((t - n) // 2, (t - n) // 2 + n)
+        tapered = fourier_stages(f, WavelengthBand(0.0, math.inf))["tapered"]
+        window = _centred((rows, cols), tapered.shape)
+        assert_array_equal(tapered[window], f.values)
+        assert np.count_nonzero(tapered) == np.count_nonzero(f.values)
 
 
 def test_taper_pad_rejects_shrinking():
-    f = _field(np.zeros((4, 4)))
     with pytest.raises(ValueError):
-        taper_zero_pad(f, (3, 8))
+        _centred((4, 4), (3, 8))
 
 
 # ---------------------------------------------------------------------------

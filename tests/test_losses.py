@@ -28,7 +28,6 @@ from selfscore.losses import (
     loss_gradient,
     loss_value,
     metric_table,
-    metric_value,
     parse_filter_id,
     parse_spec_id,
     prepare_target,
@@ -37,7 +36,7 @@ from selfscore.neighbourhood import max_filter, mean_filter
 from selfscore.scores import ORIENTATION, SCORE_KINDS
 from selfscore.wavelet import wavelet_band_pass
 
-from _records import score
+from _records import metric_value, score
 
 SPACING = 0.05
 

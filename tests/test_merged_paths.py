@@ -1,8 +1,8 @@
 """Tests for the shared filter-and-score core.
 
-One spectral dispatch serves ``apply_filter``, ``metric_value`` and the
-filter walk; one filter walk serves ``prepare_targets`` (and so
-``prepare_target`` and ``gradcheck``) and ``metric_tables``; one record
+One spectral dispatch serves ``apply_filter`` and the filter walk; one
+filter walk serves ``prepare_targets`` (and so ``prepare_target`` and
+``gradcheck``) and ``metric_tables``; one record
 dispatch serves ``metric_tables``, ``loss_detail``, ``loss_gradient`` and
 ``grad_check``; one grammar helper serves both id parsers; one atomic
 writer serves GRID1 files, reports and CSVs.  These tests pin what each

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from selfscore.grid import GridField
-from selfscore.losses import (LossSpec, metric_tables, metric_value, parse_spec_id,
-                             prepare_targets)
+from selfscore.losses import LossSpec, metric_tables, parse_spec_id, prepare_targets
 from selfscore.scores import NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS
 
 from _records import counts, score
@@ -362,8 +361,6 @@ def test_nbhd_requires_mask_obs():
         spec = parse_spec_id(spec_id)
         with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
             metric_tables([spec], [p], y)
-        with pytest.raises(ValueError, match="binary masks, got kind 'prob'"):
-            metric_value(spec, p, y)
 
 
 # ---------------------------------------------------------------------------

@@ -19,16 +19,17 @@ from hypothesis import strategies as st
 
 from selfscore import fourier as fourier_mod
 from selfscore.cli import main
-from selfscore.fourier import (TAPER_FACTOR, blackman_harris_weights, butterworth_gain,
-                               fourier_band_pass, fourier_band_passes, fourier_spectrum,
-                               frequency_grid)
-from selfscore.grid import (GridField, WavelengthBand, crop_taper, next_pow2_dims,
-                            taper_zero_pad, write_grid)
+from selfscore.fourier import (TAPER_FACTOR, _blackman_harris, _quarter_nu,
+                               blackman_harris_weights, butterworth_gain, fourier_band_pass,
+                               fourier_band_passes, fourier_spectrum)
+from selfscore.grid import GridField, WavelengthBand, next_pow2_dims, write_grid
 from selfscore.losses import (FilterSpec, apply_filter, enumerate_configs, filter_stages,
                               metric_table, metric_tables)
 from selfscore.wavelet import (WaveletLevel, WaveletPyramid, haar_inverse, haar_pyramid,
-                               level_wavelengths, pyramid_reconstruct, wavelet_band_pass,
-                               wavelet_band_passes, wavelet_decompose)
+                               level_wavelengths, wavelet_band_pass, wavelet_band_passes,
+                               wavelet_decompose)
+
+from _spectral import crop, full_gain, pyramid_reconstruct, taper
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SPACINGS = (0.01, 0.0125, 0.02, 0.05)
@@ -85,16 +86,15 @@ def assert_owns_copy_of_mask(out, field):
 def complex_dft_band_pass(field, band):
     """The documented pipeline with a complex fft2/ifft2, keeping the real part."""
     target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
-    windowed = blackman_harris_weights(target) * taper_zero_pad(field, target).values
-    gain = butterworth_gain(target, field.spacing_deg, band)
+    windowed = blackman_harris_weights(target) * taper(field, target)
+    gain = full_gain(target, field.spacing_deg, band)
     back = np.fft.ifft2(np.fft.fft2(windowed) * gain).real
-    return crop_taper(GridField(back, field.spacing_deg, "real"), field.shape).values
+    return crop(back, field.shape)
 
 
 def windowed_original(field):
     target = (TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols)
-    windowed = blackman_harris_weights(target) * taper_zero_pad(field, target).values
-    return crop_taper(GridField(windowed, field.spacing_deg, "real"), field.shape).values
+    return crop(blackman_harris_weights(target) * taper(field, target), field.shape)
 
 
 @SETTINGS
@@ -135,8 +135,7 @@ def test_stages_full_grid_crops_to_the_output(group, band, method):
               else next_pow2_dims(field.shape))
     for name, stage in stages.items():
         assert stage.shape == target, name
-    cropped = crop_taper(GridField(stages["full"], field.spacing_deg, "real"), field.shape)
-    assert np.array_equal(cropped.values, apply_filter(field, fspec).values)
+    assert np.array_equal(crop(stages["full"], field.shape), apply_filter(field, fspec).values)
 
 
 @SETTINGS
@@ -153,12 +152,25 @@ def test_cached_window_and_wavenumbers_are_shared_read_only():
     w = blackman_harris_weights((9, 12))
     assert w is blackman_harris_weights((9, 12))
     assert not w.flags.writeable
-    nu = frequency_grid((9, 12), 0.02).nu_total
-    assert nu is frequency_grid((9, 12), 0.02).nu_total
-    assert not nu.flags.writeable
-    half = butterworth_gain((9, 12), 0.02, WavelengthBand(0.1, 0.4), half_plane=True)
-    full = butterworth_gain((9, 12), 0.02, WavelengthBand(0.1, 0.4))
+    nu = _quarter_nu((9, 12), 0.02)
+    assert nu is _quarter_nu((9, 12), 0.02)
+    assert not nu.flags.writeable and nu.shape == (5, 7)
+    half = butterworth_gain((9, 12), 0.02, WavelengthBand(0.1, 0.4))
+    full = full_gain((9, 12), 0.02, WavelengthBand(0.1, 0.4))
     assert np.array_equal(half, full[:, :7])
+
+
+@SETTINGS
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+def test_window_blocks_equal_the_whole_window_bit_for_bit(rows, cols, data):
+    """Any block of ``_blackman_harris`` is that block of the whole-grid
+    window, on odd, non-square and non-power-of-two shapes."""
+    r0, r1 = sorted(data.draw(st.lists(st.integers(0, rows), min_size=2, max_size=2)))
+    c0, c1 = sorted(data.draw(st.lists(st.integers(0, cols), min_size=2, max_size=2)))
+    block = _blackman_harris((rows, cols), (r0, r1), (c0, c1))
+    want = blackman_harris_weights((rows, cols))[r0:r1, c0:c1]
+    assert block.shape == want.shape and block.tobytes() == want.tobytes()
+    assert not block.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -169,9 +181,8 @@ def copy_and_zero_band_pass(field, band):
     """The Haar band-pass as a copy of the pyramid zeroed in place (the
     algorithm the shared-pyramid path replaced)."""
     target = next_pow2_dims(field.shape)
-    padded = taper_zero_pad(field, target)
     n_levels = int(math.log2(min(target)))
-    pyramid = haar_pyramid(padded.values, n_levels, field.spacing_deg)
+    pyramid = haar_pyramid(taper(field, target), n_levels, field.spacing_deg)
     levels = [WaveletLevel(lev.ll.copy(), lev.lh.copy(), lev.hl.copy(), lev.hh.copy())
               for lev in pyramid.levels]
     for k in range(1, n_levels + 1):
@@ -186,8 +197,7 @@ def copy_and_zero_band_pass(field, band):
             levels[k - 1].lh[:] = 0.0
             levels[k - 1].hl[:] = 0.0
             levels[k - 1].hh[:] = 0.0
-    full = pyramid_reconstruct(WaveletPyramid(levels, field.spacing_deg))
-    return crop_taper(GridField(full, field.spacing_deg, "real"), field.shape).values
+    return crop(pyramid_reconstruct(WaveletPyramid(levels, field.spacing_deg)), field.shape)
 
 
 @SETTINGS
@@ -273,7 +283,7 @@ def test_metric_tables_match_one_table_per_prediction(preds, seed):
 
 def test_threads_sharing_the_cached_window_get_the_serial_results():
     # More threads than cores, switching often, all filling the window and
-    # wavenumber caches for a shape no other test uses.
+    # quarter-plane |nu| caches for a shape no other test uses.
     rng = np.random.default_rng(5)
     shape = (23, 17)
     y = GridField((rng.uniform(size=shape) < 0.3).astype(float), 0.02, "mask")
@@ -281,7 +291,7 @@ def test_threads_sharing_the_cached_window_get_the_serial_results():
     specs = [s for s in enumerate_configs() if s.filter_kind == "F"]
     serial = metric_tables(specs, preds, y)
     fourier_mod._blackman_harris.cache_clear()
-    fourier_mod._frequency_grid.cache_clear()
+    fourier_mod._quarter_nu.cache_clear()
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from selfscore.grid import GridField, WavelengthBand
 from selfscore.wavelet import (haar_forward, haar_inverse, haar_pyramid,
-                               level_wavelengths, pyramid_reconstruct,
-                               wavelet_band_pass, wavelet_stages)
+                               level_wavelengths, wavelet_band_pass, wavelet_stages)
+
+from _spectral import pyramid_reconstruct
 
 
 def _field(values, spacing=0.0125, kind="real"):
