@@ -36,13 +36,13 @@ values /= 4
 matrix = MetricMatrix(list(models), configs, values)
 ranks = rank_models(matrix)
 print("model      mean rank over all 336 configs")
-for name, mean in zip(matrix.models, overall_mean_ranks(matrix)):
+for name, mean in zip(matrix.models, overall_mean_ranks(ranks)):
     print(f"{name:<10} {mean:.2f}")
 
-fids, means = filter_mean_ranks(matrix)
+fids, means = filter_mean_ranks(matrix, ranks)
 print(f"\nper-filter winners ({len(fids)} filters):")
 wins = {}
-for w in best_per_filter(matrix):
+for w in best_per_filter(matrix, ranks):
     wins.setdefault(w.model, []).append(w.filter_id)
 for name, fs in sorted(wins.items()):
     shown = ", ".join(fs[:4]) + (" ..." if len(fs) > 4 else "")

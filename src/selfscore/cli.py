@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 # Each command imports the modules it runs: ``synth`` loads no scoring layer.
-from .grid import GRID_KINDS, GridField, atomic_write, read_grid, write_grid
+from .grid import GRID_KINDS, OBS_KINDS, PRED_KINDS, GridField, atomic_write, read_grid, write_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +79,6 @@ def _expand_paths(text: str, option: str) -> list[str]:
     if not out:
         raise ValueError(f"{option}: {text!r} names no file")
     return out
-
-
-PRED_KINDS = ("prob", "mask")
-OBS_KINDS = ("mask",)
 
 
 def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
@@ -367,8 +363,8 @@ def cmd_rank(args) -> int:
     matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)
     fids, means = filter_mean_ranks(matrix, ranks)
-    winners = best_per_filter(matrix)
-    overall = overall_mean_ranks(matrix, ranks)
+    winners = best_per_filter(matrix, ranks)
+    overall = overall_mean_ranks(ranks)
 
     os.makedirs(args.out_dir, exist_ok=True)
 

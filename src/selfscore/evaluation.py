@@ -44,6 +44,7 @@ from .scores import scored_weights
 N_PROB_BINS = 20
 PROB_BIN_EDGES = np.linspace(0.0, 1.0, N_PROB_BINS + 1)
 SUMMARY_KEYS = ("rel", "bss", "bs", "bs_clim", "base_rate", "n_scored", "aupd")
+_TAIL_PCT = 100.0 * (1.0 - 0.95) / 2.0  # each tail of a 95 % interval, in %; not 2.5 exactly
 
 
 def _scored_steps(pred_fields, obs_fields) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -53,8 +54,6 @@ def _scored_steps(pred_fields, obs_fields) -> list[tuple[np.ndarray, np.ndarray]
                   for f in (pred_fields, obs_fields))
     if not preds or len(preds) != len(obs):
         raise ValueError(f"{len(preds)} prediction fields vs {len(obs)} observation fields")
-    if any(y.kind != "mask" for y in obs):
-        raise ValueError("observations must be binary masks")
     weights = [scored_weights(p, y) for p, y in zip(preds, obs)]
     return [(p.values[w], y.values[w]) for p, y, w in zip(preds, obs, weights)]
 
@@ -133,13 +132,13 @@ def pooled_bss(parts: Sequence[tuple[float, float, float]]) -> float:
     return 0.0 if bs_clim == 0.0 else 1.0 - pooled_bs(parts) / bs_clim
 
 
-def consistency_bars(attr: AttributesData, n_boot: int = 100, level: float = 0.95,
+def consistency_bars(attr: AttributesData, n_boot: int = 100,
                      seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Resampling interval for each bin's event frequency under reliability.
 
     For every nonempty bin, draws ``n_boot`` binomial samples of the bin
     size at probability equal to the bin's mean forecast and returns the
-    central ``level`` percentile interval of the resampled frequencies.
+    central 95 % percentile interval of the resampled frequencies.
     The intervals are also stored on ``attr``.
     """
     if n_boot < 1:
@@ -147,13 +146,12 @@ def consistency_bars(attr: AttributesData, n_boot: int = 100, level: float = 0.9
     rng = np.random.default_rng(seed)
     lo = np.full(N_PROB_BINS, np.nan)
     hi = np.full(N_PROB_BINS, np.nan)
-    tail = 100.0 * (1.0 - level) / 2.0
     for k in range(N_PROB_BINS):
         n_k = int(attr.bin_counts[k])
         if n_k == 0:
             continue
         draws = rng.binomial(n_k, attr.bin_mean_forecast[k], size=n_boot) / n_k
-        lo[k], hi[k] = np.percentile(draws, [tail, 100.0 - tail])
+        lo[k], hi[k] = np.percentile(draws, [_TAIL_PCT, 100.0 - _TAIL_PCT])
     attr.consistency_lo = lo
     attr.consistency_hi = hi
     return lo, hi
@@ -246,19 +244,17 @@ def _resampled(stat: Callable[[list], float], samples: list, n_boot: int,
 
 
 def bootstrap_ci(stat: Callable[[list], float], samples: Sequence,
-                 n_boot: int = 1000, level: float = 0.95,
-                 seed: int = 0) -> tuple[float, float, float]:
+                 n_boot: int = 1000, seed: int = 0) -> tuple[float, float, float]:
     """Percentile bootstrap interval for a statistic of a sample list.
 
     Returns ``(point, lo, hi)`` where ``point`` is the statistic on the full
-    sample and the interval holds the central ``level`` mass of the
+    sample and the interval holds the central 95 % mass of the
     statistic over ``n_boot`` resamples (drawn with replacement, whole
     samples at a time).  Deterministic for a fixed seed.
     """
     samples = list(samples)
     boots = _resampled(stat, samples, n_boot, seed)
-    tail = 100.0 * (1.0 - level) / 2.0
-    lo, hi = np.percentile(boots, [tail, 100.0 - tail])
+    lo, hi = np.percentile(boots, [_TAIL_PCT, 100.0 - _TAIL_PCT])
     return float(stat(samples)), float(lo), float(hi)
 
 
@@ -341,10 +337,9 @@ def report_dict(attr: AttributesData, perf: PerformanceData) -> dict:
     }
 
 
-def emit_report(attr: AttributesData, perf: PerformanceData,
-                out_dir: str | os.PathLike, stem: str = "report",
+def emit_report(attr: AttributesData, perf: PerformanceData, out_dir: str | os.PathLike,
                 extra_sections: dict | None = None) -> tuple[str, str]:
-    """Write ``<stem>.json`` and ``<stem>.csv`` under ``out_dir`` atomically.
+    """Write ``report.json`` and ``report.csv`` under ``out_dir`` atomically.
 
     The CSV holds one row per probability bin, one per threshold, and one
     per summary key; empty cells mean "undefined here".  ``extra_sections``
@@ -356,7 +351,7 @@ def emit_report(attr: AttributesData, perf: PerformanceData,
     data = report_dict(attr, perf)
     if extra_sections:
         data.update(extra_sections)
-    json_path = os.path.join(out_dir, f"{stem}.json")
+    json_path = os.path.join(out_dir, "report.json")
     text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     atomic_write(json_path, text.encode("utf-8"))
 
@@ -381,7 +376,7 @@ def emit_report(attr: AttributesData, perf: PerformanceData,
     for key in SUMMARY_KEYS:
         rows.append(["summary", key, "", "", "", "", "", "", "", "", "",
                      cell(data["summary"][key])])
-    csv_path = os.path.join(out_dir, f"{stem}.csv")
+    csv_path = os.path.join(out_dir, "report.csv")
     write_csv(csv_path, ["row_type", "label", "count", "mean_forecast", "event_freq",
                          "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"], rows)
     return json_path, csv_path

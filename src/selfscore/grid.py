@@ -33,6 +33,8 @@ import numpy as np
 
 MAGIC = b"GRID1"
 GRID_KINDS = ("mask", "prob", "real")
+PRED_KINDS = ("prob", "mask")  # a scored pair: a prediction in [0, 1] ...
+OBS_KINDS = ("mask",)  # ... against a binary observation
 
 
 def _frozen(array, dtype) -> np.ndarray:

@@ -41,9 +41,9 @@ import numpy as np
 
 from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum, fourier_stages
 from .grid import GridField, WavelengthBand
-from .neighbourhood import max_filter, max_filter_array, mean_filter
+from .neighbourhood import max_filter, mean_filter
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
-                     NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max,
+                     NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max, _observed,
                      scored_weights)
 from .wavelet import (wavelet_band_pass, wavelet_band_passes, wavelet_decompose,
                       wavelet_stages)
@@ -281,14 +281,6 @@ class PreparedTarget:
         object.__setattr__(self, "last", None)
 
 
-def _observed(y: GridField) -> GridField:
-    """``y``, refused before any filter runs unless it is a binary mask: the
-    one observation rule of targets and metrics."""
-    if y.kind != "mask":
-        raise ValueError(f"observations must be binary masks, got kind {y.kind!r}")
-    return y
-
-
 def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
     """``y``'s target for ``spec`` from its filter output ``out``: clamped
     to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
@@ -331,7 +323,7 @@ def _scored(spec: LossSpec, p: GridField, target: PreparedTarget) -> NbhdPair | 
     if kept is not None and kept[0]() is p:
         return kept[1]
     object.__setattr__(target, "last", None)  # the old record goes before the new one is made
-    record = _record(spec, p.values, target, scored_weights(p, target.filtered))
+    record = _record(spec, p.values, target, scored_weights(p, target.observed))
     object.__setattr__(target, "last", (weakref.ref(p, _forget(target)), record))
     return record
 
@@ -422,18 +414,20 @@ class GradCheckReport:
         return self.max_rel_diff <= rel_tol
 
 
-def _excluded_pixels(spec: LossSpec, pv: np.ndarray, tv: np.ndarray,
-                     w: np.ndarray, step: float) -> np.ndarray:
-    """Pixels within reach of a non-smooth point for this spec (2*step margin)."""
+def _excluded_pixels(spec: LossSpec, record: NbhdPair | PairSums, step: float) -> np.ndarray:
+    """Pixels within reach of a non-smooth point for this spec (2*step
+    margin), read from the record the loss is: the iou kinks against its
+    target, the csi near-ties against the window maximum its score reads."""
+    pv = record.pv
     excluded = np.zeros(pv.shape, dtype=bool)
     margin = 2.0 * step
     if spec.score == "xent":
         excluded |= (pv <= XENT_EPS + margin) | (pv >= 1.0 - XENT_EPS - margin)
     if spec.score == "iou":
-        target = tv if spec.filter_kind != "nbhd" else max_filter_array(tv, spec.half_width)
+        target = record.obs.dilated if spec.filter_kind == "nbhd" else record.yv
         excluded |= np.abs(pv - target) <= margin
     if spec.filter_kind == "nbhd" and spec.score == "csi":
-        for k, (i, j), n in _near_window_max(pv, w & (tv == 1.0), spec.half_width, margin):
+        for k, (i, j), n in _near_window_max(record, margin):
             excluded[i[n[k] > 1], j[n[k] > 1]] = True  # argmax may move
     return excluded
 
@@ -453,10 +447,11 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     if not step > 0.0:
         raise ValueError(f"step must be > 0, got {step}")
     analytic = loss_gradient(spec, p, target)
-    w = scored_weights(p, target.filtered)
+    w = scored_weights(p, target.observed)
     pv = p.values.copy()
-    excluded = _excluded_pixels(spec, pv, target.filtered.values, w, step)
-    loss_scale = max(1.0, abs(_loss(spec, _record(spec, pv, target, w)).value))
+    record = _record(spec, pv, target, w)
+    loss_scale = max(1.0, abs(_loss(spec, record).value))
+    excluded = _excluded_pixels(spec, record, step)
     fd_noise = 64.0 * np.finfo(np.float64).eps * loss_scale / step
 
     fd = np.zeros_like(pv)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import GridField
+from .grid import PRED_KINDS, GridField
 
 
 def _check_half_width(half_width: int) -> int:
@@ -64,7 +64,7 @@ def mean_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
 
 def max_filter(field: GridField, half_width: int) -> GridField:
     """Neighbourhood maximum of a field; a mask stays a mask."""
-    if field.kind not in ("mask", "prob"):
+    if field.kind not in PRED_KINDS:
         raise ValueError("max_filter expects a mask or prob field")
     out = max_filter_array(field.values, half_width)
     return GridField(out, field.spacing_deg, field.kind, field.eval_mask)
@@ -72,7 +72,7 @@ def max_filter(field: GridField, half_width: int) -> GridField:
 
 def mean_filter(field: GridField, half_width: int) -> GridField:
     """Neighbourhood mean of a field; output is a prob field (fractions)."""
-    if field.kind not in ("mask", "prob"):
+    if field.kind not in PRED_KINDS:
         raise ValueError("mean_filter expects a mask or prob field")
     out = mean_filter_array(field.values, half_width)
     # Guard against rounding a hair past the ends of [0, 1].

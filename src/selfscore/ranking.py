@@ -90,10 +90,8 @@ def filter_ids(matrix: MetricMatrix) -> tuple[str, ...]:
 
 
 def filter_mean_ranks(matrix: MetricMatrix,
-                      ranks: np.ndarray | None = None) -> tuple[tuple[str, ...], np.ndarray]:
-    """Mean rank per (model, filter), averaging over the filter's configs."""
-    if ranks is None:
-        ranks = rank_models(matrix)
+                      ranks: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """Mean rank per (model, filter) of ``rank_models`` ranks, over the filter's configs."""
     fids = filter_ids(matrix)
     means = np.empty((matrix.n_models, len(fids)))
     for k, fid in enumerate(fids):
@@ -102,11 +100,8 @@ def filter_mean_ranks(matrix: MetricMatrix,
     return fids, means
 
 
-def overall_mean_ranks(matrix: MetricMatrix,
-                       ranks: np.ndarray | None = None) -> np.ndarray:
-    """Mean rank per model across every config in the matrix."""
-    if ranks is None:
-        ranks = rank_models(matrix)
+def overall_mean_ranks(ranks: np.ndarray) -> np.ndarray:
+    """Mean rank per model across every config of ``rank_models`` ranks."""
     return ranks.mean(axis=1)
 
 
@@ -119,14 +114,14 @@ class FilterWinner:
     mean_rank: float
 
 
-def best_per_filter(matrix: MetricMatrix) -> list[FilterWinner]:
-    """Winning model for each distinct filter (lowest mean rank).
+def best_per_filter(matrix: MetricMatrix, ranks: np.ndarray) -> list[FilterWinner]:
+    """Winning model for each distinct filter (lowest mean of ``ranks``).
 
     Mean ranks are exact multiples of 1/(2 * configs-per-filter) scaled
     sums of halves, so exact float ties are meaningful; they are broken by
     lexicographically smallest model name.
     """
-    fids, means = filter_mean_ranks(matrix)
+    fids, means = filter_mean_ranks(matrix, ranks)
     winners = []
     for k, fid in enumerate(fids):
         best = means[:, k].min()

@@ -19,20 +19,22 @@ event-in-reach case goes to false alarms, not to a negative class; a
 consequence is that the neighbourhood CSI at half-width 0 is NOT the
 pixelwise CSI (it double-counts misses into b).  The rule is kept because
 it is the documented accumulation; treat neighbourhood CSI as its own score.
+Only a ``prob`` or ``mask`` prediction is scored, against a ``mask``
+observation (``scored_weights``), so every scored value lies in [0, 1].
 
 Every score is read from one of two records: ``PairSums`` reduces each sum
 of a (prediction, target) pair once, for all its scores, and ``NbhdPair``
 pairs a prediction with an ``NbhdObs``, which filters an observation once
-per half-width.  ``losses`` builds both and makes the refusals.  Each sum
-is the reduction its score would run alone, so no bit changes.
+per half-width, and keeps its contingency as ``PairSums`` keeps its sums.
+Each sum is the reduction its score would run alone, so no bit changes.
 ``PairSums.gradient`` differentiates each score from the same sums and the
 same fallback tests as ``PairSums.score``, so a loss and its gradient
 cannot take different branches.  ``NbhdPair.gradient`` does the same for
 the neighbourhood scores: csi reads its branch from the fallbacks of its
-score and routes each observed event's hit to the argmax of its window;
-fss chains its sums' gradient through the prediction's window mean, which
-is its own adjoint; the other four differentiate their sums against the
-dilation.
+score and routes each observed event's hit to the argmax of the window
+maximum the score read; fss chains its sums' gradient through the
+prediction's window mean, which is its own adjoint; the other four
+differentiate their sums against the dilation.
 
 Degenerate denominators never return NaN; each defined fallback is recorded
 by name in the returned ``ScoreResult``.
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import GridField
+from .grid import OBS_KINDS, PRED_KINDS, GridField
 from .neighbourhood import max_filter_array, mean_filter_array
 
 SCORE_KINDS = ("brier", "fss", "iou", "dice", "csi", "xent",
@@ -72,10 +74,23 @@ class ScoreResult:
     fallbacks: tuple[str, ...] = ()
 
 
+def _observed(y: GridField) -> GridField:
+    """``y``, refused unless it is a binary mask: the observation half of
+    ``scored_weights``, which targets also check before any filter runs."""
+    if y.kind not in OBS_KINDS:
+        raise ValueError(f"observations must be binary masks, got kind {y.kind!r}")
+    return y
+
+
 def scored_weights(p: GridField, y: GridField) -> np.ndarray:
     """Boolean array of pixels included in score sums (both eval_masks); the
-    one rule of scores, losses and diagnostics.  Refuses a pair on two grids
-    (shape or spacing), or with no scored pixel, with ``ValueError``."""
+    one rule of scores, losses and diagnostics.  Refuses with ``ValueError``
+    a kind outside ``grid.PRED_KINDS`` or ``grid.OBS_KINDS``, a pair on two
+    grids (shape or spacing), or one with no scored pixel."""
+    _observed(y)
+    if p.kind not in PRED_KINDS:
+        raise ValueError(f"predictions must be of kind {' or '.join(PRED_KINDS)}, "
+                         f"got kind {p.kind!r}")
     if p.shape != y.shape:
         raise ValueError(f"shape mismatch: {p.shape} vs {y.shape}")
     if p.spacing_deg != y.spacing_deg:
@@ -248,29 +263,29 @@ class NbhdObs:
 _WINDOW_BLOCK = 512
 
 
-def _near_window_max(pv: np.ndarray, events: np.ndarray, r: int, margin: float):
-    """Pixels within ``margin`` of each event's (2r+1)^2 window maximum.
-
-    The windows of a block of events are gathered from ``pv`` padded with
-    -inf, so each sees only its in-grid pixels.  Yields ``(k, (rows, cols),
-    count)`` per block: each near pixel's event and place, event-major and
-    row-major, and each event's count."""
-    view = sliding_window_view(np.pad(pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
+def _near_window_max(pair: NbhdPair, margin: float):
+    """Pixels within ``margin`` of each scored observed event's (2r+1)^2
+    window maximum, the zero-padded one ``pair``'s contingency reads (for a
+    prediction >= 0, the in-grid maximum).  The windows of a block of events
+    are gathered from the prediction padded with -inf, so no pixel beyond
+    the edge is near.  Yields ``(k, (rows, cols), count)`` per block: each
+    near pixel's event and place, event-major and row-major, and each
+    event's count."""
+    (pmax, events), r = pair._obs_pass(), pair.obs.r
+    view = sliding_window_view(np.pad(pair.pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
     rows, cols = np.nonzero(events)
     for s in range(0, rows.size, _WINDOW_BLOCK):
         i, j = rows[s:s + _WINDOW_BLOCK], cols[s:s + _WINDOW_BLOCK]
         windows = view[i, j]  # a copy, overwritten with the distance to the max
-        near = np.subtract(windows.max(axis=(1, 2), keepdims=True), windows, out=windows) <= margin
+        near = np.subtract(pmax[i, j][:, None, None], windows, out=windows) <= margin
         k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)
         yield k, (i[k] - r + a, j[k] - r + b), np.count_nonzero(near, axis=(1, 2))
 
 
-def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) -> np.ndarray:
-    """d(a_obs)/dp: each observed event routes weight to its window argmax.
-
-    Exact ties within a window split the unit weight equally.
-    """
-    blocks = list(_near_window_max(pv, w & (yv == 1.0), r, 0.0))
+def _obs_window_max_grad(pair: NbhdPair) -> np.ndarray:
+    """d(a_obs)/dp: each scored observed event routes weight to its window
+    argmax.  Exact ties within a window split the unit weight equally."""
+    pv, blocks = pair.pv, list(_near_window_max(pair, 0.0))
     flat = [np.zeros(0, dtype=np.intp)] + [i * pv.shape[1] + j for _, (i, j), _ in blocks]
     share = [np.zeros(0)] + [(1.0 / ties)[k] for k, _, ties in blocks]
     # bincount adds in input order: in event order, as a loop adds.
@@ -280,20 +295,25 @@ def _obs_window_max_grad(pv: np.ndarray, yv: np.ndarray, w: np.ndarray, r: int) 
 class NbhdPair:
     """One prediction ``pv`` against an ``NbhdObs`` over the scored pixels
     ``w``: brier, iou, dice and xent share one sums record against the
-    dilation; csi takes the prediction's window maximum, fss its mean.
+    dilation; csi reads the two-sided contingency, fss the window means.
     Each is made on first use and kept, so the record filters ``pv`` once
-    for its scores and gradients alike."""
+    and reduces its contingency once, for its scores and gradients alike."""
 
     def __init__(self, pv: np.ndarray, obs: NbhdObs, w: np.ndarray):
         self.pv, self.obs, self.w = pv, obs, w
 
+    def _obs_pass(self) -> tuple[np.ndarray, np.ndarray]:
+        """The prediction's window maximum and the scored observed events."""
+        return _kept(self, "_pmax_events", lambda: (max_filter_array(self.pv, self.obs.r),
+                                                    self.w & (self.obs.yv == 1.0)))
+
     def contingency(self) -> tuple[float, float, float, float]:
-        """(a_obs, a_pred, b, c) of the two-sided contingency."""
+        """(a_obs, a_pred, b, c) of the two-sided contingency, reduced on each
+        call; csi's score and gradient read one reduction, kept."""
         pv, w = self.pv, self.w
-        pmax = _kept(self, "_pmax", lambda: max_filter_array(pv, self.obs.r))
-        obs = w & (self.obs.yv == 1.0)
-        a_obs = float(np.sum(pmax[obs]))
-        c = float(np.sum(1.0 - pmax[obs]))
+        pmax, events = self._obs_pass()
+        a_obs = float(np.sum(pmax[events]))
+        c = float(np.sum(1.0 - pmax[events]))
         near = w & self.obs.event_near
         far = w & ~self.obs.event_near
         a_pred = float(np.sum(pv[near]))
@@ -311,7 +331,7 @@ class NbhdPair:
     def score(self, kind: str) -> ScoreResult:
         """The neighbourhood score ``kind`` (one of ``NBHD_SCORE_KINDS``)."""
         if kind == "csi":
-            value, fallbacks = _nbhd_csi_from_counts(*self.contingency())
+            value, fallbacks = _nbhd_csi_from_counts(*_kept(self, "_counts", self.contingency))
             return ScoreResult(value, tuple(fallbacks))
         return self.sums(kind).score(kind)
 
@@ -328,13 +348,13 @@ class NbhdPair:
         fallbacks = self.score(kind).fallbacks
         if fallbacks not in ((), ("nbhd_csi_pod_undefined",)):
             return np.zeros_like(self.pv)  # a constant branch
-        a_obs, a_pred, b, c = self.contingency()
+        a_obs, a_pred, b, c = _kept(self, "_counts", self.contingency)
         pod_den, sr_den = a_obs + c, a_pred + b
         e = (self.w & self.obs.event_near).astype(np.float64)
         not_e = (self.w & ~self.obs.event_near).astype(np.float64)
         if fallbacks:  # CSI == SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e
             return (e * sr_den - a_pred * not_e) / sr_den ** 2
-        da_obs = _obs_window_max_grad(self.pv, self.obs.yv, self.w, self.obs.r)
+        da_obs = _obs_window_max_grad(self)
         inv = pod_den / a_obs + sr_den / a_pred - 1.0
         csi = 1.0 / inv
         dinv = (-pod_den / a_obs ** 2 * da_obs

@@ -106,10 +106,6 @@ class WaveletPyramid:
     levels: list[WaveletLevel]
     spacing_deg: float
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
 
 def level_wavelengths(level: int, spacing_deg: float) -> tuple[float, float]:
     """(smaller, larger) wavelength in degrees represented at a pyramid level."""

@@ -21,6 +21,14 @@ def score(kind, p, y, r=None) -> ScoreResult:
     return record(p, y, r).score(kind)
 
 
+def target_score(kind, p, target) -> ScoreResult:
+    """The pixelwise score of ``p`` against a prepared target's filtered
+    field, over the pixels ``scored_weights`` gives ``p`` and the target's
+    observation."""
+    w = scored_weights(p, target.observed)
+    return PairSums(p.values, target.filtered.values, w).score(kind)
+
+
 def counts(p, y, r=None) -> tuple:
     """(a, b, c, d) pixelwise, or (a_obs, a_pred, b, c) at half-width r."""
     rec = record(p, y, r)
@@ -31,9 +39,10 @@ def counts(p, y, r=None) -> tuple:
 def metric_value(spec, p, y) -> ScoreResult:
     """One config's evaluation metric, one field at a time: for a spectral
     config both fields are filtered (``apply_filter``), then clamped to
-    [0, 1], and scored from a ``record``."""
-    if spec.is_spectral:
-        fspec = FilterSpec(spec.filter_kind, band=spec.band)
-        p, y = (f.with_values(np.clip(apply_filter(f, fspec).values, 0.0, 1.0), "prob")
-                for f in (p, y))
-    return score(spec.score, p, y, spec.half_width)
+    [0, 1], and scored over the pixels ``scored_weights`` gives the pair."""
+    if not spec.is_spectral:
+        return score(spec.score, p, y, spec.half_width)
+    fspec = FilterSpec(spec.filter_kind, band=spec.band)
+    w = scored_weights(p, y)
+    pv, yv = (np.clip(apply_filter(f, fspec).values, 0.0, 1.0) for f in (p, y))
+    return PairSums(pv, yv, w).score(spec.score)

@@ -406,7 +406,7 @@ def test_08_diagnostics_sanity(capsys):
     yb = (np.random.default_rng(81).uniform(size=pb.size) < pb).astype(float)
     attr_b = attributes_diagram(GridField(pb.reshape(2000, 100), SPACING, "prob"),
                                 GridField(yb.reshape(2000, 100), SPACING, "mask"))
-    lo, hi = consistency_bars(attr_b, n_boot=400, level=0.95, seed=0)
+    lo, hi = consistency_bars(attr_b, n_boot=400, seed=0)
     z95 = 1.959963984540054
     oracle = 2.0 * z95 * np.sqrt(centres * (1.0 - centres) / 10 ** 4)
     bar_dev = float(np.abs((hi - lo) - oracle).__truediv__(oracle).max())
@@ -437,7 +437,7 @@ def test_09_ranking_identities(capsys):
     configs = enumerate_configs()
     big = MetricMatrix([f"m{i:03d}" for i in range(120)], configs,
                        rng.uniform(0.01, 0.99, size=(120, 336)))
-    winners = best_per_filter(big)
+    winners = best_per_filter(big, rank_models(big))
     winners_ok = (len(winners) == 40 and
                   {w.filter_id for w in winners} == {c.filter_id for c in configs})
 

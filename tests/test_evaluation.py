@@ -341,8 +341,9 @@ def _small_report_inputs():
 
 def test_report_json_csv_round_trip(tmp_path):
     attr, perf = _small_report_inputs()
-    json_path, csv_path = emit_report(attr, perf, tmp_path, stem="rep")
-    assert os.path.basename(json_path) == "rep.json"
+    json_path, csv_path = emit_report(attr, perf, tmp_path)
+    assert os.path.basename(json_path) == "report.json"
+    assert os.path.basename(csv_path) == "report.csv"
     data = json.loads(open(json_path).read())
     assert data == report_dict(attr, perf)
     assert set(data["summary"]) == set(SUMMARY_KEYS)

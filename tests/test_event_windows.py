@@ -3,20 +3,39 @@
 Each observed event routes its unit weight to the maximum of its
 (2r+1) x (2r+1) window of the prediction, clipped to the grid, and exact
 ties split it equally.  ``_obs_window_max_grad`` and ``_excluded_pixels``
-gather the windows of many events at once; these tests check them by hand
-on small grids, against the per-event loops they replaced (kept here as the
-reference) bit for bit, and for a bounded working set on a large grid.
+gather the windows of many events at once and read each window's maximum
+from the zero-padded one that the record's contingency keeps, which equals
+the in-grid maximum of a prediction >= 0, -0.0 included.  These tests check
+them by hand on small grids, against the per-event loops they replaced
+(kept here as the reference) bit for bit, and for a bounded working set on
+a large grid.
 """
 
 import tracemalloc
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
+from selfscore.grid import GridField
 from selfscore.losses import NBHD_HALF_WIDTHS, LossSpec, _excluded_pixels
-from selfscore.scores import _obs_window_max_grad
+from selfscore.scores import NbhdObs, NbhdPair, _obs_window_max_grad, scored_weights
+
+STEP = 1e-5
+
+
+def record(pv, yv, w, r):
+    """The pair record the csi score, gradient and grad check read."""
+    return NbhdPair(pv, NbhdObs(yv, r), w)
+
+
+def window_max_grad(pv, yv, w, r):
+    return _obs_window_max_grad(record(pv, yv, w, r))
+
+
+def excluded(pv, yv, w, r, step=STEP):
+    return _excluded_pixels(LossSpec("csi", "nbhd", half_width=r), record(pv, yv, w, r), step)
 
 
 def window_max_grad_loop(pv, yv, w, r):
@@ -77,7 +96,7 @@ def test_ties_split_the_unit_weight_equally():
     want = np.zeros(PV.shape)
     want[1, 1] = want[2, 0] = 0.5 + 0.5  # two events, a 2-way tie each
     want[3:5, 4:6] = 0.25  # the corner event, a 4-way tie
-    assert_array_equal(_obs_window_max_grad(PV, yv, w, 1), want)
+    assert_array_equal(window_max_grad(PV, yv, w, 1), want)
 
 
 def test_window_larger_than_the_grid_sees_the_whole_grid():
@@ -85,37 +104,39 @@ def test_window_larger_than_the_grid_sees_the_whole_grid():
     for r in (5, 6, 12):
         want = np.zeros(PV.shape)
         want[1, 1] = want[2, 0] = 1.5  # three scored events, each split in two
-        assert_array_equal(_obs_window_max_grad(PV, yv, w, r), want)
+        assert_array_equal(window_max_grad(PV, yv, w, r), want)
 
 
 def test_no_scored_event_gives_a_zero_gradient():
     yv, w = hand_case()
     for r in (0, 1, 12):
-        assert_array_equal(_obs_window_max_grad(PV, np.zeros(PV.shape), w, r),
+        assert_array_equal(window_max_grad(PV, np.zeros(PV.shape), w, r),
                            np.zeros(PV.shape))
-        assert_array_equal(_obs_window_max_grad(PV, yv, w & (yv == 0.0), r),
+        assert_array_equal(window_max_grad(PV, yv, w & (yv == 0.0), r),
                            np.zeros(PV.shape))
 
 
 def test_hand_case_exclusions():
     yv, w = hand_case()
-    spec = LossSpec("csi", "nbhd", half_width=1)
     want = np.zeros(PV.shape, dtype=bool)
     want[1, 1] = want[2, 0] = True
     want[3:5, 4:6] = True
-    assert_array_equal(_excluded_pixels(spec, PV, yv, w, 1e-5), want)
+    assert_array_equal(excluded(PV, yv, w, 1, 1e-5), want)
 
 
 # ---------------------------------------------------------------------------
 # Against the per-event loops.
 
-STEP = 1e-5
+def eval_mask(draw, rng, shape):
+    """None, or a random mask scoring about 80 % of the pixels."""
+    return rng.uniform(size=shape) < 0.8 if draw(st.booleans()) else None
 
 
 @st.composite
 def window_cases(draw):
     """A 1-20 px grid whose values are quantised to force ties, some moved by
-    less or more than the grad-check margin, with events and an eval mask."""
+    less or more than the grad-check margin, with plateaus of 0.0, -0.0 or
+    both, events, and an eval mask on either field, both or neither."""
     shape = (draw(st.integers(1, 20)), draw(st.integers(1, 20)))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     levels = draw(st.integers(1, 5))
@@ -124,20 +145,27 @@ def window_cases(draw):
     pv = np.clip(pv + nudge * rng.choice([-1.0, 1.0], size=shape), 0.0, 1.0)
     if draw(st.booleans()):
         pv[rng.uniform(size=shape) < 0.7] = 0.0  # all-zero windows at the edges
+    zeros = pv == 0.0
+    negative_share = draw(st.sampled_from((0.0, 0.5, 1.0)))  # of the zeros made -0.0
+    pv[zeros & (rng.uniform(size=shape) < negative_share)] = -0.0
     yv = (rng.uniform(size=shape) < draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))).astype(float)
-    w = rng.uniform(size=shape) < 0.8 if draw(st.booleans()) else np.ones(shape, dtype=bool)
-    return pv, yv, w, draw(st.sampled_from(NBHD_HALF_WIDTHS))
+    p = GridField(pv, 0.1, "prob", eval_mask(draw, rng, shape))
+    y = GridField(yv, 0.1, "mask", eval_mask(draw, rng, shape))
+    return p, y, draw(st.sampled_from(NBHD_HALF_WIDTHS))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(window_cases())
 def test_gather_matches_the_per_event_loops(case):
-    pv, yv, w, r = case
-    assert (_obs_window_max_grad(pv, yv, w, r).tobytes()
+    p, y, r = case
+    try:
+        w = scored_weights(p, y)
+    except ValueError:  # no pixel scored by both masks
+        assume(False)
+    pv, yv = p.values, y.values
+    assert (window_max_grad(pv, yv, w, r).tobytes()
             == window_max_grad_loop(pv, yv, w, r).tobytes())
-    spec = LossSpec("csi", "nbhd", half_width=r)
-    assert_array_equal(_excluded_pixels(spec, pv, yv, w, STEP),
-                       excluded_loop(pv, yv, w, r, 2.0 * STEP))
+    assert_array_equal(excluded(pv, yv, w, r), excluded_loop(pv, yv, w, r, 2.0 * STEP))
 
 
 def test_gather_matches_the_loops_across_blocks():
@@ -147,11 +175,9 @@ def test_gather_matches_the_loops_across_blocks():
     yv = (rng.uniform(size=pv.shape) < 0.4).astype(float)
     w = rng.uniform(size=pv.shape) < 0.9
     for r in (1, 4):
-        assert (_obs_window_max_grad(pv, yv, w, r).tobytes()
+        assert (window_max_grad(pv, yv, w, r).tobytes()
                 == window_max_grad_loop(pv, yv, w, r).tobytes())
-        spec = LossSpec("csi", "nbhd", half_width=r)
-        assert_array_equal(_excluded_pixels(spec, pv, yv, w, STEP),
-                           excluded_loop(pv, yv, w, r, 2.0 * STEP))
+        assert_array_equal(excluded(pv, yv, w, r), excluded_loop(pv, yv, w, r, 2.0 * STEP))
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +190,8 @@ def test_window_gather_memory_is_bounded():
     pv = rng.uniform(size=(600, 600))
     yv = (rng.uniform(size=pv.shape) < 0.1).astype(float)
     w = np.ones(pv.shape, dtype=bool)
-    spec = LossSpec("csi", "nbhd", half_width=12)
-    for run in (lambda: _obs_window_max_grad(pv, yv, w, 12),
-                lambda: _excluded_pixels(spec, pv, yv, w, STEP)):
+    for run in (lambda: window_max_grad(pv, yv, w, 12),
+                lambda: excluded(pv, yv, w, 12)):
         tracemalloc.start()
         try:
             run()

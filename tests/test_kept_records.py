@@ -54,7 +54,7 @@ CASES = field_cases()
 
 def fresh(spec, p, target):
     """(loss, fallbacks, gradient bytes) from a new record per call."""
-    w = scored_weights(p, target.filtered)
+    w = scored_weights(p, target.observed)
     result = losses._record(spec, p.values, target, w).score(spec.score)
     d_score = losses._record(spec, p.values, target, w).gradient(spec.score)
     if ORIENTATION[spec.score] < 0:

@@ -36,7 +36,7 @@ from selfscore.neighbourhood import max_filter, mean_filter
 from selfscore.scores import ORIENTATION, SCORE_KINDS
 from selfscore.wavelet import wavelet_band_pass
 
-from _records import metric_value, score
+from _records import metric_value, score, target_score
 
 SPACING = 0.05
 
@@ -228,7 +228,7 @@ def test_loss_orientation():
     for kind in SCORE_KINDS:
         spec = parse_spec_id(f"{kind}_F0.1-inf")
         t = prepare_target(spec, y)
-        raw = score(kind, p, t.filtered).value
+        raw = target_score(kind, p, t).value
         loss = loss_value(spec, p, t)
         if ORIENTATION[kind] < 0:
             assert loss == raw

@@ -25,7 +25,7 @@ from selfscore.losses import (FilterSpec, LossSpec, enumerate_configs, loss_deta
                               prepare_targets)
 from selfscore.scores import ORIENTATION
 
-from _records import score
+from _records import score, target_score
 
 SPACING = 0.05
 
@@ -153,7 +153,7 @@ def test_loss_detail_is_the_oriented_score_for_every_config(fields):
         if spec.filter_kind == "nbhd":
             ref = score(spec.score, p, y, spec.half_width)
         else:
-            ref = score(spec.score, p, target.filtered)
+            ref = target_score(spec.score, p, target)
         want = ref.value if ORIENTATION[spec.score] < 0 else 1.0 - ref.value
         got = loss_detail(spec, p, target)
         assert got.value == want, spec.spec_id

@@ -45,10 +45,10 @@ def grad_nbhd_csi_reference(pair):
     if a_obs == 0.0:
         return zeros  # CSI == 0, constant branch
     if sr_den == 0.0:
-        return _obs_window_max_grad(pv, obs.yv, w, obs.r) / pod_den  # CSI == POD
+        return _obs_window_max_grad(pair) / pod_den  # CSI == POD
     if a_pred == 0.0:
         return zeros
-    da_obs = _obs_window_max_grad(pv, obs.yv, w, obs.r)
+    da_obs = _obs_window_max_grad(pair)
     inv = pod_den / a_obs + sr_den / a_pred - 1.0
     csi = 1.0 / inv
     dinv = (-pod_den / a_obs ** 2 * da_obs

@@ -77,10 +77,10 @@ def test_filter_mean_ranks_and_winner():
     m = small_matrix([[0.3, 0.9, 0.9],
                       [0.1, 0.2, 0.5],
                       [0.2, 0.5, 0.7]], spec_ids=spec_ids)
-    fids, means = filter_mean_ranks(m)
+    fids, means = filter_mean_ranks(m, rank_models(m))
     assert fids == ("F0.1-inf", "nbhd_r2")
     np.testing.assert_allclose(means[:, 1], [3.0, 1.0, 2.0])  # nbhd_r2 mean
-    winners = {w.filter_id: w for w in best_per_filter(m)}
+    winners = {w.filter_id: w for w in best_per_filter(m, rank_models(m))}
     assert winners["nbhd_r2"].model == "b"
     assert winners["nbhd_r2"].mean_rank == 1.0
     assert winners["F0.1-inf"].model == "a"
@@ -91,7 +91,7 @@ def test_winner_tie_breaks_lexicographically():
     # smaller name must win.
     m = small_matrix([[0.5, 0.5, 0.5],
                       [0.5, 0.5, 0.5]], models=("zeta", "alpha"))
-    for w in best_per_filter(m):
+    for w in best_per_filter(m, rank_models(m)):
         assert w.model == "alpha"
         assert w.mean_rank == 1.5
 
@@ -102,10 +102,11 @@ def test_full_census_winner_shape():
     models = tuple(f"model_{i:02d}" for i in range(6))
     m = MetricMatrix(models, specs, rng.random((6, 336)))
     assert len(filter_ids(m)) == 40
-    winners = best_per_filter(m)
+    ranks = rank_models(m)
+    winners = best_per_filter(m, ranks)
     assert len(winners) == 40
     assert [w.filter_id for w in winners] == sorted(w.filter_id for w in winners)
-    overall = overall_mean_ranks(m)
+    overall = overall_mean_ranks(ranks)
     assert overall.shape == (6,)
     np.testing.assert_allclose(overall.sum(), 6 * 7 / 2)
 
@@ -123,14 +124,14 @@ def test_perfect_model_wins_everywhere():
     ranks = rank_models(m)
     np.testing.assert_array_equal(ranks[2], np.ones(336))
     assert all(w.model == "winner" and w.mean_rank == 1.0
-               for w in best_per_filter(m))
+               for w in best_per_filter(m, ranks))
 
 
 def test_single_model_all_ranks_one():
     m = small_matrix([[0.4, 0.6, 0.1]], models=("only",))
     ranks = rank_models(m)
     np.testing.assert_array_equal(ranks, np.ones((1, 3)))
-    assert all(w.model == "only" and w.mean_rank == 1.0 for w in best_per_filter(m))
+    assert all(w.model == "only" and w.mean_rank == 1.0 for w in best_per_filter(m, ranks))
 
 
 def test_matrix_validation():

@@ -259,7 +259,7 @@ def check_gradient(spec, p, target, d_score):
         assert not got.any(), (spec.spec_id, fallbacks)
     if d_score is not None:
         want = d_score if ORIENTATION[spec.score] < 0 else -d_score
-        scale = max(float(np.abs(want).max()), 1.0 / scored_weights(p, target.filtered).sum())
+        scale = max(float(np.abs(want).max()), 1.0 / scored_weights(p, target.observed).sum())
         assert np.abs(got - want).max() <= 1e-12 * scale, spec.spec_id
 
 

@@ -59,7 +59,7 @@ def test_pyramid_round_trip_and_shapes():
     rng = np.random.default_rng(12)
     values = rng.normal(size=(32, 32))
     pyr = haar_pyramid(values, 5, spacing_deg=0.0125)
-    assert pyr.n_levels == 5
+    assert len(pyr.levels) == 5
     assert pyr.levels[0].lh.shape == (16, 16)
     assert pyr.levels[4].ll.shape == (1, 1)
     back = pyramid_reconstruct(pyr)
