@@ -42,7 +42,7 @@ for name, mean in zip(matrix.models, overall_mean_ranks(ranks)):
 fids, means = filter_mean_ranks(matrix, ranks)
 print(f"\nper-filter winners ({len(fids)} filters):")
 wins = {}
-for w in best_per_filter(matrix, ranks):
+for w in best_per_filter(matrix, fids, means):
     wins.setdefault(w.model, []).append(w.filter_id)
 for name, fs in sorted(wins.items()):
     shown = ", ".join(fs[:4]) + (" ..." if len(fs) > 4 else "")

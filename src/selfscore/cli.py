@@ -150,10 +150,6 @@ def _fitting(path: str, field: GridField, fn, *args):
     raise MemoryError(message)  # outside the handler, so the failed frames are freed
 
 
-def _float_cell(x: float) -> str:
-    return repr(float(x))
-
-
 # ---------------------------------------------------------------------------
 # filter
 
@@ -265,8 +261,7 @@ def cmd_score(args) -> int:
         for spec in specs:
             results = [step[m][spec.spec_id] for step in tables]
             flags = sorted({f for r in results for f in r.fallbacks})
-            rows.append([name, spec.spec_id,
-                         _float_cell(float(np.mean([r.value for r in results]))),
+            rows.append([name, spec.spec_id, np.mean([r.value for r in results]),
                          ";".join(flags)])
     rows.sort(key=lambda r: (r[0], r[1]))
     write_csv(args.out, ["model", "spec_id", "value", "fallbacks"], rows)
@@ -363,7 +358,7 @@ def cmd_rank(args) -> int:
     matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)
     fids, means = filter_mean_ranks(matrix, ranks)
-    winners = best_per_filter(matrix, ranks)
+    winners = best_per_filter(matrix, fids, means)
     overall = overall_mean_ranks(ranks)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -372,11 +367,11 @@ def cmd_rank(args) -> int:
         return os.path.join(args.out_dir, name)
 
     write_csv(out("ranks.csv"), ["model"] + [s.spec_id for s in matrix.specs],
-              [[m] + [_float_cell(x) for x in row] for m, row in zip(matrix.models, ranks)])
+              [[m, *row] for m, row in zip(matrix.models, ranks)])
     write_csv(out("filter_summary.csv"), ["model"] + list(fids),
-              [[m] + [_float_cell(x) for x in row] for m, row in zip(matrix.models, means)])
+              [[m, *row] for m, row in zip(matrix.models, means)])
     write_csv(out("winners.csv"), ["filter_id", "model", "mean_rank"],
-              [[w.filter_id, w.model, _float_cell(w.mean_rank)] for w in winners])
+              [[w.filter_id, w.model, w.mean_rank] for w in winners])
 
     order = np.argsort(overall, kind="stable")
     top = ", ".join(f"{matrix.models[i]} ({overall[i]:.2f})" for i in order[:3])

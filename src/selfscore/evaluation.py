@@ -289,14 +289,23 @@ def paired_bootstrap_test(stat_a: Callable[[list], float],
 # ---------------------------------------------------------------------------
 # Report serialisation.
 
-def write_csv(path: str | os.PathLike, header: list[str], rows: list[list[str]]) -> None:
+def write_csv(path: str | os.PathLike, header: list[str], rows: list[list]) -> None:
     """Write a CSV atomically in UTF-8, quoting cells that hold a comma or a
-    quote.  Text that came from undecodable command-line bytes is written
-    back as those bytes (``surrogateescape``), as ``os.fsencode`` does."""
+    quote.  A float cell, numpy's included, is written as ``repr(float(x))``,
+    which reads back to the same bits; a NaN or ``None`` cell is written
+    empty, meaning "undefined here"; any other cell as ``str(x)``.  Text that
+    came from undecodable command-line bytes is written back as those bytes
+    (``surrogateescape``), as ``os.fsencode`` does."""
+
+    def text(x) -> str:
+        if isinstance(x, (float, np.floating)):
+            return "" if math.isnan(x) else repr(float(x))
+        return "" if x is None else str(x)
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerows([text(x) for x in row] for row in rows)
     atomic_write(path, buf.getvalue().encode("utf-8", "surrogateescape"))
 
 
@@ -355,27 +364,13 @@ def emit_report(attr: AttributesData, perf: PerformanceData, out_dir: str | os.P
     text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     atomic_write(json_path, text.encode("utf-8"))
 
-    def cell(x) -> str:
-        if x is None or (isinstance(x, float) and math.isnan(x)):
-            return ""
-        return repr(x) if isinstance(x, float) else str(x)
-
-    rows = []
-    att = data["attributes"]
-    for k in range(N_PROB_BINS):
-        lo = att["consistency_lo"][k] if att["consistency_lo"] else None
-        hi = att["consistency_hi"][k] if att["consistency_hi"] else None
-        rows.append(["bin", str(k), cell(att["bin_counts"][k]),
-                     cell(att["bin_mean_forecast"][k]), cell(att["bin_event_freq"][k]),
-                     cell(lo), cell(hi), "", "", "", "", ""])
-    prf = data["performance"]
-    for i, tau in enumerate(prf["thresholds"]):
-        rows.append(["threshold", cell(tau), "", "", "", "", "",
-                     cell(prf["pod"][i]), cell(prf["sr"][i]),
-                     cell(prf["csi"][i]), cell(prf["bias"][i]), ""])
-    for key in SUMMARY_KEYS:
-        rows.append(["summary", key, "", "", "", "", "", "", "", "", "",
-                     cell(data["summary"][key])])
+    lo, hi = ([None] * N_PROB_BINS if bounds is None else bounds
+              for bounds in (attr.consistency_lo, attr.consistency_hi))
+    rows = [["bin", k, attr.bin_counts[k], attr.bin_mean_forecast[k], attr.bin_event_freq[k],
+             lo[k], hi[k], *[None] * 5] for k in range(N_PROB_BINS)]
+    rows += [["threshold", tau, *[None] * 5, *curve, None]
+             for tau, *curve in zip(perf.thresholds, perf.pod, perf.sr, perf.csi, perf.bias)]
+    rows += [["summary", key, *[None] * 9, data["summary"][key]] for key in SUMMARY_KEYS]
     csv_path = os.path.join(out_dir, "report.csv")
     write_csv(csv_path, ["row_type", "label", "count", "mean_forecast", "event_freq",
                          "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"], rows)

@@ -114,14 +114,15 @@ class FilterWinner:
     mean_rank: float
 
 
-def best_per_filter(matrix: MetricMatrix, ranks: np.ndarray) -> list[FilterWinner]:
-    """Winning model for each distinct filter (lowest mean of ``ranks``).
+def best_per_filter(matrix: MetricMatrix, fids: tuple[str, ...],
+                    means: np.ndarray) -> list[FilterWinner]:
+    """Winning model for each filter (lowest mean rank), from the ``fids``
+    and ``means`` of one ``filter_mean_ranks`` call.
 
     Mean ranks are exact multiples of 1/(2 * configs-per-filter) scaled
     sums of halves, so exact float ties are meaningful; they are broken by
     lexicographically smallest model name.
     """
-    fids, means = filter_mean_ranks(matrix, ranks)
     winners = []
     for k, fid in enumerate(fids):
         best = means[:, k].min()

@@ -31,7 +31,7 @@ from selfscore.fourier import blackman_harris_weights, butterworth_gain
 from selfscore.grid import GridField, WavelengthBand
 from selfscore.losses import (NBHD_HALF_WIDTHS, enumerate_configs, grad_check,
                               parse_spec_id, prepare_targets)
-from selfscore.ranking import MetricMatrix, best_per_filter, rank_models
+from selfscore.ranking import MetricMatrix, best_per_filter, filter_mean_ranks, rank_models
 from selfscore.scores import SCORE_KINDS
 from selfscore.wavelet import haar_forward, haar_inverse, haar_pyramid
 from selfscore import fourier as fourier_mod
@@ -437,7 +437,7 @@ def test_09_ranking_identities(capsys):
     configs = enumerate_configs()
     big = MetricMatrix([f"m{i:03d}" for i in range(120)], configs,
                        rng.uniform(0.01, 0.99, size=(120, 336)))
-    winners = best_per_filter(big, rank_models(big))
+    winners = best_per_filter(big, *filter_mean_ranks(big, rank_models(big)))
     winners_ok = (len(winners) == 40 and
                   {w.filter_id for w in winners} == {c.filter_id for c in configs})
 

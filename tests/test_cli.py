@@ -287,6 +287,24 @@ def test_rank_outputs(scored_pipeline, tmp_path, capsys):
     assert len(summary) == 3
 
 
+def test_rank_takes_the_filter_means_once(tmp_path, monkeypatch):
+    from selfscore import ranking
+    calls, filter_mean_ranks = [], ranking.filter_mean_ranks
+
+    def counted(matrix, ranks):
+        calls.append(matrix)
+        return filter_mean_ranks(matrix, ranks)
+    monkeypatch.setattr(ranking, "filter_mean_ranks", counted)
+    scores = tmp_path / "scores.csv"
+    scores.write_text("model,spec_id,value\n"
+                      "a,brier_nbhd_r0,0.1\na,fss_nbhd_r0,0.7\na,iou_F0-inf,0.2\n"
+                      "b,brier_nbhd_r0,0.2\nb,fss_nbhd_r0,0.9\nb,iou_F0-inf,0.3\n")
+    assert run("rank", "--scores", scores, "--out-dir", tmp_path / "ranks") == 0
+    assert len(calls) == 1
+    winners = read_bytes(tmp_path / "ranks" / "winners.csv").decode().splitlines()
+    assert winners == ["filter_id,model,mean_rank", "F0-inf,b,1.0", "nbhd_r0,a,1.5"]
+
+
 def test_rank_single_model_all_ones(scored_pipeline, tmp_path):
     scores = tmp_path / "scores.csv"
     rank_dir = tmp_path / "ranks"

@@ -26,6 +26,7 @@ from selfscore.evaluation import (
     paired_bootstrap_test,
     performance_diagram,
     report_dict,
+    write_csv,
 )
 from selfscore.grid import GridField
 
@@ -376,6 +377,20 @@ def test_report_extra_sections_json_only(tmp_path):
     assert data["bootstrap"] == {"bss": [0.1, 0.05, 0.15]}
     lines = open(csv_path).read().splitlines()
     assert len(lines) == 1 + N_PROB_BINS + len(perf.thresholds) + len(SUMMARY_KEYS)
+
+
+def test_write_csv_writes_one_cell_rule(tmp_path):
+    # A float, numpy's included, reads back to the same bits; NaN and None
+    # are undefined, so blank; anything else is its str.
+    path = tmp_path / "cells.csv"
+    third = 1.0 / 3.0
+    write_csv(path, ["a", "b", "c", "d", "e", "f", "g"],
+              [[np.float64(third), third, np.float32(0.1), math.nan, np.float64("nan"),
+                None, 7], [np.int64(3), "x,y", "", True, 0.0, -0.0, 1e-300]])
+    assert path.read_bytes() == (
+        b"a,b,c,d,e,f,g\n"
+        + f"{third!r},{third!r},{float(np.float32(0.1))!r},,,,7\n".encode()
+        + b'3,"x,y",,True,0.0,-0.0,1e-300\n')
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 ``loss_value``, ``loss_detail`` and ``loss_gradient`` read every score of a
 filter, and its gradient, from one record per (prediction, target), kept on
-the target and keyed by the ``GridField`` object.  These tests pin that the
-kept record gives, bit for bit, what a fresh record per call gives (the
-reference below), for all 336 configs and in every order of calls: the
-census order, gradients before values, predictions alternating, and a copy
-of a field, which is a new object and so gets a new record.  Two threads
-sharing one target must get the serial results.  The target holds the
-field weakly, so the record goes with it, and a field copies its arrays,
-so no array the caller keeps can leave a kept record stale.
+the target in a ``WeakKeyDictionary`` keyed by the ``GridField`` object,
+which holds at most one entry.  These tests pin that the kept record gives,
+bit for bit, what a fresh record per call gives (the reference below), for
+all 336 configs and in every order of calls: the census order, gradients
+before values, predictions alternating, and a copy of a field, which is a
+new object and so gets a new record.  Two threads sharing one target must
+get the serial results and leave one record.  The target holds the field
+weakly, so the record goes with it, and a field copies its arrays, so no
+array the caller keeps can leave a kept record stale.
 """
 
 import gc
@@ -105,17 +106,19 @@ def test_kept_records_score_as_fresh_ones(case):
         check(spec, p, targets, reference, gradient_first=True)
 
     targets = prepare_targets(CONFIGS, y)
-    for field in (p, q, p):
+    for field in (p, q, p):  # p and q both alive: a target keeps the last one alone
         for spec in CONFIGS:
             check(spec, field, targets, reference)
+            assert len(targets[spec.filter_id].records) == 1, spec.spec_id
 
     copy = p.with_values(p.values.copy())
     for spec in CONFIGS:
         target = targets[spec.filter_id]
-        last, record = target.last[0](), target.last[1]
+        ((last, record),) = target.records.items()
         assert last is p or last is copy
         assert loss_value(spec, copy, target) == reference(spec, p)[0]
-        assert target.last[0]() is copy and (last is copy or target.last[1] is not record)
+        ((kept_field, kept_record),) = target.records.items()
+        assert kept_field is copy and (last is copy or kept_record is not record)
         assert loss_gradient(spec, copy, target).tobytes() == reference(spec, p)[2]
         assert loss_detail(spec, copy, target).fallbacks == reference(spec, p)[1]
 
@@ -149,6 +152,7 @@ def test_threads_sharing_a_target_get_the_serial_results(filter_id):
     assert not any(t.is_alive() for t in threads)
     assert len(done) == len(threads)
     assert mismatches == []
+    assert len(target.records) == 1
 
 
 def test_a_kept_record_goes_with_its_field():
@@ -157,10 +161,10 @@ def test_a_kept_record_goes_with_its_field():
     field = p.with_values(p.values.copy())
     for spec in CONFIGS:
         loss_gradient(spec, field, targets[spec.filter_id])
-    assert all(t.last is not None for t in targets.values())
+    assert all(len(t.records) == 1 for t in targets.values())
     del field
     gc.collect()
-    assert all(t.last is None for t in targets.values())
+    assert all(len(t.records) == 0 for t in targets.values())
     for spec in CONFIGS[:12]:  # a target with no record scores as a fresh one
         assert kept(spec, p, targets) == fresh(spec, p, targets[spec.filter_id])
 

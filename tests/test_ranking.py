@@ -80,7 +80,7 @@ def test_filter_mean_ranks_and_winner():
     fids, means = filter_mean_ranks(m, rank_models(m))
     assert fids == ("F0.1-inf", "nbhd_r2")
     np.testing.assert_allclose(means[:, 1], [3.0, 1.0, 2.0])  # nbhd_r2 mean
-    winners = {w.filter_id: w for w in best_per_filter(m, rank_models(m))}
+    winners = {w.filter_id: w for w in best_per_filter(m, fids, means)}
     assert winners["nbhd_r2"].model == "b"
     assert winners["nbhd_r2"].mean_rank == 1.0
     assert winners["F0.1-inf"].model == "a"
@@ -91,7 +91,7 @@ def test_winner_tie_breaks_lexicographically():
     # smaller name must win.
     m = small_matrix([[0.5, 0.5, 0.5],
                       [0.5, 0.5, 0.5]], models=("zeta", "alpha"))
-    for w in best_per_filter(m, rank_models(m)):
+    for w in best_per_filter(m, *filter_mean_ranks(m, rank_models(m))):
         assert w.model == "alpha"
         assert w.mean_rank == 1.5
 
@@ -103,7 +103,7 @@ def test_full_census_winner_shape():
     m = MetricMatrix(models, specs, rng.random((6, 336)))
     assert len(filter_ids(m)) == 40
     ranks = rank_models(m)
-    winners = best_per_filter(m, ranks)
+    winners = best_per_filter(m, *filter_mean_ranks(m, ranks))
     assert len(winners) == 40
     assert [w.filter_id for w in winners] == sorted(w.filter_id for w in winners)
     overall = overall_mean_ranks(ranks)
@@ -124,14 +124,15 @@ def test_perfect_model_wins_everywhere():
     ranks = rank_models(m)
     np.testing.assert_array_equal(ranks[2], np.ones(336))
     assert all(w.model == "winner" and w.mean_rank == 1.0
-               for w in best_per_filter(m, ranks))
+               for w in best_per_filter(m, *filter_mean_ranks(m, ranks)))
 
 
 def test_single_model_all_ranks_one():
     m = small_matrix([[0.4, 0.6, 0.1]], models=("only",))
     ranks = rank_models(m)
     np.testing.assert_array_equal(ranks, np.ones((1, 3)))
-    assert all(w.model == "only" and w.mean_rank == 1.0 for w in best_per_filter(m, ranks))
+    assert all(w.model == "only" and w.mean_rank == 1.0
+               for w in best_per_filter(m, *filter_mean_ranks(m, ranks)))
 
 
 def test_matrix_validation():
