@@ -14,9 +14,10 @@ gradcheck  finite-difference verification of every config's analytic
            gradient on random fields
 synth      deterministic synthetic event masks and forecast fields
 
-All randomness is seeded (``--seed``); outputs are written atomically and
-carry no timestamps, so a repeated invocation is byte-identical.  Exit
-codes: 0 success, 1 validation/usage error, 2 a ``gradcheck`` failure.
+All randomness is seeded (``--seed``).  Outputs are written atomically, never
+over an input or over each other, and carry no timestamps, so a repeated
+invocation is byte-identical.  Exit codes: 0 success, 1 validation/usage
+error, 2 a ``gradcheck`` failure.
 """
 
 from __future__ import annotations
@@ -90,27 +91,24 @@ def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
     return field
 
 
-def _read_scored(path: str, obs_path: str, obs: GridField) -> GridField:
-    """Read the prediction at ``path``; refuse it, naming both files, unless
-    it and ``obs`` (from ``obs_path``) meet ``scores.scored_weights``."""
+def _read_sides(obs_paths: list[str], sides: dict[str, str], outputs: list, dirs=()):
+    """The observations at ``obs_paths`` and, per ``{option: text}`` side, the predictions
+    paired with them: every file read, every pair checked (``scored_weights``, naming both
+    files), and ``outputs`` planned (``_plan_writes``) before any is scored."""
     from .scores import scored_weights
-    pred = _read_kind(path, PRED_KINDS, "prediction")
-    try:
-        scored_weights(pred, obs)
-    except ValueError as exc:
-        raise ValueError(f"{path} and {obs_path}: {exc}") from None
-    return pred
-
-
-def _read_sides(obs_paths: list[str], sides: dict[str, str]):
-    """The observations at ``obs_paths`` and, per ``{option: text}`` side, the
-    predictions paired with them: every file read and checked before any is scored."""
     obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
-    preds = {}
+    inputs, preds = list(obs_paths), {}
     for option, text in sides.items():
         paths = _expand_paths(text, option)
         _check_pairing(paths, obs_paths, option)
-        preds[option] = [_read_scored(p, o, y) for p, o, y in zip(paths, obs_paths, obs)]
+        preds[option] = [_read_kind(p, PRED_KINDS, "prediction") for p in paths]
+        for path, obs_path, pred, y in zip(paths, obs_paths, preds[option], obs):
+            try:
+                scored_weights(pred, y)
+            except ValueError as exc:
+                raise ValueError(f"{path} and {obs_path}: {exc}") from None
+        inputs += paths
+    _plan_writes(inputs, outputs, dirs)
     return obs, preds
 
 
@@ -150,6 +148,31 @@ def _fitting(path: str, field: GridField, fn, *args):
     raise MemoryError(message)  # outside the handler, so the failed frames are freed
 
 
+def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> None:
+    """Before any write, refuse an output that is an input, a directory to be made, another
+    output (all as resolved paths) or a directory, or whose directory neither exists nor is
+    in ``dirs``; then make ``dirs``.  ``outputs`` holds ``(path, what writes it)`` pairs."""
+    made = {os.path.realpath(d): f"the directory {d}" for d in dirs}
+    held = {**made, **{os.path.realpath(p): f"the input {p}" for p in inputs}}
+    writers: dict[str, str] = {}
+    for path, what in outputs:
+        real = os.path.realpath(path)
+        if real in writers:
+            clash = f"would be written by both {writers[real]} and {what}"
+        elif real in held:
+            clash = f"would be written over {held[real]}"
+        elif os.path.isdir(real):
+            clash = "is a directory"
+        elif not (os.path.isdir(os.path.dirname(real)) or os.path.dirname(real) in made):
+            clash = f"is in {os.path.dirname(path)}, a directory that does not exist"
+        else:
+            writers[real] = what
+            continue
+        raise ValueError(f"output {path} {clash}; nothing was written")
+    for d in dirs:
+        os.makedirs(d, exist_ok=True)
+
+
 # ---------------------------------------------------------------------------
 # filter
 
@@ -167,17 +190,6 @@ def cmd_filter(args) -> int:
     else:
         inputs = [p for text in args.paths for p in _expand_paths(text, "paths")]
         pairs = [(p, os.path.join(args.out_dir, os.path.basename(p))) for p in inputs]
-        sources: dict[str, str] = {}
-        for src, dst in pairs:
-            if dst in sources:
-                raise ValueError(f"{dst}: inputs {sources[dst]} and {src} would both "
-                                 f"be written here; nothing was written")
-            sources[dst] = src
-    outputs = {os.path.realpath(p): p for _, dst in pairs for p in (dst, dst + ".json")}
-    for src, _ in pairs:
-        if (dst := outputs.get(os.path.realpath(src))) is not None:
-            raise ValueError(f"output {dst} would be written over the input {src}; "
-                             f"nothing was written")
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
@@ -188,19 +200,15 @@ def cmd_filter(args) -> int:
     if args.dump_stages is not None:
         stages = {os.path.join(args.dump_stages, f"{name}.grid"): stage
                   for name, stage in filter_stages(fields[0], fspec).items()}
-        for path in stages:
-            for role, other in zip(("input", "output"), pairs[0]):
-                if os.path.realpath(path) == os.path.realpath(other):
-                    raise ValueError(f"--dump-stages would write stage {path} over the "
-                                     f"{role} {other}; nothing was written")
-        os.makedirs(args.dump_stages, exist_ok=True)
-    if args.out_dir is not None:
-        os.makedirs(args.out_dir, exist_ok=True)
+    outputs = [(path, f"the {what} of {src}") for src, dst in pairs
+               for path, what in ((dst, "filter"), (dst + ".json", "sidecar"))]
+    _plan_writes(inputs, outputs + [(path, "--dump-stages") for path in stages],
+                 [d for d in (args.dump_stages, args.out_dir) if d is not None])
+    for path, stage in stages.items():
+        write_grid(path, GridField(stage, fields[0].spacing_deg, "real"))
 
     def run_one(job: tuple[tuple[str, str], GridField]) -> None:
         (src, dst), field = job
-        for path, stage in stages.items():
-            write_grid(path, GridField(stage, field.spacing_deg, "real"))
         out = _fitting(src, field, apply_filter, field, fspec)
         write_grid(dst, out)
         sidecar = {
@@ -248,7 +256,7 @@ def cmd_score(args) -> int:
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs, "--obs")
     obs, sides = _read_sides(obs_paths, {f"--pred of model {name!r}": text
-                                        for name, text in models})
+                                        for name, text in models}, [(args.out, "--out")])
 
     def step_tables(i: int) -> list[dict]:
         return _fitting(obs_paths[i], obs[i], metric_tables, specs,
@@ -278,8 +286,10 @@ def cmd_eval(args) -> int:
                              consistency_bars, emit_report, paired_bootstrap_test,
                              performance_diagram, pooled_bs, pooled_bss)
     texts = {"--pred": args.pred, "--compare": args.compare}
+    report = [os.path.join(args.out_dir, f"report.{ext}") for ext in ("json", "csv")]
     obs, sides = _read_sides(_expand_paths(args.obs, "--obs"),
-                             {k: v for k, v in texts.items() if v is not None})
+                             {k: v for k, v in texts.items() if v is not None},
+                             [(path, "--out-dir") for path in report], (args.out_dir,))
     preds, cmp_preds = sides["--pred"], sides.get("--compare")
 
     attr = attributes_diagram(preds, obs)
@@ -361,16 +371,14 @@ def cmd_rank(args) -> int:
     winners = best_per_filter(matrix, fids, means)
     overall = overall_mean_ranks(ranks)
 
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    def out(name: str) -> str:
-        return os.path.join(args.out_dir, name)
-
-    write_csv(out("ranks.csv"), ["model"] + [s.spec_id for s in matrix.specs],
+    paths = [os.path.join(args.out_dir, name)
+             for name in ("ranks.csv", "filter_summary.csv", "winners.csv")]
+    _plan_writes([args.scores], [(path, "--out-dir") for path in paths], (args.out_dir,))
+    write_csv(paths[0], ["model"] + [s.spec_id for s in matrix.specs],
               [[m, *row] for m, row in zip(matrix.models, ranks)])
-    write_csv(out("filter_summary.csv"), ["model"] + list(fids),
+    write_csv(paths[1], ["model"] + list(fids),
               [[m, *row] for m, row in zip(matrix.models, means)])
-    write_csv(out("winners.csv"), ["filter_id", "model", "mean_rank"],
+    write_csv(paths[2], ["filter_id", "model", "mean_rank"],
               [[w.filter_id, w.model, w.mean_rank] for w in winners])
 
     order = np.argsort(overall, kind="stable")
@@ -440,17 +448,17 @@ def cmd_synth(args) -> int:
     if args.count > 1 and (args.out_dir is None or (args.out_mask, args.out_prob) != (None, None)):
         raise ValueError("--count > 1 takes --out-dir, not --out-mask or --out-prob")
 
-    for i in range(args.count):
+    steps = [(args.out_mask, args.out_prob)] if args.count == 1 else [
+        tuple(os.path.join(args.out_dir, f"{kind}_{i:03d}.grid") for kind in ("mask", "prob"))
+        for i in range(args.count)]
+    _plan_writes([], [(path, option) for step in steps
+                      for path, option in zip(step, ("--out-mask", "--out-prob")) if path],
+                 [args.out_dir] if args.count > 1 else [])
+    for i, (mask_path, prob_path) in enumerate(steps):
         spec = SynthSpec(rows=args.rows, cols=args.cols, spacing_deg=args.spacing,
                          n_cells=args.n_cells, radius_range=radius,
                          elongation_range=elong, seed=args.seed + i)
         mask = synth_mask(spec)
-        if args.count == 1:
-            mask_path, prob_path = args.out_mask, args.out_prob
-        else:
-            os.makedirs(args.out_dir, exist_ok=True)
-            mask_path = os.path.join(args.out_dir, f"mask_{i:03d}.grid")
-            prob_path = os.path.join(args.out_dir, f"prob_{i:03d}.grid")
         write_grid(mask_path, mask)
         fraction = float(mask.values.mean())
         print(f"{mask_path}: event_fraction={fraction:.6f}")
@@ -471,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser(
-        "filter", parents=[], help="apply one spatial filter to GRID1 fields",
+        "filter", help="apply one spatial filter to GRID1 fields",
         description="Apply a neighbourhood or spectral filter to GRID1 fields. "
                     "Writes the filtered field plus a .json sidecar with the "
                     "post-filter pixel sum.")

@@ -2,11 +2,12 @@
 
 Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
 ``rank`` one broken input, one option an empty list, or any command one
-out-of-range, non-finite or ignored option, or points ``filter
---dump-stages`` at its own input or output, and checks the exit code, that stderr is an
-``error:`` line (after argparse's usage line, for options) naming the
-offending path(s), row or option, that no traceback escapes, and that the
-output directory stays empty.
+out-of-range, non-finite or ignored option, or points an output at an input,
+at another output, at a directory or into a missing one, and checks the exit
+code, that stderr is an ``error:`` line (after argparse's usage line, for
+options) naming the offending path(s), row or option, that no traceback
+escapes, that the output directory stays empty and that every input keeps
+its bytes.
 """
 
 import os
@@ -111,6 +112,16 @@ OTHERS = {
                                       ["{d}/stages/window.grid", "input"]),
     "filter-dump-stages-over-output": ("filter --spec F0-0.1 {d}/prob_000.grid {out}/full.grid "
                                        "--dump-stages {out}", ["{out}/full.grid", "output"]),
+    "filter-dump-stages-is-output": ("filter --spec W0-0.1 {d}/prob_000.grid {out}/o.grid "
+                                     "--dump-stages {out}/o.grid",
+                                     ["output {out}/o.grid", "the directory {out}/o.grid"]),
+    "synth-same-outputs": ("synth --rows 8 --cols 8 --out-mask {out}/a.grid "
+                           "--out-prob {out}/a.grid",
+                           ["{out}/a.grid", "both --out-mask and --out-prob"]),
+    "score-out-missing-dir": (COMMANDS["score"].replace("{out}/s.csv", "{out}/missing/s.csv"),
+                              ["output {out}/missing/s.csv", "does not exist"]),
+    "score-out-is-dir": (COMMANDS["score"].replace("{out}/s.csv", "{out}"),
+                         ["output {out} is a directory"]),
     "gradcheck-step": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --step 0", ["--step"]),
     "gradcheck-tol": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --tol -1", ["--tol"]),
     "gradcheck-step-inf": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --step inf",
@@ -185,6 +196,7 @@ def test_every_refusal_exits_1_and_names_its_path(steps, tmp_path, capsys, case)
     out.mkdir()
     template, named = CASES[case]
     argv = template.format(d=steps, out=out).split()
+    inputs = {p: p.read_bytes() for p in steps.rglob("*") if p.is_file()}
     capsys.readouterr()
     try:
         code = main(argv)
@@ -197,6 +209,7 @@ def test_every_refusal_exits_1_and_names_its_path(steps, tmp_path, capsys, case)
     for name in named:
         assert name.format(d=steps, out=out) in err, err
     assert os.listdir(out) == []
+    assert {p: p.read_bytes() for p in steps.rglob("*") if p.is_file()} == inputs
 
 
 @pytest.mark.parametrize("spec,outputs", [("F0-0.1", "{d}/same.grid"),
@@ -217,6 +230,38 @@ def test_filter_refuses_to_write_over_its_input(tmp_path, capsys, spec, outputs)
     assert err.startswith("error: output ") and "nothing was written" in err, err
     assert err.count(str(d)) == 2, err  # the output and the input it would overwrite
     assert {p: p.read_bytes() for p in d.iterdir()} == before
+
+
+SCORE = "score --pred m={t}/prob.grid --obs {t}/mask.grid --specs brier_nbhd_r1 --out "
+# A command whose output is one of its inputs: (argv, the output, the input).
+OVERWRITES = {
+    "score-over-obs": (SCORE + "{t}/mask.grid", "{t}/mask.grid", "{t}/mask.grid"),
+    "score-over-pred": (SCORE + "{t}/./prob.grid", "{t}/./prob.grid", "{t}/prob.grid"),
+    "rank-over-scores": ("rank --scores {t}/out/ranks.csv --out-dir {t}/out",
+                         "{t}/out/ranks.csv", "{t}/out/ranks.csv"),
+    "eval-over-pred": ("eval --pred {t}/out/report.csv --obs {t}/mask.grid --n-boot 20 "
+                       "--n-boot-bars 10 --out-dir {t}/out", "{t}/out/report.csv",
+                       "{t}/out/report.csv"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERWRITES))
+def test_no_command_writes_over_its_input(tmp_path, capsys, case):
+    (tmp_path / "out").mkdir()
+    m = synth_mask(SynthSpec(rows=16, cols=16, spacing_deg=0.05, n_cells=2, seed=60))
+    write_grid(tmp_path / "mask.grid", m)
+    write_grid(tmp_path / "prob.grid", synth_prob(m, blur_r=1))
+    write_grid(tmp_path / "out" / "report.csv", synth_prob(m, blur_r=2))
+    (tmp_path / "out" / "ranks.csv").write_bytes(
+        b"model,spec_id,value\na,brier_nbhd_r1,0.1\nb,brier_nbhd_r1,0.2\n")
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv, output, source = (text.format(t=tmp_path) for text in OVERWRITES[case])
+    capsys.readouterr()
+    assert main(argv.split()) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: output {output} would be written over the input {source}; "
+                   f"nothing was written\n"), err
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
 
 
 OUT_OF_MEMORY_CHILD = """
