@@ -149,9 +149,13 @@ def _fitting(path: str, field: GridField, fn, *args):
 
 
 def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> None:
-    """Before any write, refuse an output that is an input, a directory to be made, another
-    output (all as resolved paths) or a directory, or whose directory neither exists nor is
-    in ``dirs``; then make ``dirs``.  ``outputs`` holds ``(path, what writes it)`` pairs."""
+    """Before any write, refuse a non-directory in ``dirs``, and an output that is an input,
+    a directory to be made, another output (all as resolved paths) or a directory, or whose
+    directory neither exists nor is in ``dirs``; then make ``dirs``.  ``outputs`` holds
+    ``(path, what writes it)`` pairs."""
+    for d in dirs:
+        if os.path.exists(d) and not os.path.isdir(d):
+            raise ValueError(f"directory {d} exists and is not a directory; nothing was written")
     made = {os.path.realpath(d): f"the directory {d}" for d in dirs}
     held = {**made, **{os.path.realpath(p): f"the input {p}" for p in inputs}}
     writers: dict[str, str] = {}

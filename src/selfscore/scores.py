@@ -259,8 +259,8 @@ class NbhdObs:
         return _kept(self, "_mean", lambda: mean_filter_array(self.yv, self.r))
 
 
-#: Events per block of the window gather: 512 windows, 2.5 MB at r = 12.
-_WINDOW_BLOCK = 512
+#: Window values per block of the window gather: 2**17 float64 (1 MiB) at any r.
+_WINDOW_VALUES = 2 ** 17
 
 
 def _near_window_max(pair: NbhdPair, margin: float):
@@ -274,8 +274,9 @@ def _near_window_max(pair: NbhdPair, margin: float):
     (pmax, events), r = pair._obs_pass(), pair.obs.r
     view = sliding_window_view(np.pad(pair.pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
     rows, cols = np.nonzero(events)
-    for s in range(0, rows.size, _WINDOW_BLOCK):
-        i, j = rows[s:s + _WINDOW_BLOCK], cols[s:s + _WINDOW_BLOCK]
+    block = max(1, _WINDOW_VALUES // (2 * r + 1) ** 2)
+    for s in range(0, rows.size, block):
+        i, j = rows[s:s + block], cols[s:s + block]
         windows = view[i, j]  # a copy, overwritten with the distance to the max
         near = np.subtract(pmax[i, j][:, None, None], windows, out=windows) <= margin
         k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)

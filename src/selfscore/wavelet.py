@@ -36,10 +36,17 @@ the padded-domain scale; edges outside that range follow the procedural
 rules above (a top edge below 2d still passes the level-1 details).
 
 Steps 1-2 depend on the field only, so a field is decomposed once
-(:func:`wavelet_decompose`) and steps 3-4 run per band from that shared
-pyramid (:func:`wavelet_band_passes`), which they never modify.
-:func:`wavelet_band_pass` is its one-field case; :func:`wavelet_stages`
-gives the padded input and the uncropped output, for inspection.
+(:func:`wavelet_decompose`) into what step 3 reads: each level's detail
+subbands and the deepest LL, as many values as the padded grid.  Steps 3-4
+run per band from that shared decomposition (:func:`wavelet_band_passes`),
+which they never modify.  :func:`wavelet_band_pass` is its one-field case;
+:func:`wavelet_stages` gives the padded input and the uncropped output, for
+inspection.
+
+Memory: a one-field band-pass grows by about 26 bytes per padded pixel
+(own ``VmHWM``, fields of 200 x 200 to 600 x 600, numpy 2.4).  The padded
+grid is freed once level 1 is built; the decomposition keeps 8 bytes per
+padded pixel, and the inverse walk's padded output 8 more.
 """
 
 from __future__ import annotations
@@ -53,16 +60,11 @@ import numpy as np
 from .grid import GridField, WavelengthBand, _centred, next_pow2_dims
 
 
-def _check_even(values: np.ndarray) -> np.ndarray:
+def haar_forward(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One orthonormal Haar analysis step: array -> (LL, LH, HL, HH)."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] % 2 or values.shape[1] % 2:
         raise ValueError(f"Haar step needs even 2-D dims, got {values.shape}")
-    return values
-
-
-def haar_forward(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One orthonormal Haar analysis step: array -> (LL, LH, HL, HH)."""
-    values = _check_even(values)
     a = values[0::2, 0::2]
     b = values[0::2, 1::2]
     c = values[1::2, 0::2]
@@ -89,82 +91,46 @@ def haar_inverse(ll: np.ndarray, lh: np.ndarray, hl: np.ndarray,
     return out
 
 
-@dataclass
-class WaveletLevel:
-    """Subbands at one pyramid level (each of shape rows/2^k x cols/2^k)."""
-
-    ll: np.ndarray
-    lh: np.ndarray
-    hl: np.ndarray
-    hh: np.ndarray
-
-
-@dataclass
-class WaveletPyramid:
-    """Full Haar pyramid; ``levels[k-1]`` holds level k, level 1 shallowest."""
-
-    levels: list[WaveletLevel]
-    spacing_deg: float
-
-
-def level_wavelengths(level: int, spacing_deg: float) -> tuple[float, float]:
-    """(smaller, larger) wavelength in degrees represented at a pyramid level."""
-    if level < 1:
-        raise ValueError("levels are 1-based")
-    return spacing_deg * 2.0 ** level, spacing_deg * 2.0 ** (level + 1)
-
-
-def haar_pyramid(values: np.ndarray, n_levels: int, spacing_deg: float) -> WaveletPyramid:
-    """Decompose an array whose dims are divisible by 2**n_levels."""
-    values = np.asarray(values, dtype=np.float64)
-    if n_levels < 1:
-        raise ValueError("n_levels must be >= 1")
-    for n in values.shape:
-        if n % (1 << n_levels):
-            raise ValueError(f"dims {values.shape} not divisible by 2^{n_levels}")
-    levels = []
-    current = values
-    for _ in range(n_levels):
-        ll, lh, hl, hh = haar_forward(current)
-        levels.append(WaveletLevel(ll, lh, hl, hh))
-        current = ll
-    return WaveletPyramid(levels, spacing_deg)
-
-
-@dataclass(frozen=True)
-class WaveletDecomposition:
-    """Steps 1-2 of the band-pass for one field: its power-of-two padding
-    and the full Haar pyramid of it, shared by every band."""
-
-    field: GridField
-    padded: np.ndarray
-    pyramid: WaveletPyramid
-
-
-def wavelet_decompose(field: GridField) -> WaveletDecomposition:
-    """Pad a field to power-of-two dims and decompose it fully, once."""
+def _padded(field: GridField) -> np.ndarray:
+    """Step 1: the field's values centred in a zero grid of power-of-two dims."""
     target = next_pow2_dims(field.shape)
     if min(target) < 2:
         raise ValueError("grid too small for a 2-D wavelet decomposition")
     padded = np.zeros(target)
     padded[_centred(field.shape, target)] = field.values
-    n_levels = int(math.log2(min(target)))
-    return WaveletDecomposition(field, padded,
-                                haar_pyramid(padded, n_levels, field.spacing_deg))
+    return padded
+
+
+@dataclass(frozen=True)
+class WaveletDecomposition:
+    """Steps 1-2 for one field, shared by every band: each level's detail
+    subbands ``(lh, hl, hh)``, level 1 (the finest) first, and the deepest LL."""
+
+    field: GridField
+    details: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    coarsest: np.ndarray
+
+
+def wavelet_decompose(field: GridField) -> WaveletDecomposition:
+    """Pad a field to power-of-two dims and decompose it fully, once."""
+    ll, details = _padded(field), []
+    for _ in range(int(math.log2(min(ll.shape)))):
+        ll, *detail = haar_forward(ll)
+        details.append(tuple(detail))
+    return WaveletDecomposition(field, details, ll)
 
 
 def _band_full(decomposition: WaveletDecomposition, band: WavelengthBand) -> np.ndarray:
     """Step 3 for one band: the padded grid from one inverse walk of the
-    shared pyramid, which it only reads."""
-    levels, spacing = decomposition.pyramid.levels, decomposition.pyramid.spacing_deg
-    start = next((k for k in range(1, len(levels) + 1)
-                  if level_wavelengths(k, spacing)[1] > band.hi_deg), None)
-    ll = levels[-1].ll if start is None else np.zeros_like(levels[start - 1].ll)
-    for k in range(start or len(levels), 0, -1):
-        level = levels[k - 1]
-        keep = level_wavelengths(k, spacing)[0] > band.lo_deg
-        ll = haar_inverse(ll, *((level.lh, level.hl, level.hh) if keep
-                                else (np.zeros_like(level.lh),) * 3))
+    shared decomposition, which it only reads."""
+    details, spacing = decomposition.details, decomposition.field.spacing_deg
+    start = next((k for k in range(1, len(details) + 1)
+                  if spacing * 2.0 ** (k + 1) > band.hi_deg), None)
+    ll = decomposition.coarsest if start is None else np.zeros_like(details[start - 1][0])
+    for k in range(start or len(details), 0, -1):
+        keep = spacing * 2.0 ** k > band.lo_deg
+        ll = haar_inverse(ll, *(details[k - 1] if keep
+                                else (np.zeros_like(details[k - 1][0]),) * 3))
     return ll
 
 
@@ -179,7 +145,7 @@ def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],
                         band: WavelengthBand) -> list[GridField]:
     """Band-pass every decomposed field under one band, in input order.
 
-    Each output is one inverse walk of the shared pyramid, cropped; the
+    Each output is one inverse walk of the shared decomposition, cropped; the
     all-pass band reproduces the input exactly.
     """
     return [_crop(d, _band_full(d, band)) for d in decompositions]
@@ -195,5 +161,4 @@ def wavelet_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarr
     """The pipeline's stages for inspection, on the power-of-two grid: padded
     (the input) and full (the uncropped output, whose crop is
     :func:`wavelet_band_pass`'s)."""
-    decomposition = wavelet_decompose(field)
-    return {"padded": decomposition.padded, "full": _band_full(decomposition, band)}
+    return {"padded": _padded(field), "full": _band_full(wavelet_decompose(field), band)}

@@ -1,7 +1,7 @@
 """Full-grid references for the spectral layers, built from public pieces
 and the documented formulas: the centred zero-pad and its crop, the full
-|nu| plane and Butterworth gain of a padded grid, and the Haar pyramid's
-inverse."""
+|nu| plane and Butterworth gain of a padded grid, and the inverse of a
+Haar decomposition."""
 
 import math
 
@@ -49,7 +49,10 @@ def full_gain(shape, spacing_deg, band):
     return gain
 
 
-def pyramid_reconstruct(pyramid):
-    """Invert a full Haar pyramid from its shallowest level."""
-    level1 = pyramid.levels[0]
-    return haar_inverse(level1.ll, level1.lh, level1.hl, level1.hh)
+def haar_reconstruct(details, coarsest):
+    """Invert a Haar decomposition: walk up from the coarsest LL through each
+    level's ``(lh, hl, hh)``, given level 1 first."""
+    ll = coarsest
+    for lh, hl, hh in reversed(details):
+        ll = haar_inverse(ll, lh, hl, hh)
+    return ll

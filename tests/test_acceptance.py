@@ -33,7 +33,7 @@ from selfscore.losses import (NBHD_HALF_WIDTHS, enumerate_configs, grad_check,
                               parse_spec_id, prepare_targets)
 from selfscore.ranking import MetricMatrix, best_per_filter, filter_mean_ranks, rank_models
 from selfscore.scores import SCORE_KINDS
-from selfscore.wavelet import haar_forward, haar_inverse, haar_pyramid
+from selfscore.wavelet import haar_forward, haar_inverse, wavelet_decompose
 from selfscore import fourier as fourier_mod
 from selfscore import wavelet as wavelet_mod
 
@@ -134,17 +134,18 @@ def test_03_transform_exactness(capsys):
         dft_worst = max(dft_worst, float(np.abs(back - v).max()))
 
         step = haar_inverse(*haar_forward(v))
-        pyr = haar_pyramid(v, 6, SPACING)
-        ll = pyr.levels[-1].ll
-        for lev in reversed(pyr.levels):
-            ll = haar_inverse(ll, lev.lh, lev.hl, lev.hh)
+        decomposition = wavelet_decompose(GridField(v, SPACING, "real"))
+        assert len(decomposition.details) == 6
+        ll = decomposition.coarsest
+        for lh, hl, hh in reversed(decomposition.details):
+            ll = haar_inverse(ll, lh, hl, hh)
         haar_worst = max(haar_worst,
                          float(np.abs(step - v).max()),
                          float(np.abs(ll - v).max()))
 
         coeff_energy = float(sum(
-            (lev.lh ** 2).sum() + (lev.hl ** 2).sum() + (lev.hh ** 2).sum()
-            for lev in pyr.levels) + (pyr.levels[-1].ll ** 2).sum())
+            (lh ** 2).sum() + (hl ** 2).sum() + (hh ** 2).sum()
+            for lh, hl, hh in decomposition.details) + (decomposition.coarsest ** 2).sum())
         field_energy = float((v ** 2).sum())
         energy_worst = max(energy_worst,
                            abs(coeff_energy - field_energy) / field_energy)

@@ -20,7 +20,8 @@ from numpy.testing import assert_array_equal
 
 from selfscore.grid import GridField
 from selfscore.losses import NBHD_HALF_WIDTHS, LossSpec, _excluded_pixels
-from selfscore.scores import NbhdObs, NbhdPair, _obs_window_max_grad, scored_weights
+from selfscore.scores import (_WINDOW_VALUES, NbhdObs, NbhdPair, _obs_window_max_grad,
+                              scored_weights)
 
 STEP = 1e-5
 
@@ -169,12 +170,13 @@ def test_gather_matches_the_per_event_loops(case):
 
 
 def test_gather_matches_the_loops_across_blocks():
-    # More events than one block of the gather holds.
     rng = np.random.default_rng(7)
-    pv = np.round(rng.uniform(size=(60, 70)) * 4) / 4
+    pv = np.round(rng.uniform(size=(200, 240)) * 4) / 4
     yv = (rng.uniform(size=pv.shape) < 0.4).astype(float)
     w = rng.uniform(size=pv.shape) < 0.9
     for r in (1, 4):
+        # More events than one block of the gather holds.
+        assert np.count_nonzero(w & (yv == 1.0)) > _WINDOW_VALUES // (2 * r + 1) ** 2
         assert (window_max_grad(pv, yv, w, r).tobytes()
                 == window_max_grad_loop(pv, yv, w, r).tobytes())
         assert_array_equal(excluded(pv, yv, w, r), excluded_loop(pv, yv, w, r, 2.0 * STEP))

@@ -3,11 +3,11 @@
 Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
 ``rank`` one broken input, one option an empty list, or any command one
 out-of-range, non-finite or ignored option, or points an output at an input,
-at another output, at a directory or into a missing one, and checks the exit
-code, that stderr is an ``error:`` line (after argparse's usage line, for
-options) naming the offending path(s), row or option, that no traceback
-escapes, that the output directory stays empty and that every input keeps
-its bytes.
+at another output, at a directory or into a missing one, or an output
+directory at a file, and checks the exit code, that stderr is an ``error:``
+line (after argparse's usage line, for options) naming the offending
+path(s), row or option, that no traceback escapes, that the output directory
+stays empty and that every input keeps its bytes.
 """
 
 import os
@@ -115,6 +115,9 @@ OTHERS = {
     "filter-dump-stages-is-output": ("filter --spec W0-0.1 {d}/prob_000.grid {out}/o.grid "
                                      "--dump-stages {out}/o.grid",
                                      ["output {out}/o.grid", "the directory {out}/o.grid"]),
+    "filter-out-dir-is-file": ("filter --spec F0-0.1 {d}/prob_000.grid --out-dir {d}/real_000.grid "
+                               "--dump-stages {out}/stages",
+                               ["directory {d}/real_000.grid", "nothing was written"]),
     "synth-same-outputs": ("synth --rows 8 --cols 8 --out-mask {out}/a.grid "
                            "--out-prob {out}/a.grid",
                            ["{out}/a.grid", "both --out-mask and --out-prob"]),

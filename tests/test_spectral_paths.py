@@ -25,11 +25,10 @@ from selfscore.fourier import (TAPER_FACTOR, _blackman_harris, _quarter_nu,
 from selfscore.grid import GridField, WavelengthBand, next_pow2_dims, write_grid
 from selfscore.losses import (FilterSpec, apply_filter, enumerate_configs, filter_stages,
                               metric_table, metric_tables)
-from selfscore.wavelet import (WaveletLevel, WaveletPyramid, haar_inverse, haar_pyramid,
-                               level_wavelengths, wavelet_band_pass, wavelet_band_passes,
+from selfscore.wavelet import (haar_forward, haar_inverse, wavelet_band_pass, wavelet_band_passes,
                                wavelet_decompose)
 
-from _spectral import crop, full_gain, pyramid_reconstruct, taper
+from _spectral import crop, full_gain, taper
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SPACINGS = (0.01, 0.0125, 0.02, 0.05)
@@ -178,33 +177,34 @@ def test_window_blocks_equal_the_whole_window_bit_for_bit(rows, cols, data):
 
 
 def copy_and_zero_band_pass(field, band):
-    """The Haar band-pass as a copy of the pyramid zeroed in place (the
-    algorithm the shared-pyramid path replaced)."""
+    """The Haar band-pass as every level's four subbands zeroed in place (the
+    algorithm the shared-decomposition path replaced).  Level k covers the
+    wavelengths d*2^k .. d*2^(k+1)."""
     target = next_pow2_dims(field.shape)
     n_levels = int(math.log2(min(target)))
-    pyramid = haar_pyramid(taper(field, target), n_levels, field.spacing_deg)
-    levels = [WaveletLevel(lev.ll.copy(), lev.lh.copy(), lev.hl.copy(), lev.hh.copy())
-              for lev in pyramid.levels]
+    levels, ll = [], taper(field, target)
+    for _ in range(n_levels):
+        ll, lh, hl, hh = haar_forward(ll)
+        levels.append([ll, lh, hl, hh])
     for k in range(1, n_levels + 1):
-        if level_wavelengths(k, field.spacing_deg)[1] > band.hi_deg:
-            levels[k - 1].ll[:] = 0.0
+        if field.spacing_deg * 2.0 ** (k + 1) > band.hi_deg:
+            levels[k - 1][0][:] = 0.0
     for k in range(n_levels, 0, -1):
-        small, large = level_wavelengths(k, field.spacing_deg)
+        small, large = field.spacing_deg * 2.0 ** k, field.spacing_deg * 2.0 ** (k + 1)
         if not large > band.hi_deg and k < n_levels:
-            deeper = levels[k]
-            levels[k - 1].ll = haar_inverse(deeper.ll, deeper.lh, deeper.hl, deeper.hh)
+            levels[k - 1][0] = haar_inverse(*levels[k])
         if small <= band.lo_deg:
-            levels[k - 1].lh[:] = 0.0
-            levels[k - 1].hl[:] = 0.0
-            levels[k - 1].hh[:] = 0.0
-    return crop(pyramid_reconstruct(WaveletPyramid(levels, field.spacing_deg)), field.shape)
+            for detail in levels[k - 1][1:]:
+                detail[:] = 0.0
+    return crop(haar_inverse(*levels[0]), field.shape)
 
 
 @SETTINGS
 @given(fields(count=2), st.lists(bands(), min_size=1, max_size=4))
 def test_shared_pyramid_matches_copy_and_zero_bit_for_bit(group, band_list):
     decompositions = [wavelet_decompose(f) for f in group]
-    before = [[lev.ll.copy() for lev in d.pyramid.levels] for d in decompositions]
+    held = [[d.coarsest, *(a for detail in d.details for a in detail)] for d in decompositions]
+    before = [[a.copy() for a in arrays] for arrays in held]
     for band in band_list:
         shared = wavelet_band_passes(decompositions, band)
         for field, out in zip(group, shared):
@@ -212,8 +212,8 @@ def test_shared_pyramid_matches_copy_and_zero_bit_for_bit(group, band_list):
             assert np.array_equal(out.values, want)
             assert np.array_equal(wavelet_band_pass(field, band).values, want)
             assert_owns_copy_of_mask(out, field)
-    for d, lls in zip(decompositions, before):  # the shared pyramid is never modified
-        assert all(np.array_equal(lev.ll, ll) for lev, ll in zip(d.pyramid.levels, lls))
+    for arrays, copies in zip(held, before):  # the shared decomposition is never modified
+        assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
 
 
 @SETTINGS

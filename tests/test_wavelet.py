@@ -7,10 +7,10 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from selfscore.grid import GridField, WavelengthBand
-from selfscore.wavelet import (haar_forward, haar_inverse, haar_pyramid,
-                               level_wavelengths, wavelet_band_pass, wavelet_stages)
+from selfscore.wavelet import (haar_forward, haar_inverse, wavelet_band_pass, wavelet_decompose,
+                               wavelet_stages)
 
-from _spectral import pyramid_reconstruct
+from _spectral import haar_reconstruct
 
 
 def _field(values, spacing=0.0125, kind="real"):
@@ -58,24 +58,12 @@ def test_haar_rejects_odd_dims():
 def test_pyramid_round_trip_and_shapes():
     rng = np.random.default_rng(12)
     values = rng.normal(size=(32, 32))
-    pyr = haar_pyramid(values, 5, spacing_deg=0.0125)
-    assert len(pyr.levels) == 5
-    assert pyr.levels[0].lh.shape == (16, 16)
-    assert pyr.levels[4].ll.shape == (1, 1)
-    back = pyramid_reconstruct(pyr)
+    decomposition = wavelet_decompose(_field(values))
+    assert len(decomposition.details) == 5
+    assert decomposition.details[0][0].shape == (16, 16)
+    assert decomposition.coarsest.shape == (1, 1)
+    back = haar_reconstruct(decomposition.details, decomposition.coarsest)
     assert np.abs(back - values).max() < 1e-10
-
-
-def test_pyramid_divisibility_checked():
-    with pytest.raises(ValueError):
-        haar_pyramid(np.zeros((12, 12)), 3, 0.0125)  # 12 not divisible by 8
-
-
-def test_level_wavelengths_ladder():
-    assert level_wavelengths(1, 0.0125) == (0.025, 0.05)
-    assert level_wavelengths(3, 0.0125) == (0.1, 0.2)
-    with pytest.raises(ValueError):
-        level_wavelengths(0, 0.0125)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +86,14 @@ def retained_oracle(n_levels, spacing, band):
     return details, keep_ll
 
 
-def coefficient_field(shape, n_levels, level, subband, spacing):
+def coefficient_field(shape, n_levels, level, subband):
     """Spatial field of a single unit coefficient at (level, subband)."""
-    pyr = haar_pyramid(np.zeros(shape), n_levels, spacing)
-    sub = getattr(pyr.levels[level - 1], subband)
+    rows, cols = shape
+    details = [tuple(np.zeros((rows >> k, cols >> k)) for _ in range(3))
+               for k in range(1, n_levels + 1)]
+    sub = details[level - 1][("lh", "hl", "hh").index(subband)]
     sub[sub.shape[0] // 2, sub.shape[1] // 2] = 1.0
-    # push the deeper levels' (all-zero) content out of the way: rebuild
-    # shallower LLs so the pyramid is self-consistent
-    for k in range(n_levels, 1, -1):
-        deeper = pyr.levels[k - 1]
-        pyr.levels[k - 2].ll = haar_inverse(deeper.ll, deeper.lh, deeper.hl, deeper.hh)
-    return pyramid_reconstruct(pyr)
+    return haar_reconstruct(details, np.zeros((rows >> n_levels, cols >> n_levels)))
 
 
 @pytest.mark.parametrize("lo,hi", [
@@ -120,7 +105,7 @@ def test_band_pass_keeps_exactly_the_retained_coefficients(lo, hi):
     band = WavelengthBand(lo, hi)
     details, keep_ll = retained_oracle(n_levels, spacing, band)
     for level in range(1, n_levels + 1):
-        values = coefficient_field(shape, n_levels, level, "lh", spacing)
+        values = coefficient_field(shape, n_levels, level, "lh")
         out = wavelet_band_pass(_field(values, spacing), band)
         if level in details:
             assert_allclose(out.values, values, atol=1e-10,
