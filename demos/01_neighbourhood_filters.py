@@ -9,7 +9,7 @@ forecast's margin for spatial error as r grows.
 import numpy as np
 
 from selfscore.grid import GridField
-from selfscore.neighbourhood import max_filter, mean_filter
+from selfscore.losses import FilterSpec, apply_filter
 from selfscore.scores import NbhdObs, NbhdPair, scored_weights
 from selfscore.synthetic import SynthSpec, synth_mask
 
@@ -20,15 +20,15 @@ print(f"synthetic mask: {y.rows}x{y.cols}, "
 
 print("\nhalf-width   max-filter fraction   mean-filter max")
 for r in (0, 1, 2, 4, 8):
-    dilated = max_filter(y, r)
-    smoothed = mean_filter(y, r)
+    dilated = apply_filter(y, FilterSpec("nbhd_max", half_width=r))
+    smoothed = apply_filter(y, FilterSpec("nbhd_mean", half_width=r))
     print(f"{r:>10d}   {dilated.values.mean():>19.3f}   "
           f"{smoothed.values.max():>15.3f}")
 
 # The probabilistic contingency table splits each forecast pixel between
 # hit/false-alarm (weight p) and miss/correct-null (weight 1-p).
 rng = np.random.default_rng(7)
-p = GridField(np.clip(mean_filter(y, 2).values
+p = GridField(np.clip(apply_filter(y, FilterSpec("nbhd_mean", half_width=2)).values
                       + rng.normal(0, 0.05, y.shape), 0, 1),
               y.spacing_deg, "prob")
 pv, yv = p.values, y.values

@@ -11,8 +11,7 @@ import numpy as np
 from selfscore.grid import GridField
 from selfscore.losses import enumerate_configs, metric_table
 from selfscore.ranking import (MetricMatrix, best_per_filter,
-                               filter_mean_ranks, overall_mean_ranks,
-                               rank_models)
+                               filter_mean_ranks, rank_models)
 from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
 
 configs = enumerate_configs()
@@ -36,7 +35,7 @@ values /= 4
 matrix = MetricMatrix(list(models), configs, values)
 ranks = rank_models(matrix)
 print("model      mean rank over all 336 configs")
-for name, mean in zip(matrix.models, overall_mean_ranks(ranks)):
+for name, mean in zip(matrix.models, ranks.mean(axis=1)):
     print(f"{name:<10} {mean:.2f}")
 
 fids, means = filter_mean_ranks(matrix, ranks)

@@ -368,12 +368,12 @@ def _read_scores(path: str) -> MetricMatrix:
 
 def cmd_rank(args) -> int:
     from .evaluation import write_csv
-    from .ranking import best_per_filter, filter_mean_ranks, overall_mean_ranks, rank_models
+    from .ranking import best_per_filter, filter_mean_ranks, rank_models
     matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)
     fids, means = filter_mean_ranks(matrix, ranks)
     winners = best_per_filter(matrix, fids, means)
-    overall = overall_mean_ranks(ranks)
+    overall = ranks.mean(axis=1)
 
     paths = [os.path.join(args.out_dir, name)
              for name in ("ranks.csv", "filter_summary.csv", "winners.csv")]

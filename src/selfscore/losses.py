@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fourier import fourier_band_pass, fourier_band_passes, fourier_spectrum, fourier_stages
-from .grid import GridField, WavelengthBand
-from .neighbourhood import max_filter, mean_filter
+from .grid import PRED_KINDS, GridField, WavelengthBand
+from .neighbourhood import max_filter_array, mean_filter_array
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
                      NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max, _observed,
                      scored_weights)
@@ -195,27 +195,32 @@ def parse_filter_id(filter_id: str) -> FilterSpec:
 
 
 def _spectral(method: str):
-    """(one-field band-pass, per-field transform, many-field band-pass) of a
-    spectral method.  The names are looked up at each call, so a function
+    """(one-field band-pass, per-field transform, many-field band-pass, stages)
+    of a spectral method.  The names are looked up at each call, so a function
     rebound on this module (a tracer's or a test's wrapper) is the one used."""
     if method == "F":
-        return fourier_band_pass, fourier_spectrum, fourier_band_passes
-    return wavelet_band_pass, wavelet_decompose, wavelet_band_passes
+        return fourier_band_pass, fourier_spectrum, fourier_band_passes, fourier_stages
+    return wavelet_band_pass, wavelet_decompose, wavelet_band_passes, wavelet_stages
 
 
 def apply_filter(field: GridField, fspec: FilterSpec) -> GridField:
-    """Apply a standalone filter to a field."""
+    """Apply a standalone filter to a field: a neighbourhood maximum keeps
+    the field's kind, a neighbourhood mean gives a ``prob`` field (clipped to
+    [0, 1] against rounding), a band-pass a ``real`` one."""
     if fspec.kind in SPECTRAL_METHODS:
         return _spectral(fspec.kind)[0](field, fspec.band)
-    nbhd_filter = max_filter if fspec.kind == "nbhd_max" else mean_filter
-    return nbhd_filter(field, fspec.half_width)
+    if field.kind not in PRED_KINDS:
+        raise ValueError(f"{fspec.kind} expects a mask or prob field")
+    if fspec.kind == "nbhd_max":
+        return field.with_values(max_filter_array(field.values, fspec.half_width))
+    return field.with_values(np.clip(mean_filter_array(field.values, fspec.half_width), 0.0, 1.0),
+                             "prob")
 
 
 def filter_stages(field: GridField, fspec: FilterSpec) -> dict[str, np.ndarray]:
     """A spectral filter's pipeline stages by name, for inspection; a
     neighbourhood filter has none (``{}``)."""
-    stages = {"F": fourier_stages, "W": wavelet_stages}.get(fspec.kind)
-    return {} if stages is None else stages(field, fspec.band)
+    return _spectral(fspec.kind)[3](field, fspec.band) if fspec.kind in SPECTRAL_METHODS else {}
 
 
 def enumerate_configs() -> list[LossSpec]:
@@ -247,7 +252,7 @@ def _filtered(specs: list[LossSpec], fields: list[GridField]):
     for kind in ("nbhd", *SPECTRAL_METHODS):
         kind_groups = [group for group in groups.values() if group[0].filter_kind == kind]
         if kind != "nbhd" and kind_groups:
-            _, transform, band_passes = _spectral(kind)
+            _, transform, band_passes, _ = _spectral(kind)
             transforms = [transform(f) for f in distinct]
         for group in kind_groups:
             outs = distinct if kind == "nbhd" else band_passes(transforms, group[0].band)

@@ -5,16 +5,16 @@ Both filters use a (2r + 1) x (2r + 1) window centered on each pixel, where
 zero, and the mean filter always divides by the full window size, so events
 near the boundary are attenuated rather than reflected.
 
-``max_filter`` turns an event mask into its binary dilation ("did anything
-happen within r pixels?"); ``mean_filter`` turns it into an event fraction.
-Both accept ``r = 0`` (identity), and equal ``scipy.ndimage``'s bit for bit.
+``max_filter_array`` turns an event mask into its binary dilation ("did
+anything happen within r pixels?"); ``mean_filter_array`` turns it into an
+event fraction.  Both accept ``r = 0`` (identity), and equal
+``scipy.ndimage``'s bit for bit.  They take and return raw arrays: the
+field-level filters are ``losses.apply_filter``'s.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .grid import PRED_KINDS, GridField
 
 
 def _check_half_width(half_width: int) -> int:
@@ -61,20 +61,3 @@ def mean_filter_array(values: np.ndarray, half_width: int) -> np.ndarray:
     r = _check_half_width(half_width)
     return _separable(values, r, _window_sum) / float((2 * r + 1) ** 2)
 
-
-def max_filter(field: GridField, half_width: int) -> GridField:
-    """Neighbourhood maximum of a field; a mask stays a mask."""
-    if field.kind not in PRED_KINDS:
-        raise ValueError("max_filter expects a mask or prob field")
-    out = max_filter_array(field.values, half_width)
-    return GridField(out, field.spacing_deg, field.kind, field.eval_mask)
-
-
-def mean_filter(field: GridField, half_width: int) -> GridField:
-    """Neighbourhood mean of a field; output is a prob field (fractions)."""
-    if field.kind not in PRED_KINDS:
-        raise ValueError("mean_filter expects a mask or prob field")
-    out = mean_filter_array(field.values, half_width)
-    # Guard against rounding a hair past the ends of [0, 1].
-    out = np.clip(out, 0.0, 1.0)
-    return GridField(out, field.spacing_deg, "prob", field.eval_mask)

@@ -84,25 +84,16 @@ def rank_models(matrix: MetricMatrix) -> np.ndarray:
     return ranks
 
 
-def filter_ids(matrix: MetricMatrix) -> tuple[str, ...]:
-    """Distinct filter ids present in the matrix, sorted."""
-    return tuple(sorted({s.filter_id for s in matrix.specs}))
-
-
 def filter_mean_ranks(matrix: MetricMatrix,
                       ranks: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Mean rank per (model, filter) of ``rank_models`` ranks, over the filter's configs."""
-    fids = filter_ids(matrix)
+    """The matrix's distinct filter ids, sorted, and the mean rank per
+    (model, filter) of ``rank_models`` ranks, over the filter's configs."""
+    fids = tuple(sorted({s.filter_id for s in matrix.specs}))
     means = np.empty((matrix.n_models, len(fids)))
     for k, fid in enumerate(fids):
         cols = [j for j, s in enumerate(matrix.specs) if s.filter_id == fid]
         means[:, k] = ranks[:, cols].mean(axis=1)
     return fids, means
-
-
-def overall_mean_ranks(ranks: np.ndarray) -> np.ndarray:
-    """Mean rank per model across every config of ``rank_models`` ranks."""
-    return ranks.mean(axis=1)
 
 
 @dataclass(frozen=True)

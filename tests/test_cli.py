@@ -15,7 +15,7 @@ import pytest
 
 from selfscore.cli import main
 from selfscore.grid import GridField, read_grid, write_grid
-from selfscore.neighbourhood import max_filter
+from selfscore.losses import apply_filter, parse_filter_id
 from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
 
 
@@ -88,7 +88,7 @@ def test_filter_single_matches_library(tmp_path):
     assert run(*synth_args(src)) == 0
     assert run("filter", "--spec", "nbhd_max_r2", src, dst) == 0
     got = read_grid(dst)
-    want = max_filter(read_grid(src), 2)
+    want = apply_filter(read_grid(src), parse_filter_id("nbhd_max_r2"))
     np.testing.assert_array_equal(got.values, want.values)
     sidecar = json.loads(read_bytes(str(dst) + ".json"))
     assert sidecar["filter_id"] == "nbhd_max_r2"

@@ -10,8 +10,8 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy import ndimage
 
 from selfscore.grid import GridField
-from selfscore.neighbourhood import (max_filter, max_filter_array, mean_filter,
-                                     mean_filter_array)
+from selfscore.losses import apply_filter, parse_filter_id
+from selfscore.neighbourhood import max_filter_array, mean_filter_array
 
 
 def window_oracle(values, half_width, reduce_fn):
@@ -81,10 +81,10 @@ def test_field_wrappers_preserve_metadata():
     rng = np.random.default_rng(6)
     emask = rng.uniform(size=(6, 6)) < 0.7
     mask = GridField((rng.uniform(size=(6, 6)) < 0.3).astype(float), 0.02, "mask", emask)
-    dilated = max_filter(mask, 2)
+    dilated = apply_filter(mask, parse_filter_id("nbhd_max_r2"))
     assert dilated.kind == "mask" and dilated.spacing_deg == 0.02
     assert_array_equal(dilated.eval_mask, emask)
-    fractions = mean_filter(mask, 2)
+    fractions = apply_filter(mask, parse_filter_id("nbhd_mean_r2"))
     assert fractions.kind == "prob"
     assert_array_equal(fractions.eval_mask, emask)
 
@@ -92,9 +92,9 @@ def test_field_wrappers_preserve_metadata():
 def test_real_fields_rejected():
     f = GridField(np.array([[-1.0, 2.0]]), 0.02, "real")
     with pytest.raises(ValueError):
-        max_filter(f, 1)
+        apply_filter(f, parse_filter_id("nbhd_max_r1"))
     with pytest.raises(ValueError):
-        mean_filter(f, 1)
+        apply_filter(f, parse_filter_id("nbhd_mean_r1"))
 
 
 def test_bad_half_width_rejected():

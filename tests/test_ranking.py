@@ -11,9 +11,7 @@ from selfscore.ranking import (
     MetricMatrix,
     _average_ranks,
     best_per_filter,
-    filter_ids,
     filter_mean_ranks,
-    overall_mean_ranks,
     rank_models,
 )
 from selfscore.scores import ORIENTATION
@@ -101,12 +99,13 @@ def test_full_census_winner_shape():
     specs = tuple(enumerate_configs())
     models = tuple(f"model_{i:02d}" for i in range(6))
     m = MetricMatrix(models, specs, rng.random((6, 336)))
-    assert len(filter_ids(m)) == 40
     ranks = rank_models(m)
-    winners = best_per_filter(m, *filter_mean_ranks(m, ranks))
+    fids, means = filter_mean_ranks(m, ranks)
+    assert len(fids) == 40
+    winners = best_per_filter(m, fids, means)
     assert len(winners) == 40
     assert [w.filter_id for w in winners] == sorted(w.filter_id for w in winners)
-    overall = overall_mean_ranks(ranks)
+    overall = ranks.mean(axis=1)
     assert overall.shape == (6,)
     np.testing.assert_allclose(overall.sum(), 6 * 7 / 2)
 
