@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 # Each command imports the modules it runs: ``synth`` loads no scoring layer.
-from .grid import GRID_KINDS, OBS_KINDS, PRED_KINDS, GridField, atomic_write, read_grid, write_grid
+from .grid import OBS_KINDS, PRED_KINDS, GridField, atomic_write, read_grid, write_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -91,10 +91,22 @@ def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
     return field
 
 
-def _read_sides(obs_paths: list[str], sides: dict[str, str], outputs: list, dirs=()):
+def _naming(what: str, fn, *args):
+    """``fn(*args)``, a ``ValueError`` or ``MemoryError`` raised again naming ``what``."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+    except MemoryError as exc:
+        message = f"{what} does not fit in memory: {exc}"
+    raise MemoryError(message)  # outside the handler, so the failed frames are freed
+
+
+def _read_sides(obs_paths: list[str], sides: dict[str, str], outputs: list, dirs=(), check=None):
     """The observations at ``obs_paths`` and, per ``{option: text}`` side, the predictions
-    paired with them: every file read, every pair checked (``scored_weights``, naming both
-    files), and ``outputs`` planned (``_plan_writes``) before any is scored."""
+    paired with them: every file read, every pair checked (``scored_weights``, then ``check``
+    of the observation if given, naming both files), and ``outputs`` planned
+    (``_plan_writes``) before any is scored."""
     from .scores import scored_weights
     obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
     inputs, preds = list(obs_paths), {}
@@ -103,10 +115,9 @@ def _read_sides(obs_paths: list[str], sides: dict[str, str], outputs: list, dirs
         _check_pairing(paths, obs_paths, option)
         preds[option] = [_read_kind(p, PRED_KINDS, "prediction") for p in paths]
         for path, obs_path, pred, y in zip(paths, obs_paths, preds[option], obs):
-            try:
-                scored_weights(pred, y)
-            except ValueError as exc:
-                raise ValueError(f"{path} and {obs_path}: {exc}") from None
+            _naming(f"{path} and {obs_path}", scored_weights, pred, y)
+            if check is not None:
+                _naming(f"{path} and {obs_path}", check, y)
         inputs += paths
     _plan_writes(inputs, outputs, dirs)
     return obs, preds
@@ -137,15 +148,6 @@ def _select_specs(text: str | None) -> list:
     if not specs:
         raise ValueError(f"--specs: {text!r} names no config")
     return sorted({s.spec_id: s for s in specs}.values(), key=lambda s: s.spec_id)
-
-
-def _fitting(path: str, field: GridField, fn, *args):
-    """``fn(*args)``, a ``MemoryError`` raised again naming ``path`` and its shape."""
-    try:
-        return fn(*args)
-    except MemoryError as exc:
-        message = f"{path} ({field.rows}x{field.cols}) does not fit in memory: {exc}"
-    raise MemoryError(message)  # outside the handler, so the failed frames are freed
 
 
 def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> None:
@@ -182,7 +184,7 @@ def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> Non
 
 def cmd_filter(args) -> int:
     import json
-    from .losses import apply_filter, filter_stages, parse_filter_id
+    from .losses import apply_filter, check_filter_input, filter_stages, parse_filter_id
     fspec = parse_filter_id(args.spec)
     if args.out_dir is None:
         if len(args.paths) != 2:
@@ -197,9 +199,10 @@ def cmd_filter(args) -> int:
     if args.dump_stages is not None and len(pairs) != 1:
         raise ValueError("--dump-stages needs exactly one input field")
 
-    # Every input parses, and is of a kind the filter takes, before a write.
-    kinds = PRED_KINDS if fspec.kind.startswith("nbhd") else GRID_KINDS
-    fields = [_read_kind(src, kinds, f"{fspec.filter_id} input") for src, _ in pairs]
+    # Every input parses, and is one the filter takes, before a write.
+    fields = [read_grid(src) for src, _ in pairs]
+    for (src, _), field in zip(pairs, fields):
+        _naming(f"{src} under {fspec.filter_id}", check_filter_input, field, fspec.kind)
     stages = {}
     if args.dump_stages is not None:
         stages = {os.path.join(args.dump_stages, f"{name}.grid"): stage
@@ -213,7 +216,7 @@ def cmd_filter(args) -> int:
 
     def run_one(job: tuple[tuple[str, str], GridField]) -> None:
         (src, dst), field = job
-        out = _fitting(src, field, apply_filter, field, fspec)
+        out = _naming(f"{src} ({field.rows}x{field.cols})", apply_filter, field, fspec)
         write_grid(dst, out)
         sidecar = {
             "filter_id": fspec.filter_id,
@@ -253,18 +256,19 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, str]]:
 
 def cmd_score(args) -> int:
     from .evaluation import write_csv
-    from .losses import metric_tables
+    from .losses import check_filter_input, metric_tables
     if not (args.all_336 or args.specs):
         raise ValueError("give --specs or --all-336")
     specs = _select_specs(None if args.all_336 else args.specs)
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs, "--obs")
     obs, sides = _read_sides(obs_paths, {f"--pred of model {name!r}": text
-                                        for name, text in models}, [(args.out, "--out")])
+                                        for name, text in models}, [(args.out, "--out")],
+                             check=lambda y: check_filter_input(y, *{s.filter_kind for s in specs}))
 
     def step_tables(i: int) -> list[dict]:
-        return _fitting(obs_paths[i], obs[i], metric_tables, specs,
-                        [side[i] for side in sides.values()], obs[i])
+        return _naming(f"{obs_paths[i]} ({obs[i].rows}x{obs[i].cols})", metric_tables, specs,
+                       [side[i] for side in sides.values()], obs[i])
 
     tables = _map(step_tables, range(len(obs)), args.jobs)
 
@@ -397,7 +401,7 @@ def cmd_rank(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
-    from .losses import grad_check, prepare_targets
+    from .losses import check_filter_input, grad_check, prepare_targets
     specs = _select_specs(args.specs)
     rng = np.random.default_rng(args.seed)
     shape = (args.rows, args.cols)
@@ -405,6 +409,8 @@ def cmd_gradcheck(args) -> int:
     p = GridField(rng.uniform(0.01, 0.99, size=shape), args.spacing, "prob")
     y = GridField((rng.uniform(size=shape) < 0.3).astype(np.float64), args.spacing, "mask")
 
+    _naming(f"--rows {args.rows} --cols {args.cols}", check_filter_input, y,
+            *{s.filter_kind for s in specs})
     targets = prepare_targets(specs, y)
     failures = 0
     print(f"{'spec':<24} {'checked':>8} {'excluded':>9} {'max_rel':>12}  status")

@@ -46,7 +46,7 @@ from .neighbourhood import max_filter_array, mean_filter_array
 from .scores import (NBHD_SCORE_KINDS, ORIENTATION, SCORE_KINDS, XENT_EPS,
                      NbhdObs, NbhdPair, PairSums, ScoreResult, _near_window_max, _observed,
                      scored_weights)
-from .wavelet import (wavelet_band_pass, wavelet_band_passes, wavelet_decompose,
+from .wavelet import (_check_haar, wavelet_band_pass, wavelet_band_passes, wavelet_decompose,
                       wavelet_stages)
 
 NBHD_HALF_WIDTHS = (0, 1, 2, 3, 4, 6, 8, 12)
@@ -203,14 +203,22 @@ def _spectral(method: str):
     return wavelet_band_pass, wavelet_decompose, wavelet_band_passes, wavelet_stages
 
 
+def check_filter_input(field: GridField, *kinds: str) -> None:
+    """Refuse a field that a filter of any of ``kinds`` (``FilterSpec.kind`` or
+    ``LossSpec.filter_kind`` values) cannot take: a neighbourhood filter takes
+    a mask or prob field, a Haar filter 2 rows and 2 columns or more."""
+    if any(kind.startswith("nbhd") for kind in kinds) and field.kind not in PRED_KINDS:
+        raise ValueError(f"a neighbourhood filter takes mask or prob fields, not {field.kind!r}")
+    if "W" in kinds:
+        _check_haar(field.shape)
+
+
 def apply_filter(field: GridField, fspec: FilterSpec) -> GridField:
-    """Apply a standalone filter to a field: a neighbourhood maximum keeps
-    the field's kind, a neighbourhood mean gives a ``prob`` field (clipped to
-    [0, 1] against rounding), a band-pass a ``real`` one."""
+    """Apply a standalone filter: a neighbourhood maximum keeps the field's kind, a
+    neighbourhood mean gives a ``prob`` field clipped to [0, 1], a band-pass a ``real`` one."""
+    check_filter_input(field, fspec.kind)
     if fspec.kind in SPECTRAL_METHODS:
         return _spectral(fspec.kind)[0](field, fspec.band)
-    if field.kind not in PRED_KINDS:
-        raise ValueError(f"{fspec.kind} expects a mask or prob field")
     if fspec.kind == "nbhd_max":
         return field.with_values(max_filter_array(field.values, fspec.half_width))
     return field.with_values(np.clip(mean_filter_array(field.values, fspec.half_width), 0.0, 1.0),

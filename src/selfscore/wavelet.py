@@ -91,11 +91,17 @@ def haar_inverse(ll: np.ndarray, lh: np.ndarray, hl: np.ndarray,
     return out
 
 
+def _check_haar(shape: tuple[int, int]) -> None:
+    """Refuse a grid with one row or one column, which no 2-D step can halve."""
+    if min(shape) < 2:
+        raise ValueError(f"a Haar decomposition needs 2 rows and 2 columns or more, "
+                         f"got {shape[0]}x{shape[1]}")
+
+
 def _padded(field: GridField) -> np.ndarray:
     """Step 1: the field's values centred in a zero grid of power-of-two dims."""
+    _check_haar(field.shape)
     target = next_pow2_dims(field.shape)
-    if min(target) < 2:
-        raise ValueError("grid too small for a 2-D wavelet decomposition")
     padded = np.zeros(target)
     padded[_centred(field.shape, target)] = field.values
     return padded

@@ -48,6 +48,9 @@ def steps(tmp_path_factory):
         "right/mask_001.grid": GridField(y.values, y.spacing_deg, "mask", ~left),
         "prob_002.grid": p,
         "stages/window.grid": p,  # the input sits where a Fourier stage would go
+        # One row: too thin for a Haar decomposition.
+        "thin/prob_001.grid": GridField(p.values[:1, :9], p.spacing_deg, "prob"),
+        "thin/mask_001.grid": GridField(y.values[:1, :9], y.spacing_deg, "mask"),
     }
     for name, field in broken.items():
         (d / name).parent.mkdir(exist_ok=True)
@@ -101,6 +104,16 @@ OTHERS = {
     "filter-nbhd-real-out-dir": ("filter --spec nbhd_max_r1 {d}/prob_000.grid "
                                  "{d}/real_000.grid --out-dir {out}/f --jobs 2",
                                  ["{d}/real_000.grid", "nbhd_max_r1"]),
+    "filter-thin-out-dir": ("filter --spec W0-0.1 {d}/prob_000.grid {d}/thin/prob_001.grid "
+                            "--out-dir {out}/f --jobs 1", ["{d}/thin/prob_001.grid", "W0-0.1", "1x9"]),
+    "filter-thin-out-dir-jobs-2": ("filter --spec W0-0.1 {d}/prob_000.grid {d}/thin/prob_001.grid "
+                                   "--out-dir {out}/f --jobs 2",
+                                   ["{d}/thin/prob_001.grid", "W0-0.1", "1x9"]),
+    "score-thin-step": ("score --pred m={d}/prob_000.grid,{d}/thin/prob_001.grid "
+                        "--obs {d}/mask_000.grid,{d}/thin/mask_001.grid --specs brier_W0-0.1 "
+                        "--out {out}/s.csv",
+                        ["{d}/thin/prob_001.grid", "{d}/thin/mask_001.grid", "1x9"]),
+    "gradcheck-thin": ("gradcheck --specs brier_W0-0.1 --rows 1 --cols 3", ["--rows 1 --cols 3", "1x3"]),
     "eval-n-boot": (COMMANDS["eval"] + " --n-boot 0", ["--n-boot"]),
     "eval-n-boot-bars": (COMMANDS["eval"] + " --n-boot-bars 0", ["--n-boot-bars"]),
     "eval-thresholds": (COMMANDS["eval"] + " --thresholds 0", ["--thresholds"]),
