@@ -5,21 +5,26 @@ pixelwise and the neighbourhood forms, the attributes diagram counts the
 pixels of ``scored_weights`` and nothing else, and rank columns sum to
 M(M+1)/2 with ties allowed.  The filters keep their identities: the window
 mean is its own adjoint, both band-passes are linear and the Haar
-band-pass is idempotent.
+band-pass is idempotent.  The census keeps its symmetries: every score,
+loss gradient, filter output and stage moves with fields that are
+transposed (all 336 configs) or rotated by 180 degrees (neighbourhood and
+Fourier), and gerrity equals peirce wherever neither falls back.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from selfscore.evaluation import attributes_diagram
 from selfscore.grid import GridField
-from selfscore.losses import (CENSUS_BANDS, SPECTRAL_METHODS, FilterSpec, apply_filter,
-                              parse_spec_id)
+from selfscore.losses import (CENSUS_BANDS, SPECTRAL_METHODS, FilterSpec, LossSpec, apply_filter,
+                              PreparedTarget, enumerate_configs, filter_stages, loss_detail,
+                              loss_gradient, metric_tables, parse_spec_id, prepare_targets)
 from selfscore.neighbourhood import mean_filter_array
 from selfscore.ranking import MetricMatrix, rank_models
-from selfscore.scores import scored_weights
+from selfscore.scores import XENT_EPS, scored_weights
 
 from _records import score
 
@@ -129,3 +134,186 @@ def test_haar_band_pass_is_idempotent(band, log_rows, log_cols, seed):
     once = apply_filter(real_field(x), fspec)
     twice = apply_filter(once, fspec).values
     np.testing.assert_allclose(twice, once.values, rtol=0.0, atol=1e-12 * np.abs(x).max())
+
+
+# ---------------------------------------------------------------------------
+# The census's symmetries.
+#
+# The grid spacing is the same along both axes, and the Fourier padding
+# centres the field exactly (3n - n is even), so transposing both fields
+# (every filter) or rotating them by 180 degrees (neighbourhood and Fourier)
+# moves every filter output, target, score and loss gradient with them; only
+# the order of float sums changes.  The Haar pad puts an odd remainder at the
+# bottom and right, so its dyadic grid is anchored to one corner and a
+# rotation moves it: W is left out there, by design.
+#
+# Each difference is measured in units of eps times a scale: max(1, |score|)
+# for a score, 1 for a target (the observation is 0 or 1), max |output| for
+# a filter output or stage, and max(max |gradient|, 1 / scored pixels) for a
+# gradient (each of its terms is of order 1 / n, and their sum can cancel far
+# below that).  A spectral cross entropy also scales by ``log_gain``: its log
+# turns a rounding change d of a probability q near 0 into d / q.  A loss
+# gradient is compared on its own target moved, since a target's rounding
+# (eps of the observation, not of the target) reaches the gradient divided
+# by the target's sum: through its own ``prepare_targets``, peirce_F0-0.2 on
+# an 11 x 3 grid whose target sums to 0.011 moved 215 units, and the worst of
+# 2,000 draws 713.  Bounds: C_SYMMETRY = 64 units, C_GRADIENT = 256.  The
+# largest measured over 1,200 draws per symmetry (shapes 3-25, numpy 2.4.6):
+# scores 2.8 (nbhd), 3.0 (F) and 9.0 (W) transposed, 3.1 and 3.4 rotated;
+# targets 3.5; filter outputs 12.2 and stages 12.2 (W), 5.6 and 9.4 (F);
+# gradients 41.0 (F), 14.0 (W), 10.8 (nbhd).  The re-anchor survey of larger
+# shapes measured scores transposed to 2.2e-16 (1.0 unit, nbhd), 2.8e-16
+# (1.3, F) and 2.2e-15 (10, W), and rotated to 4.4e-16 and 2.9e-16.
+
+EPS = np.finfo(np.float64).eps
+C_SYMMETRY = 64
+C_GRADIENT = 256
+ODD = (3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 25)  # none a power of two
+CENSUS = enumerate_configs()
+SYMMETRIES = {"transposed": (np.transpose, ("nbhd", "F", "W")),
+              "rotated": (lambda a: a[::-1, ::-1], ("nbhd", "F"))}
+
+
+@st.composite
+def census_pairs(draw):
+    """A prob prediction and a mask observation on an odd, non-square grid,
+    with eval masks (sharing the centre pixel) or none."""
+    rows, cols = draw(st.lists(st.sampled_from(ODD), min_size=2, max_size=2, unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    masks = [None, None]
+    if draw(st.booleans()):
+        masks = [rng.uniform(size=(rows, cols)) < 0.8 for _ in range(2)]
+        for m in masks:
+            m[rows // 2, cols // 2] = True
+    y = (rng.uniform(size=(rows, cols)) < rng.uniform(0.1, 0.6)).astype(float)
+    return (GridField(rng.uniform(size=(rows, cols)), 0.05, "prob", masks[0]),
+            GridField(y, 0.05, "mask", masks[1]))
+
+
+def moved(field, op):
+    return GridField(op(field.values), field.spacing_deg, field.kind,
+                     None if field.eval_mask is None else op(field.eval_mask))
+
+
+def log_gain(q):
+    """1 / the least distance of the probabilities ``q`` from 0 or 1, floored
+    at XENT_EPS, where cross entropy clips them."""
+    return 1.0 / max(float(np.minimum(q, 1.0 - q).min()), XENT_EPS)
+
+
+def census_units(p, y, op, methods) -> dict[str, float]:
+    """The largest difference, in units (see above), per family of what
+    ``op`` should commute with, over every config of ``methods``: the
+    evaluation metrics; the training targets; and the loss gradients, each
+    against its own target moved, so that they differ in the order of
+    their sums alone."""
+    units = {}
+
+    def note(key, diff, scale):
+        units[key] = max(units.get(key, 0.0), diff / (EPS * scale))
+
+    specs = [s for s in CENSUS if s.filter_kind in methods]
+    w = scored_weights(p, y)
+    before = metric_tables(specs, [p], y)[0]
+    after = metric_tables(specs, [moved(p, op)], moved(y, op))[0]
+    targets, moved_targets = prepare_targets(specs, y), prepare_targets(specs, moved(y, op))
+    for spec in specs:
+        value = before[spec.spec_id].value
+        gain = 1.0
+        if spec.score == "xent" and spec.is_spectral:
+            filtered = apply_filter(p, FilterSpec(spec.filter_kind, band=spec.band)).values
+            gain = log_gain(np.clip(filtered, 0.0, 1.0)[w])
+        note(f"score {spec.filter_kind}", abs(after[spec.spec_id].value - value),
+             gain * max(1.0, abs(value)))
+        target = targets[spec.filter_id]
+        note(f"target {spec.filter_kind}", np.abs(
+            moved_targets[spec.filter_id].filtered.values - op(target.filtered.values)).max(), 1.0)
+        target_moved = PreparedTarget(spec, moved(y, op), moved(target.filtered, op),
+                                      target.clamp_max_abs)
+        grad = op(loss_gradient(spec, p, target))
+        moved_grad = loss_gradient(spec, moved(p, op), target_moved)
+        scale = max(np.abs(grad).max(), np.abs(moved_grad).max(), 1.0 / w.sum())
+        note(f"gradient {spec.filter_kind}", np.abs(moved_grad - grad).max(), scale)
+    return units
+
+
+def filter_units(field, op, methods, band) -> dict[str, float]:
+    """The largest difference, in units, of ``apply_filter`` outputs and
+    ``filter_stages`` stages: the four neighbourhood filters at r = 2, and
+    ``band`` under each spectral method of ``methods``.  A rotation takes a
+    spectrum's magnitude at frequency k to -k, not to the rotated index."""
+    units = {}
+    fspecs = [FilterSpec(kind, half_width=r) for kind in ("nbhd_max", "nbhd_mean") for r in (1, 3)]
+    fspecs += [FilterSpec(m, band=band) for m in methods if m in SPECTRAL_METHODS]
+    for fspec in fspecs:
+        out = apply_filter(field, fspec).values
+        diff = np.abs(apply_filter(moved(field, op), fspec).values - op(out)).max()
+        units[fspec.filter_id] = diff / (EPS * max(np.abs(out).max(), 1e-300))
+        moved_stages = filter_stages(moved(field, op), fspec)
+        for name, stage in filter_stages(field, fspec).items():
+            if op is not np.transpose and name in ("gain", "spectrum_mag", "filtered_mag"):
+                want = np.roll(stage[::-1, ::-1], 1, axis=(0, 1))
+            else:
+                want = op(stage)
+            diff = np.abs(moved_stages[name] - want).max()
+            units[f"{fspec.filter_id} {name}"] = diff / (EPS * max(np.abs(stage).max(), 1e-300))
+    return units
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+@settings(max_examples=10, deadline=None)
+@given(pair=census_pairs())
+def test_census_scores_and_gradients_move_with_the_fields(symmetry, pair):
+    units = census_units(*pair, *SYMMETRIES[symmetry])
+    assert all(u <= (C_GRADIENT if key.startswith("gradient") else C_SYMMETRY)
+               for key, u in units.items()), units
+
+
+@pytest.mark.parametrize("symmetry", sorted(SYMMETRIES))
+@settings(max_examples=20, deadline=None)
+@given(pair=census_pairs(), band=st.sampled_from(CENSUS_BANDS))
+def test_filter_outputs_and_stages_move_with_the_field(symmetry, pair, band):
+    op, methods = SYMMETRIES[symmetry]
+    for field in pair:
+        units = filter_units(field, op, methods, band)
+        assert max(units.values()) <= C_SYMMETRY, units
+
+
+# Gerrity and Peirce are one score wherever neither falls back.  Bound:
+# C_TWIN = 16 eps, of max(max |gradient|, 1 / scored pixels) for a gradient.
+# The largest measured over 1,200 draws: 0.94 eps in metric value, 1.0 in
+# loss and 3.6 in gradient; the re-anchor survey of 2,000 random 2 x 2
+# tables measured 2.5e-16 (1.1 eps) in value and 2.2e-16 in gradient.
+C_TWIN = 16
+
+
+def twin_units(p, y) -> dict[str, float]:
+    """The largest gerrity-peirce difference, in eps (of the gradient scale
+    for gradients), of the evaluation metric and of the training loss and
+    its gradient, over the spectral configs where neither falls back."""
+    twins = [(s, LossSpec("peirce", s.filter_kind, band=s.band))
+             for s in CENSUS if s.score == "gerrity"]
+    specs = [s for twin in twins for s in twin]
+    table = metric_tables(specs, [p], y)[0]
+    targets = prepare_targets(specs, y)
+    n = scored_weights(p, y).sum()
+    units = {"value": 0.0, "loss": 0.0, "gradient": 0.0}
+    for twin in twins:
+        metric = [table[s.spec_id] for s in twin]
+        if not (metric[0].fallbacks or metric[1].fallbacks):
+            units["value"] = max(units["value"], abs(metric[0].value - metric[1].value) / EPS)
+        loss = [loss_detail(s, p, targets[s.filter_id]) for s in twin]
+        if not (loss[0].fallbacks or loss[1].fallbacks):
+            units["loss"] = max(units["loss"], abs(loss[0].value - loss[1].value) / EPS)
+            grads = [loss_gradient(s, p, targets[s.filter_id]) for s in twin]
+            scale = max(np.abs(grads[0]).max(), np.abs(grads[1]).max(), 1.0 / n)
+            units["gradient"] = max(units["gradient"],
+                                    np.abs(grads[0] - grads[1]).max() / (EPS * scale))
+    return units
+
+
+@settings(max_examples=20, deadline=None)
+@given(census_pairs())
+def test_gerrity_equals_peirce_where_neither_falls_back(pair):
+    units = twin_units(*pair)
+    assert max(units.values()) <= C_TWIN, units
