@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 # Each command imports the modules it runs: ``synth`` loads no scoring layer.
-from .grid import OBS_KINDS, PRED_KINDS, GridField, atomic_write, read_grid, write_grid
+from .grid import GridField, atomic_write, read_grid, write_grid
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,15 +82,6 @@ def _expand_paths(text: str, option: str) -> list[str]:
     return out
 
 
-def _read_kind(path: str, kinds: tuple[str, ...], role: str) -> GridField:
-    """Read a GRID1 file, refusing it unless its kind is one of ``kinds``."""
-    field = read_grid(path)
-    if field.kind not in kinds:
-        raise ValueError(f"{path}: {role} has kind {field.kind!r}; "
-                         f"{role}s must be of kind {' or '.join(kinds)}")
-    return field
-
-
 def _naming(what: str, fn, *args):
     """``fn(*args)``, a ``ValueError`` or ``MemoryError`` raised again naming ``what``."""
     try:
@@ -104,16 +95,15 @@ def _naming(what: str, fn, *args):
 
 def _read_sides(obs_paths: list[str], sides: dict[str, str], outputs: list, dirs=(), check=None):
     """The observations at ``obs_paths`` and, per ``{option: text}`` side, the predictions
-    paired with them: every file read, every pair checked (``scored_weights``, then ``check``
-    of the observation if given, naming both files), and ``outputs`` planned
-    (``_plan_writes``) before any is scored."""
+    paired with them: every pair checked (``scored_weights``, the one kind rule, then ``check``
+    of the observation if given, naming both files) and ``outputs`` planned before any write."""
     from .scores import scored_weights
-    obs = [_read_kind(p, OBS_KINDS, "observation") for p in obs_paths]
+    obs = [read_grid(p) for p in obs_paths]
     inputs, preds = list(obs_paths), {}
     for option, text in sides.items():
         paths = _expand_paths(text, option)
         _check_pairing(paths, obs_paths, option)
-        preds[option] = [_read_kind(p, PRED_KINDS, "prediction") for p in paths]
+        preds[option] = [read_grid(p) for p in paths]
         for path, obs_path, pred, y in zip(paths, obs_paths, preds[option], obs):
             _naming(f"{path} and {obs_path}", scored_weights, pred, y)
             if check is not None:

@@ -369,32 +369,34 @@ def filtered_preds(scored_pipeline, tmp_path):
 def test_score_and_eval_refuse_real_predictions(scored_pipeline, filtered_preds,
                                                  tmp_path, capsys):
     obs = f"{scored_pipeline}/obs_*.grid"
+    refusal = "predictions must be of kind prob or mask, got kind 'real'"
     capsys.readouterr()
     assert run("score", "--pred", f"m={filtered_preds}/a_*.grid", "--obs", obs,
                "--specs", "brier_nbhd_r0", "--out", tmp_path / "s.csv") == 1
     err = capsys.readouterr().err
-    assert "a_0.grid" in err and "prediction has kind 'real'" in err
+    assert "a_0.grid" in err and refusal in err
     assert not (tmp_path / "s.csv").exists()
 
     assert run("eval", "--pred", f"{filtered_preds}/a_*.grid", "--obs", obs,
                "--out-dir", tmp_path / "rep") == 1
     err = capsys.readouterr().err
-    assert "a_0.grid" in err and "prediction has kind 'real'" in err
+    assert "a_0.grid" in err and refusal in err
     assert run("eval", "--pred", f"{scored_pipeline}/a_*.grid", "--obs", obs,
                "--compare", f"{filtered_preds}/a_*.grid", "--out-dir", tmp_path / "rep") == 1
-    assert "prediction has kind 'real'" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
     assert not (tmp_path / "rep").exists()
 
 
 def test_score_and_eval_refuse_non_mask_observations(scored_pipeline, tmp_path, capsys):
     preds, probs = f"{scored_pipeline}/a_*.grid", f"{scored_pipeline}/b_*.grid"
+    refusal = "observations must be binary masks, got kind 'prob'"
     capsys.readouterr()
     assert run("score", "--pred", f"a={preds}", "--obs", probs,
                "--specs", "brier_nbhd_r0", "--out", tmp_path / "s.csv") == 1
     err = capsys.readouterr().err
-    assert "b_0.grid" in err and "observation has kind 'prob'" in err
+    assert "b_0.grid" in err and refusal in err
     assert run("eval", "--pred", preds, "--obs", probs, "--out-dir", tmp_path / "rep") == 1
-    assert "observation has kind 'prob'" in capsys.readouterr().err
+    assert refusal in capsys.readouterr().err
 
 
 def test_score_accepts_mask_and_prob_predictions(scored_pipeline, tmp_path):

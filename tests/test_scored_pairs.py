@@ -5,17 +5,24 @@ reduces its contingency once.
 ``mask`` observation and refuses any other kind, naming it.  Every entry
 point that scores a pair reads it, so a ``real`` prediction (a spectral
 filter's output, say) never reaches a score: a negative one would put the
-neighbourhood CSI outside [0, 1] and break the reliability bins.  The
+neighbourhood CSI outside [0, 1] and break the reliability bins.  The CLI's
+``score`` and ``eval`` check no kind of their own: they print its text.  The
 ``NbhdPair`` record keeps its (a_obs, a_pred, b, c) contingency, so one
 loss value and its gradient reduce it once.
 """
 
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+from selfscore.cli import main
 from selfscore.evaluation import (attributes_diagram, brier_parts,
                                   performance_diagram)
-from selfscore.grid import GridField
+from selfscore.grid import GridField, write_grid
 from selfscore.losses import (grad_check, loss_gradient, loss_value, metric_tables,
                               parse_spec_id, prepare_target)
 from selfscore.scores import NbhdPair
@@ -37,6 +44,25 @@ def real_prediction():
     return GridField(values, SPACING, "real")
 
 
+def cli(*argv):
+    """``selfscore *argv`` in-process, with the pair written to ``pred.grid`` and
+    ``obs.grid`` in a temporary directory that an ``@`` in ``argv`` stands for;
+    on exit 1 its ``error:`` line is raised as a ``ValueError``."""
+    def run(p, y):
+        with tempfile.TemporaryDirectory() as tmp:
+            write_grid(os.path.join(tmp, "pred.grid"), p)
+            write_grid(os.path.join(tmp, "obs.grid"), y)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([a.replace("@", tmp + os.sep) for a in argv])
+        if code == 1:
+            raise ValueError(err.getvalue())
+        assert code == 0
+    return run
+
+
+EVAL = ("--obs", "@obs.grid", "--out-dir", "@report", "--n-boot", "20", "--n-boot-bars", "10")
+
 #: Each entry point that scores a (prediction, observation) pair.
 ENTRY_POINTS = {
     "loss_value": lambda p, y: loss_value(CSI, p, prepare_target(CSI, y)),
@@ -47,6 +73,11 @@ ENTRY_POINTS = {
     "attributes_diagram": attributes_diagram,
     "brier_parts": brier_parts,
     "performance_diagram": performance_diagram,
+    "cli_score": cli("score", "--pred", "m=@pred.grid", "--obs", "@obs.grid",
+                     "--specs", "csi_nbhd_r1,brier_F0-0.1", "--out", "@scores.csv"),
+    "cli_eval": cli("eval", "--pred", "@pred.grid", *EVAL),
+    # The observation is a perfect --pred, so the compared side is the one checked.
+    "cli_eval_compare": cli("eval", "--pred", "@obs.grid", "--compare", "@pred.grid", *EVAL),
 }
 
 
