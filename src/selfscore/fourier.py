@@ -13,13 +13,14 @@ The pipeline for one field is:
 5. inverse real DFT (scaled by 1/(rows*cols)) back to the padded grid;
 6. crop the centered original-shape window back out.
 
-Steps 1-3 depend on the field only and steps 4-6 on the band, so a field is
-transformed once (:func:`fourier_spectrum`) and then filtered under any
-number of bands; :func:`fourier_band_passes` builds one band's gain once
-and inverts several spectra as one stack.  :func:`fourier_band_pass` is its
-one-field case.  The padded pixels are zero, so step 2 windows the data
-block only and step 3 transforms only the data rows along rows;
-:func:`fourier_stages` builds every step on the full padded grid.
+Steps 1-3 depend on the field only and steps 4-6 on the band, so a field's
+values are transformed once (:func:`fourier_spectrum`) and then filtered
+under any number of bands; :func:`fourier_band_passes` builds one band's
+gain once and inverts several spectra of one grid as one stack.  Both take
+and return raw arrays, as the neighbourhood filters do; the one-field
+:func:`fourier_band_pass` takes and returns a field.  Step 2 windows the
+(unpadded) data block only, and step 3 transforms only the data rows along
+rows; :func:`fourier_stages` builds every step on the full padded grid.
 
 The gain depends on |nu| only, which rows k and N-k, and columns j and M-j,
 of an N x M padded grid share bit for bit: |nu| is built once per padded
@@ -37,12 +38,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred
+from .grid import GridField, WavelengthBand, _centred, _check_transforms
 
 TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
@@ -134,72 +134,49 @@ def butterworth_gain(shape: tuple[int, int], spacing_deg: float,
     return gain
 
 
-@dataclass(frozen=True)
-class FourierSpectrum:
-    """Steps 1-3 of the pipeline for one field: the real DFT of its
-    windowed taper, ``coeffs`` of shape (3*rows, 3*cols//2 + 1)."""
-
-    field: GridField
-    coeffs: np.ndarray
-
-    @property
-    def target(self) -> tuple[int, int]:
-        """The padded grid shape."""
-        return TAPER_FACTOR * self.field.rows, TAPER_FACTOR * self.field.cols
-
-
-def fourier_spectrum(field: GridField) -> FourierSpectrum:
-    """Pad, window and transform a field once, for any number of bands.
-    Only the data block is windowed, and only the data rows are padded, as
-    one (rows, 3*cols) block; equals ``np.fft.rfft2`` (rows, then columns)
-    of the windowed taper bit for bit, the padded rows all taking a zero
-    row's transform (some of its zeros are -0.0)."""
-    rows, cols = target = TAPER_FACTOR * field.rows, TAPER_FACTOR * field.cols
-    data_rows, data_cols = _centred(field.shape, target)
-    block = np.zeros((field.rows, cols))
-    block[:, data_cols] = field.values * _blackman_harris(
+def fourier_spectrum(values: np.ndarray) -> np.ndarray:
+    """Pad, window and transform a field's values once, for any number of
+    bands, into a read-only (3*rows, 3*cols//2 + 1) array: ``np.fft.rfft2``
+    (rows, then columns) of the windowed taper bit for bit, built from the
+    data rows alone, windowed and padded as one (rows, 3*cols) block (the
+    padded rows take a zero row's transform, some of its zeros -0.0)."""
+    rows, cols = target = TAPER_FACTOR * values.shape[0], TAPER_FACTOR * values.shape[1]
+    data_rows, data_cols = _centred(values.shape, target)
+    block = np.zeros((values.shape[0], cols))
+    block[:, data_cols] = values * _blackman_harris(
         target, (data_rows.start, data_rows.stop), (data_cols.start, data_cols.stop))
     coeffs = np.tile(np.fft.rfft(np.zeros(cols)), (rows, 1))
     coeffs[data_rows] = np.fft.rfft(block)
     np.fft.fft(coeffs, axis=0, out=coeffs)
-    return FourierSpectrum(field, _read_only(coeffs))
+    return _read_only(coeffs)
 
 
-def fourier_band_passes(spectra: Sequence[FourierSpectrum],
-                        band: WavelengthBand) -> list[GridField]:
-    """Band-pass every transformed field under one band (steps 4-6).
+def fourier_band_passes(spectra: Sequence[np.ndarray], shape: tuple[int, int],
+                        spacing_deg: float, band: WavelengthBand) -> list[np.ndarray]:
+    """Band-pass the spectra of ``shape`` grids of spacing ``spacing_deg``
+    under one band (steps 4-6), refusing a spectrum of any other grid.
 
-    The fields must share shape and spacing; the band's gain is built once
-    and multiplied into one stack of the spectra.  The inverse runs down the
-    columns of the whole stack, then along the rows the crop keeps only.
-    Each line is transformed on its own, as ``irfft2`` of one spectrum
-    transforms it, so the kept values are those of a full ``irfft2`` bit
-    for bit.  Returns "real"-kind fields of the original shape, in input
-    order (window attenuation is not undone).
-    """
-    if not spectra:
-        return []
-    first = spectra[0].field
-    for spectrum in spectra[1:]:
-        if (spectrum.field.shape != first.shape
-                or spectrum.field.spacing_deg != first.spacing_deg):
-            raise ValueError("spectra must share shape and spacing")
-    target = spectra[0].target
-    data_rows, data_cols = _centred(first.shape, target)
-    gain = butterworth_gain(target, first.spacing_deg, band)
-    work = np.empty((len(spectra), *spectra[0].coeffs.shape), dtype=np.complex128)
+    The band's gain is built once and multiplied into one stack of the
+    spectra, inverted down the columns of the whole stack, then along the
+    rows the crop keeps only, each line on its own as ``irfft2`` of one
+    spectrum transforms it, so bit for bit as a full ``irfft2``.  Returns
+    each crop copied, in input order (window attenuation is not undone)."""
+    target = TAPER_FACTOR * shape[0], TAPER_FACTOR * shape[1]
+    _check_transforms(shape, [s.shape for s in spectra], (target[0], target[1] // 2 + 1))
+    data_rows, data_cols = _centred(shape, target)
+    gain = butterworth_gain(target, spacing_deg, band)
+    work = np.empty((len(spectra), *gain.shape), dtype=np.complex128)
     for spectrum, plane in zip(spectra, work):
-        np.multiply(spectrum.coeffs, gain, out=plane)
+        np.multiply(spectrum, gain, out=plane)
     by_col = np.fft.ifft(work, axis=1, out=work)[:, data_rows]
-    out = np.fft.irfft(by_col, n=target[1], axis=2)[:, :, data_cols]
-    return [GridField(values, s.field.spacing_deg, "real", s.field.eval_mask)
-            for values, s in zip(out, spectra)]
+    return [out.copy() for out in np.fft.irfft(by_col, n=target[1], axis=2)[:, :, data_cols]]
 
 
 def fourier_band_pass(field: GridField, band: WavelengthBand) -> GridField:
     """Band-pass filter one field: the one-field case of
-    :func:`fourier_band_passes`."""
-    return fourier_band_passes([fourier_spectrum(field)], band)[0]
+    :func:`fourier_band_passes`, as a "real" field with the input's eval mask."""
+    return field.with_values(fourier_band_passes([fourier_spectrum(field.values)], field.shape,
+                                                 field.spacing_deg, band)[0], "real")
 
 
 def fourier_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarray]:
@@ -222,5 +199,5 @@ def fourier_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarr
         "gain": gain,
         "spectrum_mag": spectrum_mag,
         "filtered_mag": spectrum_mag * gain,
-        "full": np.fft.irfft2(fourier_spectrum(field).coeffs * half_gain, s=target),
+        "full": np.fft.irfft2(fourier_spectrum(field.values) * half_gain, s=target),
     }

@@ -130,6 +130,14 @@ def _centred(shape: tuple[int, int], target: tuple[int, int]) -> tuple[slice, sl
     return tuple(slice((t - n) // 2, (t - n) // 2 + n) for n, t in zip(shape, target))
 
 
+def _check_transforms(shape: tuple[int, int], got, want: tuple[int, int]) -> None:
+    """Refuse a transform of any shape in ``got`` but ``want``, a ``shape`` grid's."""
+    for have in got:
+        if have != want:
+            raise ValueError(f"a transform of shape {have} was not made from a "
+                             f"{shape[0]}x{shape[1]} grid, whose transforms have shape {want}")
+
+
 def _format_header(field: GridField) -> bytes:
     tokens = [str(field.rows), str(field.cols), repr(float(field.spacing_deg)), field.kind]
     if field.eval_mask is not None:

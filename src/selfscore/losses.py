@@ -28,6 +28,11 @@ record, of the last prediction scored against it, in a
 gradients of a filter read one set of sums and one window max or mean of
 it, and the record goes with its field.  ``grad_check`` verifies the
 gradient against central finite differences away from non-smooth points.
+
+Memory: ``score`` of 2 models x 2 steps on the 16 ``brier_F*`` and 16
+``brier_W*`` configs peaks at 61 MB own ``VmHWM`` at 205 x 205 and 761 MB at
+1000 x 1000 (numpy 2.4); band outputs left as views of their inverse
+stacks raised those to 68 and 800 MB, so each is copied out.
 """
 
 from __future__ import annotations
@@ -244,26 +249,25 @@ def enumerate_configs() -> list[LossSpec]:
 
 def _filtered(specs: list[LossSpec], fields: list[GridField]):
     """Group ``specs`` by filter (first-seen order per kind); yield each group
-    with its outputs for ``fields``: the fields for a neighbourhood group (its
-    records filter), else each band-passed from one transform per method.
-    Fields equal in shape, spacing, ``values`` bytes and eval-mask bytes
-    (bytes, so -0.0 and 0.0 differ) are transformed once and share one
-    output: the first such field for a neighbourhood group."""
+    with its output arrays for ``fields``, which share one shape and spacing
+    (``metric_tables``' ``scored_weights`` checks them): their values for a
+    neighbourhood group, else each band-passed from one transform per method.
+    Fields equal in ``values`` bytes (-0.0 and 0.0 differ), whatever their
+    eval masks, are transformed once and share one output."""
     groups: dict[str, list[LossSpec]] = {}
     for spec in specs:
         groups.setdefault(spec.filter_id, []).append(spec)
-    keys: dict[tuple, int] = {}
-    slots = [keys.setdefault((f.shape, f.spacing_deg, f.values.tobytes(),
-                              None if f.eval_mask is None else f.eval_mask.tobytes()),
-                             len(keys)) for f in fields]
-    distinct = [fields[slots.index(k)] for k in range(len(keys))]
+    keys: dict[bytes, int] = {}
+    slots = [keys.setdefault(f.values.tobytes(), len(keys)) for f in fields]
+    distinct = [fields[slots.index(k)].values for k in range(len(keys))]
+    grid = fields[0].shape, fields[0].spacing_deg
     for kind in ("nbhd", *SPECTRAL_METHODS):
         kind_groups = [group for group in groups.values() if group[0].filter_kind == kind]
         if kind != "nbhd" and kind_groups:
             _, transform, band_passes, _ = _spectral(kind)
-            transforms = [transform(f) for f in distinct]
+            transforms = [transform(v) for v in distinct]
         for group in kind_groups:
-            outs = distinct if kind == "nbhd" else band_passes(transforms, group[0].band)
+            outs = distinct if kind == "nbhd" else band_passes(transforms, *grid, group[0].band)
             yield group, [outs[k] for k in slots]
 
 
@@ -295,14 +299,13 @@ class PreparedTarget:
                            else NbhdObs(self.observed.values, self.spec.half_width))
 
 
-def _target(spec: LossSpec, y: GridField, out: GridField) -> PreparedTarget:
+def _target(spec: LossSpec, y: GridField, out: np.ndarray) -> PreparedTarget:
     """``y``'s target for ``spec`` from its filter output ``out``: clamped
     to [0, 1] for a spectral spec, the mask itself for a neighbourhood one."""
     if not spec.is_spectral:
         return PreparedTarget(spec, y, y)
-    filtered = GridField(np.clip(out.values, 0.0, 1.0), out.spacing_deg, "prob", out.eval_mask)
-    return PreparedTarget(spec, y, filtered,
-                          float(np.max(np.abs(out.values - filtered.values))))
+    filtered = GridField(np.clip(out, 0.0, 1.0), y.spacing_deg, "prob", y.eval_mask)
+    return PreparedTarget(spec, y, filtered, float(np.max(np.abs(out - filtered.values))))
 
 
 def prepare_targets(specs: list[LossSpec], y: GridField) -> dict[str, PreparedTarget]:
@@ -383,13 +386,12 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
     spec id in the order of ``specs``, of scores (not losses).
     """
     tables: list[dict[str, ScoreResult]] = [{} for _ in preds]
-    # Band-passed fields keep their eval masks, so one weight array per
-    # prediction serves every filter.
+    # Filters keep the grid: one weight array per prediction serves them all.
     weights = [scored_weights(p, y) for p in preds]
     for group, (y_out, *p_outs) in _filtered(specs, [_observed(y), *preds]):
         target = _target(group[0], y, y_out)
         for p_out, w, table in zip(p_outs, weights, tables):
-            pv = np.clip(p_out.values, 0.0, 1.0) if group[0].is_spectral else p_out.values
+            pv = np.clip(p_out, 0.0, 1.0) if group[0].is_spectral else p_out
             record = _record(group[0], pv, target, w)
             table.update((spec.spec_id, record.score(spec.score)) for spec in group)
     return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]

@@ -25,7 +25,7 @@ off above, i.e. when hi is at least the padded-domain scale):
    deeper level's does too), or from the deepest LL when no level's does;
    a level with detail wavelength d*2^k at or below lo inverts with zero
    details, every other level with its own;
-4. crop the padding, one slice of the padded grid into the one output field.
+4. crop the padding: the output is the centred slice of the padded grid.
 
 The bottom band edge is exclusive so that complementary bands [0, x] and
 [x, inf] split every coefficient exactly once: the detail subbands at
@@ -35,13 +35,14 @@ partition holds for any edge from the finest detail wavelength 2d up to
 the padded-domain scale; edges outside that range follow the procedural
 rules above (a top edge below 2d still passes the level-1 details).
 
-Steps 1-2 depend on the field only, so a field is decomposed once
-(:func:`wavelet_decompose`) into what step 3 reads: each level's detail
+Steps 1-2 depend on the field only, so a field's values are decomposed
+once (:func:`wavelet_decompose`) into what step 3 reads: each level's detail
 subbands and the deepest LL, as many values as the padded grid.  Steps 3-4
-run per band from that shared decomposition (:func:`wavelet_band_passes`),
-which they never modify.  :func:`wavelet_band_pass` is its one-field case;
-:func:`wavelet_stages` gives the padded input and the uncropped output, for
-inspection.
+run per band from that shared decomposition (:func:`wavelet_band_passes`,
+given the grid's shape and spacing), which they never modify.  Both take
+and return raw arrays, as the neighbourhood filters do; the one-field
+:func:`wavelet_band_pass` takes and returns a field, and
+:func:`wavelet_stages` gives the padded input and the uncropped output.
 
 Memory: a one-field band-pass grows by about 26 bytes per padded pixel
 (own ``VmHWM``, fields of 200 x 200 to 600 x 600, numpy 2.4).  The padded
@@ -57,7 +58,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred, next_pow2_dims
+from .grid import GridField, WavelengthBand, _centred, _check_transforms, next_pow2_dims
 
 
 def haar_forward(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -98,12 +99,12 @@ def _check_haar(shape: tuple[int, int]) -> None:
                          f"got {shape[0]}x{shape[1]}")
 
 
-def _padded(field: GridField) -> np.ndarray:
-    """Step 1: the field's values centred in a zero grid of power-of-two dims."""
-    _check_haar(field.shape)
-    target = next_pow2_dims(field.shape)
+def _padded(values: np.ndarray) -> np.ndarray:
+    """Step 1: ``values`` centred in a zero grid of power-of-two dims."""
+    _check_haar(values.shape)
+    target = next_pow2_dims(values.shape)
     padded = np.zeros(target)
-    padded[_centred(field.shape, target)] = field.values
+    padded[_centred(values.shape, target)] = values
     return padded
 
 
@@ -112,59 +113,57 @@ class WaveletDecomposition:
     """Steps 1-2 for one field, shared by every band: each level's detail
     subbands ``(lh, hl, hh)``, level 1 (the finest) first, and the deepest LL."""
 
-    field: GridField
     details: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     coarsest: np.ndarray
 
 
-def wavelet_decompose(field: GridField) -> WaveletDecomposition:
-    """Pad a field to power-of-two dims and decompose it fully, once."""
-    ll, details = _padded(field), []
+def wavelet_decompose(values: np.ndarray) -> WaveletDecomposition:
+    """Pad a field's values to power-of-two dims and decompose them fully, once."""
+    ll, details = _padded(values), []
     for _ in range(int(math.log2(min(ll.shape)))):
         ll, *detail = haar_forward(ll)
         details.append(tuple(detail))
-    return WaveletDecomposition(field, details, ll)
+    return WaveletDecomposition(details, ll)
 
 
-def _band_full(decomposition: WaveletDecomposition, band: WavelengthBand) -> np.ndarray:
+def _band_full(decomposition: WaveletDecomposition, spacing_deg: float,
+               band: WavelengthBand) -> np.ndarray:
     """Step 3 for one band: the padded grid from one inverse walk of the
     shared decomposition, which it only reads."""
-    details, spacing = decomposition.details, decomposition.field.spacing_deg
+    details = decomposition.details
     start = next((k for k in range(1, len(details) + 1)
-                  if spacing * 2.0 ** (k + 1) > band.hi_deg), None)
+                  if spacing_deg * 2.0 ** (k + 1) > band.hi_deg), None)
     ll = decomposition.coarsest if start is None else np.zeros_like(details[start - 1][0])
     for k in range(start or len(details), 0, -1):
-        keep = spacing * 2.0 ** k > band.lo_deg
+        keep = spacing_deg * 2.0 ** k > band.lo_deg
         ll = haar_inverse(ll, *(details[k - 1] if keep
                                 else (np.zeros_like(details[k - 1][0]),) * 3))
     return ll
 
 
-def _crop(decomposition: WaveletDecomposition, full: np.ndarray) -> GridField:
-    """Step 4's crop back to the original shape, keeping the eval mask."""
-    field = decomposition.field
-    return GridField(full[_centred(field.shape, full.shape)], field.spacing_deg, "real",
-                     field.eval_mask)
-
-
 def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],
-                        band: WavelengthBand) -> list[GridField]:
-    """Band-pass every decomposed field under one band, in input order.
-
-    Each output is one inverse walk of the shared decomposition, cropped; the
-    all-pass band reproduces the input exactly.
-    """
-    return [_crop(d, _band_full(d, band)) for d in decompositions]
+                        shape: tuple[int, int], spacing_deg: float,
+                        band: WavelengthBand) -> list[np.ndarray]:
+    """Band-pass the decompositions of ``shape`` grids of spacing ``spacing_deg``
+    under one band, in input order, refusing one of another padded grid: each
+    output is one inverse walk, its crop copied (all-pass gives the input exactly)."""
+    target = next_pow2_dims(shape)
+    _check_transforms(shape, [tuple(2 * n for n in d.details[0][0].shape)
+                              for d in decompositions], target)
+    crop = _centred(shape, target)
+    return [_band_full(d, spacing_deg, band)[crop].copy() for d in decompositions]
 
 
 def wavelet_band_pass(field: GridField, band: WavelengthBand) -> GridField:
     """Band-pass filter one field: the one-field case of
-    :func:`wavelet_band_passes`."""
-    return wavelet_band_passes([wavelet_decompose(field)], band)[0]
+    :func:`wavelet_band_passes`, as a "real" field with the input's eval mask."""
+    return field.with_values(wavelet_band_passes([wavelet_decompose(field.values)], field.shape,
+                                                 field.spacing_deg, band)[0], "real")
 
 
 def wavelet_stages(field: GridField, band: WavelengthBand) -> dict[str, np.ndarray]:
     """The pipeline's stages for inspection, on the power-of-two grid: padded
     (the input) and full (the uncropped output, whose crop is
     :func:`wavelet_band_pass`'s)."""
-    return {"padded": _padded(field), "full": _band_full(wavelet_decompose(field), band)}
+    return {"padded": _padded(field.values),
+            "full": _band_full(wavelet_decompose(field.values), field.spacing_deg, band)}

@@ -134,7 +134,7 @@ def test_03_transform_exactness(capsys):
         dft_worst = max(dft_worst, float(np.abs(back - v).max()))
 
         step = haar_inverse(*haar_forward(v))
-        decomposition = wavelet_decompose(GridField(v, SPACING, "real"))
+        decomposition = wavelet_decompose(v)
         assert len(decomposition.details) == 6
         ll = decomposition.coarsest
         for lh, hl, hh in reversed(decomposition.details):

@@ -1,9 +1,9 @@
 """Tests for spectral work done once per distinct field.
 
-The filter walk transforms and band-passes each distinct field once:
-fields equal in shape, spacing, ``values`` bytes and eval-mask bytes share
-one transform and one output, so a model that is the observation itself
-costs no extra Fourier or Haar work.  ``fourier_band_passes`` inverts one
+The filter walk transforms and band-passes each distinct field once: the
+fields of one walk share one grid, and those equal in ``values`` bytes share
+one transform and one output, whatever their eval masks, so a model that is
+the observation itself costs no extra Fourier or Haar work.  ``fourier_band_passes`` inverts one
 stack of spectra per band, and ``butterworth_gain`` builds rows 0..N//2
 of the half plane on the quarter |nu| plane and mirrors the rest.  These tests pin each of those against the
 per-field or full-grid computation it replaced, byte for byte, and pin
@@ -84,19 +84,19 @@ def test_stacked_band_passes_equal_one_spectrum_calls(shape, masked):
     rng = np.random.default_rng(sum(shape))
     emask = rng.random(shape) < 0.6 if masked else None
     fields = [GridField(rng.normal(size=shape), SPACING, "real", emask) for _ in range(4)]
-    spectra = [fourier_spectrum(f) for f in fields]
+    spectra = [fourier_spectrum(f.values) for f in fields]
     for band in BANDS:
-        stacked = fourier_band_passes(spectra, band)
+        stacked = fourier_band_passes(spectra, shape, SPACING, band)
         assert len(stacked) == len(fields)
         for spectrum, field, out in zip(spectra, fields, stacked):
-            (single,) = fourier_band_passes([spectrum], band)
-            assert out.values.tobytes() == single.values.tobytes()
-            assert out.values.tobytes() == fourier_band_pass(field, band).values.tobytes()
-            assert out.shape == field.shape and out.kind == "real"
+            (single,) = fourier_band_passes([spectrum], shape, SPACING, band)
+            one = fourier_band_pass(field, band)
+            assert out.tobytes() == single.tobytes() == one.values.tobytes()
+            assert out.shape == one.shape == field.shape and one.kind == "real"
             if masked:
-                assert out.eval_mask.tobytes() == field.eval_mask.tobytes()
+                assert one.eval_mask.tobytes() == field.eval_mask.tobytes()
             else:
-                assert out.eval_mask is None
+                assert one.eval_mask is None
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +109,8 @@ SPECS = [parse_spec_id(s) for s in (
 
 
 def content_key(field):
-    emask = None if field.eval_mask is None else field.eval_mask.tobytes()
-    return field.shape, field.spacing_deg, field.values.tobytes(), emask
+    """What the walk keys a field by: its values' bytes, the grid being one."""
+    return field.values.tobytes()
 
 
 @st.composite
@@ -158,7 +158,7 @@ def test_metric_tables_transform_each_distinct_field_once(scene):
             assert got.fallbacks == want.fallbacks
 
 
-def test_negative_zero_and_eval_mask_keep_fields_apart(monkeypatch):
+def test_negative_zero_keeps_fields_apart_and_eval_mask_does_not(monkeypatch):
     yv = np.zeros((6, 7))
     yv[2:4, 3:5] = 1.0
     y = GridField(yv, SPACING, "mask")
@@ -167,11 +167,15 @@ def test_negative_zero_and_eval_mask_keep_fields_apart(monkeypatch):
              GridField(yv, SPACING, "prob", np.ones(yv.shape, dtype=bool))]
     seen = []
     monkeypatch.setattr(losses, "fourier_spectrum",
-                        lambda field: seen.append(field) or fourier_spectrum(field))
-    metric_tables([parse_spec_id("brier_F0-0.1")], twins, y)
-    # y and the two exact twins share one transform; -0.0 and the mask do not.
-    assert [f is g for f, g in zip(seen, [y, twins[2], twins[3]])] == [True] * 3
-    assert len(seen) == 3
+                        lambda values: seen.append(values) or fourier_spectrum(values))
+    tables = metric_tables([parse_spec_id("brier_F0-0.1")], twins, y)
+    # y, the two exact twins and the eval-mask twin share one transform;
+    # -0.0 does not.
+    assert [v is f.values for v, f in zip(seen, [y, twins[2]])] == [True] * 2
+    assert len(seen) == 2
+    for p, table in zip(twins, tables):
+        want = metric_value(parse_spec_id("brier_F0-0.1"), p, y).value
+        assert np.float64(table["brier_F0-0.1"].value).tobytes() == np.float64(want).tobytes()
 
 
 def test_census_truth_model_costs_no_transform(monkeypatch):

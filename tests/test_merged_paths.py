@@ -67,8 +67,10 @@ def spy(monkeypatch, *names):
 
 def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
     """A tracer rebinds the spectral names on ``selfscore.losses`` and reads
-    ``args[0], args[1]`` as (field or fields, band); every spectral caller
-    must go through those names with them positional."""
+    ``fourier_band_pass``'s ``args[0], args[1]`` as (field, band); every
+    spectral caller must go through those names with its arguments
+    positional, the many-array band-passes taking (arrays, shape, spacing,
+    band)."""
     calls = spy(monkeypatch, "fourier_band_pass", "fourier_spectrum", "fourier_band_passes",
                 "wavelet_band_passes")
     p, y = random_pair(1)
@@ -86,9 +88,10 @@ def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
     calls.clear()
 
     prepare_target(LossSpec("brier", "F", band=band), y)
-    assert reached("fourier_spectrum")[0] is y
-    spectra, got_band = reached("fourier_band_passes")
-    assert [s.field for s in spectra] == [y] and got_band == band
+    assert reached("fourier_spectrum")[0] is y.values
+    (spectrum,), *grid_and_band = reached("fourier_band_passes")
+    assert spectrum.tobytes() == losses.fourier_spectrum(y.values).tobytes()
+    assert grid_and_band == [y.shape, SPACING, band]
     assert "fourier_band_pass" not in [n for n, _, _ in calls]
     calls.clear()
 
@@ -96,10 +99,10 @@ def test_spectral_callers_reach_rebound_names_positionally(monkeypatch):
     losses.metric_tables(specs, [p], y)
     spectra = [a for n, a, _ in calls if n == "fourier_spectrum"]
     assert [len(a) for a in spectra] == [1, 1]
-    assert spectra[0][0] is y and spectra[1][0] is p
+    assert spectra[0][0] is y.values and spectra[1][0] is p.values
     for name in ("fourier_band_passes", "wavelet_band_passes"):
         args = reached(name)
-        assert len(args) == 2 and len(args[0]) == 2 and args[1] == band
+        assert len(args) == 4 and len(args[0]) == 2 and args[1:] == (y.shape, SPACING, band)
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +120,7 @@ def test_prepare_targets_transforms_once_and_matches_prepare_target(monkeypatch,
     calls = spy(monkeypatch, "fourier_spectrum", "wavelet_decompose")
     targets = prepare_targets(configs, y)
     assert sorted(n for n, _, _ in calls) == ["fourier_spectrum", "wavelet_decompose"]
-    assert all(args[0] is y for _, args, _ in calls)
+    assert all(args[0] is y.values for _, args, _ in calls)
     assert list(targets) == list(dict.fromkeys(s.filter_id for s in configs))
     assert len(targets) == 40
     for spec in configs:

@@ -1,12 +1,14 @@
 """Property tests: the transform-once spectral paths against their references.
 
-A field is transformed once (``fourier_spectrum``, ``wavelet_decompose``)
-and then filtered band by band, several fields at a time.  These tests
-check on small random grids, odd sizes included, that this gives the
-single-band results bit for bit, that the real-DFT pipeline matches a
-complex ``fft2``/``ifft2`` run of the documented steps, that the Haar path
-matches the copy-and-zero algorithm it replaced, and that complementary
-bands still partition their input.
+A field's values are transformed once (``fourier_spectrum``,
+``wavelet_decompose``) and then filtered band by band, several arrays of one
+grid at a time.  These tests check on small random grids, odd sizes
+included, that this gives the single-band results bit for bit, that the
+real-DFT pipeline matches a complex ``fft2``/``ifft2`` run of the documented
+steps, that the Haar path matches the copy-and-zero algorithm it replaced,
+that complementary bands still partition their input, that a transform of
+another grid is refused, and that only the one-field band-passes and the
+targets build fields.
 """
 
 import math
@@ -14,6 +16,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -69,7 +72,8 @@ def bands(draw):
 
 
 def assert_owns_copy_of_mask(out, field):
-    """``out`` keeps the input's eval mask by value, in read-only arrays."""
+    """``out``, a one-field band-pass, keeps the input's eval mask by value,
+    in read-only arrays."""
     assert not out.values.flags.writeable
     if field.eval_mask is None:
         assert out.eval_mask is None
@@ -99,14 +103,14 @@ def windowed_original(field):
 @SETTINGS
 @given(fields(count=3), st.lists(bands(), min_size=1, max_size=4))
 def test_shared_spectra_match_single_band_calls_bit_for_bit(group, band_list):
-    spectra = [fourier_spectrum(f) for f in group]
+    spectra = [fourier_spectrum(f.values) for f in group]
     for band in band_list:
-        shared = fourier_band_passes(spectra, band)
+        shared = fourier_band_passes(spectra, group[0].shape, group[0].spacing_deg, band)
         for field, out in zip(group, shared):
             single = fourier_band_pass(field, band)
-            assert np.array_equal(out.values, single.values)
-            assert out.kind == single.kind == "real"
-            assert_owns_copy_of_mask(out, field)
+            assert np.array_equal(out, single.values)
+            assert single.kind == "real"
+            assert_owns_copy_of_mask(single, field)
 
 
 @SETTINGS
@@ -141,10 +145,10 @@ def test_stages_full_grid_crops_to_the_output(group, band, method):
 @given(fields(kind="mask"), st.sampled_from(EDGES))
 def test_complementary_fourier_bands_sum_to_windowed_input(group, edge):
     field = group[0]
-    spectrum = fourier_spectrum(field)
-    (low,) = fourier_band_passes([spectrum], WavelengthBand(0.0, edge))
-    (high,) = fourier_band_passes([spectrum], WavelengthBand(edge, math.inf))
-    assert np.abs(low.values + high.values - windowed_original(field)).max() <= 1e-10
+    spectrum, grid = fourier_spectrum(field.values), (field.shape, field.spacing_deg)
+    (low,) = fourier_band_passes([spectrum], *grid, WavelengthBand(0.0, edge))
+    (high,) = fourier_band_passes([spectrum], *grid, WavelengthBand(edge, math.inf))
+    assert np.abs(low + high - windowed_original(field)).max() <= 1e-10
 
 
 def test_cached_window_and_wavenumbers_are_shared_read_only():
@@ -202,16 +206,17 @@ def copy_and_zero_band_pass(field, band):
 @SETTINGS
 @given(fields(count=2), st.lists(bands(), min_size=1, max_size=4))
 def test_shared_pyramid_matches_copy_and_zero_bit_for_bit(group, band_list):
-    decompositions = [wavelet_decompose(f) for f in group]
+    decompositions = [wavelet_decompose(f.values) for f in group]
     held = [[d.coarsest, *(a for detail in d.details for a in detail)] for d in decompositions]
     before = [[a.copy() for a in arrays] for arrays in held]
     for band in band_list:
-        shared = wavelet_band_passes(decompositions, band)
+        shared = wavelet_band_passes(decompositions, group[0].shape, group[0].spacing_deg, band)
         for field, out in zip(group, shared):
             want = copy_and_zero_band_pass(field, band)
-            assert np.array_equal(out.values, want)
-            assert np.array_equal(wavelet_band_pass(field, band).values, want)
-            assert_owns_copy_of_mask(out, field)
+            assert np.array_equal(out, want)
+            single = wavelet_band_pass(field, band)
+            assert np.array_equal(single.values, want) and single.kind == "real"
+            assert_owns_copy_of_mask(single, field)
     for arrays, copies in zip(held, before):  # the shared decomposition is never modified
         assert all(np.array_equal(a, c) for a, c in zip(arrays, copies))
 
@@ -225,37 +230,59 @@ def test_complementary_haar_bands_sum_to_input(group, where):
     d = field.spacing_deg
     n_levels = int(math.log2(min(next_pow2_dims(field.shape))))
     edge = d * 2.0 ** (1 + where * n_levels)
-    decomposition = wavelet_decompose(field)
-    (low,) = wavelet_band_passes([decomposition], WavelengthBand(0.0, edge))
-    (high,) = wavelet_band_passes([decomposition], WavelengthBand(edge, math.inf))
-    assert np.abs(low.values + high.values - field.values).max() <= 1e-10
+    decomposition, grid = wavelet_decompose(field.values), (field.shape, d)
+    (low,) = wavelet_band_passes([decomposition], *grid, WavelengthBand(0.0, edge))
+    (high,) = wavelet_band_passes([decomposition], *grid, WavelengthBand(edge, math.inf))
+    assert np.abs(low + high - field.values).max() <= 1e-10
+
+
+def spy_on_fields(monkeypatch):
+    """The list every ``GridField`` built from now on is appended to."""
+    built = []
+    post_init = GridField.__post_init__
+    monkeypatch.setattr(GridField, "__post_init__",
+                        lambda self: (built.append(self), post_init(self))[1])
+    return built
 
 
 @SETTINGS
 @given(fields(count=3), bands())
-def test_each_band_output_builds_one_field(group, band):
-    prepared = {fourier_band_passes: [fourier_spectrum(f) for f in group],
-                wavelet_band_passes: [wavelet_decompose(f) for f in group]}
-    built = []
-    post_init = GridField.__post_init__
-    GridField.__post_init__ = lambda self: (built.append(self), post_init(self))[1]
-    try:
-        for band_passes, inputs in prepared.items():
-            built.clear()
-            outs = band_passes(inputs, band)
-            assert len(built) == len(outs) == len(group)
-            assert all(a is b for a, b in zip(built, outs))
-    finally:
-        GridField.__post_init__ = post_init
+def test_band_passes_build_no_field(group, band):
+    """The many-array band-passes and their transforms take and return
+    arrays of the input grid's shape."""
+    grid = group[0].shape, group[0].spacing_deg
+    with pytest.MonkeyPatch.context() as mp:
+        built = spy_on_fields(mp)
+        for transform, band_passes in ((fourier_spectrum, fourier_band_passes),
+                                       (wavelet_decompose, wavelet_band_passes)):
+            outs = band_passes([transform(f.values) for f in group], *grid, band)
+            assert len(outs) == len(group)
+            assert all(isinstance(out, np.ndarray) and out.shape == grid[0] for out in outs)
+    assert built == []
+
+
+def test_band_passes_refuse_a_transform_of_another_grid():
+    """A transform made from another grid than ``shape`` is refused with both
+    shapes named, wherever it sits in the list: a Fourier spectrum of a
+    16 x 16 grid (which numpy would refuse to broadcast, with its own text) and
+    a Haar decomposition of a 20 x 20 grid, padded to 32 x 32 (which a crop
+    to 10 x 10 would take silently)."""
+    rng = np.random.default_rng(8)
+    band, ok = WavelengthBand(0.0, 0.1), rng.uniform(size=(10, 10))
+    cases = [(fourier_spectrum, fourier_band_passes, 16, r"\(48, 25\).* 10x10 .*\(30, 16\)"),
+             (wavelet_decompose, wavelet_band_passes, 20, r"\(32, 32\).* 10x10 .*\(16, 16\)")]
+    for transform, band_passes, side, named in cases:
+        other = transform(rng.uniform(size=(side, side)))
+        for transforms in ([other], [transform(ok), other]):
+            with pytest.raises(ValueError, match=f"^a transform of shape {named}$"):
+                band_passes(transforms, (10, 10), 0.02, band)
+        assert band_passes([transform(ok)], (10, 10), 0.02, band)[0].shape == (10, 10)
 
 
 def test_wavelet_filter_builds_only_its_input_and_output_fields(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     write_grid(tmp_path / "in.grid", GridField(rng.uniform(size=(13, 10)), 0.02, "prob"))
-    built = []
-    post_init = GridField.__post_init__
-    monkeypatch.setattr(GridField, "__post_init__",
-                        lambda self: (built.append(self), post_init(self))[1])
+    built = spy_on_fields(monkeypatch)
     assert main(["filter", "--spec", "W0-0.1", str(tmp_path / "in.grid"),
                  str(tmp_path / "out.grid")]) == 0
     assert len(built) == 2  # the padded grid is an array, not a field
@@ -279,6 +306,43 @@ def test_metric_tables_match_one_table_per_prediction(preds, seed):
         single = metric_table(configs, p, y)
         assert list(table) == list(single) == [s.spec_id for s in configs]
         assert all(table[k] == single[k] for k in single)
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["plain", "eval-masked"])
+def test_metric_tables_build_one_field_per_spectral_target(monkeypatch, masked):
+    """Per step, the census builds one field per spectral filter, the clamped
+    target with the observation's grid and eval mask, and none per band
+    output, whatever the number of predictions."""
+    rng = np.random.default_rng(9)
+    shape = (12, 11)
+    emask = rng.uniform(size=shape) < 0.8 if masked else None
+    y = GridField((rng.uniform(size=shape) < 0.3).astype(float), 0.02, "mask", emask)
+    preds = [GridField(rng.uniform(size=shape), 0.02, "prob") for _ in range(3)]
+    configs = enumerate_configs()
+    built = spy_on_fields(monkeypatch)
+    metric_tables(configs, preds, y)
+    assert len(built) == len({s.filter_id for s in configs if s.is_spectral}) == 32
+    for field in built:
+        assert field.kind == "prob" and field.shape == shape and field.spacing_deg == 0.02
+        assert field.eval_mask is None if emask is None else np.array_equal(field.eval_mask,
+                                                                            emask)
+
+
+def test_census_score_builds_its_inputs_and_targets_only(tmp_path, monkeypatch):
+    """A 2-model, 2-step ``score --all-336`` builds 70 fields: the 6 it reads
+    and the 32 spectral targets of each step."""
+    rng = np.random.default_rng(10)
+    for step in range(2):
+        write_grid(tmp_path / f"mask_{step}.grid",
+                   GridField((rng.uniform(size=(9, 8)) < 0.3).astype(float), 0.02, "mask"))
+        for model in "ab":
+            write_grid(tmp_path / f"{model}_{step}.grid",
+                       GridField(rng.uniform(size=(9, 8)), 0.02, "prob"))
+    built = spy_on_fields(monkeypatch)
+    assert main(["score", "--pred", f"a={tmp_path}/a_*.grid", "--pred", f"b={tmp_path}/b_*.grid",
+                 "--obs", f"{tmp_path}/mask_*.grid", "--all-336",
+                 "--out", str(tmp_path / "scores.csv")]) == 0
+    assert len(built) == 6 + 2 * 32
 
 
 def test_threads_sharing_the_cached_window_get_the_serial_results():

@@ -58,7 +58,7 @@ def test_haar_rejects_odd_dims():
 def test_pyramid_round_trip_and_shapes():
     rng = np.random.default_rng(12)
     values = rng.normal(size=(32, 32))
-    decomposition = wavelet_decompose(_field(values))
+    decomposition = wavelet_decompose(values)
     assert len(decomposition.details) == 5
     assert decomposition.details[0][0].shape == (16, 16)
     assert decomposition.coarsest.shape == (1, 1)
