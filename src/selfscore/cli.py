@@ -391,7 +391,7 @@ def cmd_rank(args) -> int:
 # gradcheck
 
 def cmd_gradcheck(args) -> int:
-    from .losses import check_filter_input, grad_check, prepare_targets
+    from .losses import grad_check, prepare_targets
     specs = _select_specs(args.specs)
     rng = np.random.default_rng(args.seed)
     shape = (args.rows, args.cols)
@@ -399,9 +399,7 @@ def cmd_gradcheck(args) -> int:
     p = GridField(rng.uniform(0.01, 0.99, size=shape), args.spacing, "prob")
     y = GridField((rng.uniform(size=shape) < 0.3).astype(np.float64), args.spacing, "mask")
 
-    _naming(f"--rows {args.rows} --cols {args.cols}", check_filter_input, y,
-            *{s.filter_kind for s in specs})
-    targets = prepare_targets(specs, y)
+    targets = _naming(f"--rows {args.rows} --cols {args.cols}", prepare_targets, specs, y)
     failures = 0
     print(f"{'spec':<24} {'checked':>8} {'excluded':>9} {'max_rel':>12}  status")
     for spec in specs:

@@ -42,7 +42,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred, _check_transforms
+from .grid import GridField, WavelengthBand, _centred, _check_transforms, _check_values
 
 TAPER_FACTOR = 3
 BUTTERWORTH_ORDER = 2
@@ -140,6 +140,7 @@ def fourier_spectrum(values: np.ndarray) -> np.ndarray:
     (rows, then columns) of the windowed taper bit for bit, built from the
     data rows alone, windowed and padded as one (rows, 3*cols) block (the
     padded rows take a zero row's transform, some of its zeros -0.0)."""
+    _check_values(values)
     rows, cols = target = TAPER_FACTOR * values.shape[0], TAPER_FACTOR * values.shape[1]
     data_rows, data_cols = _centred(values.shape, target)
     block = np.zeros((values.shape[0], cols))

@@ -130,6 +130,14 @@ def _centred(shape: tuple[int, int], target: tuple[int, int]) -> tuple[slice, sl
     return tuple(slice((t - n) // 2, (t - n) // 2 + n) for n, t in zip(shape, target))
 
 
+def _check_values(values: np.ndarray) -> None:
+    """Refuse anything but a non-empty 2-D array of finite values, naming its shape."""
+    shape = np.shape(values)
+    if len(shape) != 2 or 0 in shape or not np.isfinite(values).all():
+        raise ValueError(f"a transform takes a non-empty 2-D array of finite values, "
+                         f"got one of shape {shape}")
+
+
 def _check_transforms(shape: tuple[int, int], got, want: tuple[int, int]) -> None:
     """Refuse a transform of any shape in ``got`` but ``want``, a ``shape`` grid's."""
     for have in got:

@@ -18,16 +18,15 @@ predictions raw, so gradients never flow through a spectral transform;
 evaluation filters and clamps them too.  The two intentionally differ.
 
 Losses are negatively oriented: loss = score for brier/xent, 1 - score for
-the rest.  Every score and gradient is read through one record dispatch,
-``_record``: a ``PairSums`` against a spectral target or an ``NbhdPair``
-with a neighbourhood one.  So ``loss_gradient`` is the exact derivative of
-``loss_value``, from the same sums and the same fallback tests (a constant
-fallback has gradient zero).  A ``PreparedTarget`` holds at most one
-record, of the last prediction scored against it, in a
-``WeakKeyDictionary`` keyed by the ``GridField`` object, so all scores and
-gradients of a filter read one set of sums and one window max or mean of
-it, and the record goes with its field.  ``grad_check`` verifies the
-gradient against central finite differences away from non-smooth points.
+the rest.  Every score and gradient is read from one record, which the
+target builds (``PreparedTarget.record``: an ``NbhdPair`` with a
+neighbourhood target, else a ``PairSums`` against the filtered field) and
+keeps for the last prediction scored against it (``PreparedTarget.scored``).
+So ``loss_gradient`` is the exact derivative of ``loss_value``, from the
+same sums and fallback tests (a constant fallback has gradient zero), and
+all scores and gradients of a filter read one set of sums and one window
+max or mean of it.  ``grad_check`` verifies the gradient against central
+finite differences away from non-smooth points.
 
 Memory: ``score`` of 2 models x 2 steps on the 16 ``brier_F*`` and 16
 ``brier_W*`` configs peaks at 61 MB own ``VmHWM`` at 205 x 205 and 761 MB at
@@ -279,11 +278,11 @@ class PreparedTarget:
     ``clamp_max_abs`` records how far the spectral filter output had to be
     clamped to return to [0, 1] (0 for neighbourhood specs).  ``nbhd`` holds
     a neighbourhood spec's filtered masks, made on first use (else None).
-    ``records`` holds at most one entry, in a ``WeakKeyDictionary``: the last
-    prediction scored against the target, keyed by the ``GridField`` object,
-    whose values are read-only, and the record every score and gradient of
-    it reads.  The record goes with its field, so a target held across time
-    steps keeps none for a prediction the caller has dropped.
+    The target builds its records (``record``) and keeps one under its own
+    lock (``scored``) in ``records``, a ``WeakKeyDictionary``: the last
+    prediction scored against it, keyed by the ``GridField`` object, whose
+    values are read-only.  The record goes with its field, so a target held
+    across time steps keeps none for a prediction the caller has dropped.
     """
 
     spec: LossSpec
@@ -293,10 +292,34 @@ class PreparedTarget:
     nbhd: NbhdObs | None = field(init=False, repr=False, compare=False)
     records: weakref.WeakKeyDictionary = field(init=False, repr=False, compare=False,
                                                default_factory=weakref.WeakKeyDictionary)
+    _keeping: threading.Lock = field(init=False, repr=False, compare=False,
+                                     default_factory=threading.Lock)
 
     def __post_init__(self):
         object.__setattr__(self, "nbhd", None if self.spec.is_spectral
                            else NbhdObs(self.observed.values, self.spec.half_width))
+
+    def record(self, pv: np.ndarray, w: np.ndarray) -> NbhdPair | PairSums:
+        """The record a score of ``pv`` over the scored pixels ``w`` is read
+        from, value and gradient alike: the pair with the target's
+        neighbourhood, or the sums against its filtered field."""
+        if self.nbhd is None:
+            return PairSums(pv, self.filtered.values, w)
+        return NbhdPair(pv, self.nbhd, w)
+
+    def scored(self, spec: LossSpec, p: GridField) -> NbhdPair | PairSums:
+        """The record of ``p``: the kept one when ``p`` is the field last
+        scored against the target, else a new one, which is then kept alone."""
+        if self.spec.filter_id != spec.filter_id:
+            raise ValueError("target was prepared with a different filter")
+        record = self.records.get(p)  # one read: a racing call can only rebuild
+        if record is None:
+            self.records.clear()  # the old record goes before the new one is made
+            record = self.record(p.values, scored_weights(p, self.observed))
+            with self._keeping:  # threads racing to keep a record leave one
+                self.records.clear()
+                self.records[p] = record
+        return record
 
 
 def _target(spec: LossSpec, y: GridField, out: np.ndarray) -> PreparedTarget:
@@ -321,34 +344,6 @@ def prepare_target(spec: LossSpec, y: GridField) -> PreparedTarget:
     return prepare_targets([spec], y)[spec.filter_id]
 
 
-def _record(spec: LossSpec, pv: np.ndarray, target: PreparedTarget,
-            w: np.ndarray) -> NbhdPair | PairSums:
-    """The record the spec's score of ``pv`` over the scored pixels ``w`` is
-    read from, value and gradient alike: the pair with the target's
-    neighbourhood, or the sums against its filtered field."""
-    if spec.filter_kind == "nbhd":
-        return NbhdPair(pv, target.nbhd, w)
-    return PairSums(pv, target.filtered.values, w)
-
-
-_KEEPING = threading.Lock()
-
-
-def _scored(spec: LossSpec, p: GridField, target: PreparedTarget) -> NbhdPair | PairSums:
-    """The record of ``p`` against ``target``: the kept one when ``p`` is the
-    field last scored against it, else a new one, which is then kept alone."""
-    if target.spec.filter_id != spec.filter_id:
-        raise ValueError("target was prepared with a different filter")
-    record = target.records.get(p)  # one read: a racing call can only rebuild
-    if record is None:
-        target.records.clear()  # the old record goes before the new one is made
-        record = _record(spec, p.values, target, scored_weights(p, target.observed))
-        with _KEEPING:  # threads racing to keep a record leave one
-            target.records.clear()
-            target.records[p] = record
-    return record
-
-
 def _loss(spec: LossSpec, record: NbhdPair | PairSums) -> ScoreResult:
     """The spec's score read from ``record``, negatively oriented."""
     result = record.score(spec.score)
@@ -358,7 +353,7 @@ def _loss(spec: LossSpec, record: NbhdPair | PairSums) -> ScoreResult:
 
 def loss_detail(spec: LossSpec, p: GridField, target: PreparedTarget) -> ScoreResult:
     """Loss value plus fallback flags for one prediction field."""
-    return _loss(spec, _scored(spec, p, target))
+    return _loss(spec, target.scored(spec, p))
 
 
 def loss_value(spec: LossSpec, p: GridField, target: PreparedTarget) -> float:
@@ -392,7 +387,7 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
         target = _target(group[0], y, y_out)
         for p_out, w, table in zip(p_outs, weights, tables):
             pv = np.clip(p_out, 0.0, 1.0) if group[0].is_spectral else p_out
-            record = _record(group[0], pv, target, w)
+            record = target.record(pv, w)
             table.update((spec.spec_id, record.score(spec.score)) for spec in group)
     return [{spec.spec_id: table[spec.spec_id] for spec in specs} for table in tables]
 
@@ -400,7 +395,7 @@ def metric_tables(specs: list[LossSpec], preds: list[GridField],
 def loss_gradient(spec: LossSpec, p: GridField, target: PreparedTarget) -> np.ndarray:
     """Exact gradient of the loss with respect to every prediction pixel,
     from the record the loss value is read from."""
-    d_score = _scored(spec, p, target).gradient(spec.score)
+    d_score = target.scored(spec, p).gradient(spec.score)
     return d_score if ORIENTATION[spec.score] < 0 else -d_score
 
 
@@ -457,7 +452,7 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
     analytic = loss_gradient(spec, p, target)
     w = scored_weights(p, target.observed)
     pv = p.values.copy()
-    record = _record(spec, pv, target, w)
+    record = target.record(pv, w)
     loss_scale = max(1.0, abs(_loss(spec, record).value))
     excluded = _excluded_pixels(spec, record, step)
     fd_noise = 64.0 * np.finfo(np.float64).eps * loss_scale / step
@@ -469,9 +464,9 @@ def grad_check(spec: LossSpec, p: GridField, target: PreparedTarget,
                 continue
             orig = pv[i, j]
             pv[i, j] = orig + step
-            up = _loss(spec, _record(spec, pv, target, w)).value
+            up = _loss(spec, target.record(pv, w)).value
             pv[i, j] = orig - step
-            down = _loss(spec, _record(spec, pv, target, w)).value
+            down = _loss(spec, target.record(pv, w)).value
             pv[i, j] = orig
             fd[i, j] = (up - down) / (2.0 * step)
 

@@ -58,7 +58,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import GridField, WavelengthBand, _centred, _check_transforms, next_pow2_dims
+from .grid import (GridField, WavelengthBand, _centred, _check_transforms, _check_values,
+                   next_pow2_dims)
 
 
 def haar_forward(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -111,19 +112,22 @@ def _padded(values: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class WaveletDecomposition:
     """Steps 1-2 for one field, shared by every band: each level's detail
-    subbands ``(lh, hl, hh)``, level 1 (the finest) first, and the deepest LL."""
+    subbands ``(lh, hl, hh)``, level 1 (the finest) first, the deepest LL,
+    and the shape of the field it was made from."""
 
     details: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     coarsest: np.ndarray
+    shape: tuple[int, int]
 
 
 def wavelet_decompose(values: np.ndarray) -> WaveletDecomposition:
     """Pad a field's values to power-of-two dims and decompose them fully, once."""
+    _check_values(values)
     ll, details = _padded(values), []
     for _ in range(int(math.log2(min(ll.shape)))):
         ll, *detail = haar_forward(ll)
         details.append(tuple(detail))
-    return WaveletDecomposition(details, ll)
+    return WaveletDecomposition(details, ll, values.shape)
 
 
 def _band_full(decomposition: WaveletDecomposition, spacing_deg: float,
@@ -145,12 +149,10 @@ def wavelet_band_passes(decompositions: Sequence[WaveletDecomposition],
                         shape: tuple[int, int], spacing_deg: float,
                         band: WavelengthBand) -> list[np.ndarray]:
     """Band-pass the decompositions of ``shape`` grids of spacing ``spacing_deg``
-    under one band, in input order, refusing one of another padded grid: each
+    under one band, in input order, refusing one made from another shape: each
     output is one inverse walk, its crop copied (all-pass gives the input exactly)."""
-    target = next_pow2_dims(shape)
-    _check_transforms(shape, [tuple(2 * n for n in d.details[0][0].shape)
-                              for d in decompositions], target)
-    crop = _centred(shape, target)
+    _check_transforms(shape, [d.shape for d in decompositions], tuple(shape))
+    crop = _centred(shape, next_pow2_dims(shape))
     return [_band_full(d, spacing_deg, band)[crop].copy() for d in decompositions]
 
 

@@ -3,12 +3,13 @@
 ``loss_value``, ``loss_detail`` and ``loss_gradient`` read every score of a
 filter, and its gradient, from one record per (prediction, target), kept on
 the target in a ``WeakKeyDictionary`` keyed by the ``GridField`` object,
-which holds at most one entry.  These tests pin that the kept record gives,
+which holds at most one entry; the reference builds its records through
+``PreparedTarget.record``.  These tests pin that the kept record gives,
 bit for bit, what a fresh record per call gives (the reference below), for
 all 336 configs and in every order of calls: the census order, gradients
 before values, predictions alternating, and a copy of a field, which is a
-new object and so gets a new record.  Two threads sharing one target must
-get the serial results and leave one record.  The target holds the field
+new object and so gets a new record.  Threads sharing one target, or two,
+must get the serial results and leave one record on each.  The target holds the field
 weakly, so the record goes with it, and a field copies its arrays, so no
 array the caller keeps can leave a kept record stale.
 """
@@ -20,7 +21,6 @@ import threading
 import numpy as np
 import pytest
 
-from selfscore import losses
 from selfscore.grid import GridField
 from selfscore.losses import (enumerate_configs, loss_detail, loss_gradient, loss_value,
                               prepare_targets)
@@ -56,8 +56,8 @@ CASES = field_cases()
 def fresh(spec, p, target):
     """(loss, fallbacks, gradient bytes) from a new record per call."""
     w = scored_weights(p, target.observed)
-    result = losses._record(spec, p.values, target, w).score(spec.score)
-    d_score = losses._record(spec, p.values, target, w).gradient(spec.score)
+    result = target.record(p.values, w).score(spec.score)
+    d_score = target.record(p.values, w).gradient(spec.score)
     if ORIENTATION[spec.score] < 0:
         return result.value, result.fallbacks, d_score.tobytes()
     return 1.0 - result.value, result.fallbacks, (-d_score).tobytes()
@@ -123,13 +123,14 @@ def test_kept_records_score_as_fresh_ones(case):
         assert loss_detail(spec, copy, target).fallbacks == reference(spec, p)[1]
 
 
-@pytest.mark.parametrize("filter_id", ["nbhd_r2", "F0.1-0.2", "W0.2-inf"])
-def test_threads_sharing_a_target_get_the_serial_results(filter_id):
+@pytest.mark.parametrize("filter_ids", ["nbhd_r2", "F0.1-0.2", "W0.2-inf", "nbhd_r2+W0.2-inf"])
+def test_threads_sharing_a_target_get_the_serial_results(filter_ids):
+    """Threads scoring against one target, or each against two ("a+b"),
+    each target holding its own lock."""
     y, p, q = CASES["plain"]
-    specs = [s for s in CONFIGS if s.filter_id == filter_id]
-    target = prepare_targets(specs, y)[filter_id]
-    targets = {filter_id: target}
-    want = {id(f): [fresh(s, f, target) for s in specs] for f in (p, q)}
+    specs = [s for s in CONFIGS if s.filter_id in filter_ids.split("+")]
+    targets = prepare_targets(specs, y)
+    want = {id(f): [fresh(s, f, targets[s.filter_id]) for s in specs] for f in (p, q)}
     mismatches, done = [], []
 
     def work(field):
@@ -152,7 +153,8 @@ def test_threads_sharing_a_target_get_the_serial_results(filter_id):
     assert not any(t.is_alive() for t in threads)
     assert len(done) == len(threads)
     assert mismatches == []
-    assert len(target.records) == 1
+    for target in targets.values():
+        assert len(target.records) == 1
 
 
 def test_a_kept_record_goes_with_its_field():

@@ -87,5 +87,6 @@ def test_wavelet_decomposition_holds_about_its_padded_grid(shape):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert [f.name for f in dataclasses.fields(decomposition)] == ["details", "coarsest"]
+    assert [f.name for f in dataclasses.fields(decomposition)] == ["details", "coarsest", "shape"]
+    assert decomposition.shape == shape
     assert held / (8 * np.prod(next_pow2_dims(shape))) <= 1.1, held

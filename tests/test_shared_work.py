@@ -397,6 +397,10 @@ def test_spec_ids_are_formatted_once(spec_id, monkeypatch):
 
 
 def test_a_target_built_directly_scores_its_neighbourhood():
+    """A target built directly, as a caller without ``prepare_targets``
+    would, scores as ``prepare_targets``' target does, bit for bit: from the
+    observation for a neighbourhood spec, and for every score of a Fourier
+    and a Haar filter from the observation's band-pass clamped to [0, 1]."""
     y, (p,) = scene(n_preds=1)
     for kind in NBHD_SCORE_KINDS:
         spec = LossSpec(kind, "nbhd", half_width=2)
@@ -406,3 +410,16 @@ def test_a_target_built_directly_scores_its_neighbourhood():
         assert np.array_equal(loss_gradient(spec, p, direct),
                               loss_gradient(spec, p, prepare_target(spec, y)))
     assert prepare_target(losses.parse_spec_id("brier_F0.1-inf"), y).nbhd is None
+    for filter_id in ("F0.1-inf", "W0-0.2"):
+        specs = [s for s in enumerate_configs() if s.filter_id == filter_id]
+        assert len(specs) == len(SCORE_KINDS)
+        prepared = losses.prepare_targets(specs, y)[filter_id]
+        out = losses.apply_filter(y, losses.parse_filter_id(filter_id)).values
+        filtered = GridField(np.clip(out, 0.0, 1.0), y.spacing_deg, "prob", y.eval_mask)
+        direct = PreparedTarget(specs[0], y, filtered, float(np.max(np.abs(out - filtered.values))))
+        assert direct.nbhd is None and direct.clamp_max_abs == prepared.clamp_max_abs
+        assert direct.filtered.values.tobytes() == prepared.filtered.values.tobytes()
+        for spec in specs:
+            assert loss_value(spec, p, direct) == loss_value(spec, p, prepared)
+            assert np.array_equal(loss_gradient(spec, p, direct),
+                                  loss_gradient(spec, p, prepared))

@@ -13,6 +13,7 @@ targets build fields.
 
 import math
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -265,18 +266,37 @@ def test_band_passes_refuse_a_transform_of_another_grid():
     """A transform made from another grid than ``shape`` is refused with both
     shapes named, wherever it sits in the list: a Fourier spectrum of a
     16 x 16 grid (which numpy would refuse to broadcast, with its own text) and
-    a Haar decomposition of a 20 x 20 grid, padded to 32 x 32 (which a crop
-    to 10 x 10 would take silently)."""
+    Haar decompositions of a 20 x 20 grid, padded to 32 x 32, and of a 16 x 16
+    grid, padded as a 10 x 10 one is (either of which a crop to 10 x 10 would
+    take silently); a decomposition names the shape it was made from."""
     rng = np.random.default_rng(8)
     band, ok = WavelengthBand(0.0, 0.1), rng.uniform(size=(10, 10))
     cases = [(fourier_spectrum, fourier_band_passes, 16, r"\(48, 25\).* 10x10 .*\(30, 16\)"),
-             (wavelet_decompose, wavelet_band_passes, 20, r"\(32, 32\).* 10x10 .*\(16, 16\)")]
+             (wavelet_decompose, wavelet_band_passes, 20, r"\(20, 20\).* 10x10 .*\(10, 10\)"),
+             (wavelet_decompose, wavelet_band_passes, 16, r"\(16, 16\).* 10x10 .*\(10, 10\)")]
     for transform, band_passes, side, named in cases:
         other = transform(rng.uniform(size=(side, side)))
         for transforms in ([other], [transform(ok), other]):
             with pytest.raises(ValueError, match=f"^a transform of shape {named}$"):
                 band_passes(transforms, (10, 10), 0.02, band)
         assert band_passes([transform(ok)], (10, 10), 0.02, band)[0].shape == (10, 10)
+
+
+@pytest.mark.parametrize("transform", [fourier_spectrum, wavelet_decompose])
+@pytest.mark.parametrize("values, shape", [
+    (np.ones(9), r"\(9,\)"),
+    (np.ones((4, 4, 2)), r"\(4, 4, 2\)"),
+    (np.ones((0, 3)), r"\(0, 3\)"),
+    (np.where(np.eye(4) > 0, np.inf, 0.5), r"\(4, 4\)"),
+], ids=["1-D", "3-D", "0x3", "inf"])
+def test_transforms_refuse_all_but_a_finite_2d_array(transform, values, shape):
+    """A spectral transform refuses, naming the shape, any array but a
+    non-empty 2-D one of finite values, before numpy fails or warns on it."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^a transform takes a non-empty 2-D array "
+                                             f"of finite values, got one of shape {shape}$"):
+            transform(values)
 
 
 def test_wavelet_filter_builds_only_its_input_and_output_fields(tmp_path, monkeypatch):
