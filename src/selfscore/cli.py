@@ -36,12 +36,11 @@ from .grid import GridField, atomic_write, read_grid, write_grid
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that exits 1 (validation) on usage errors instead of 2."""
+    """argparse whose usage errors raise, for ``main`` to refuse as it refuses a command's."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"error: {message}\n")
-        sys.exit(1)
+        raise ValueError(message)
 
 
 def _bounded(cast, low, strict: bool = False):
@@ -57,6 +56,21 @@ def _bounded(cast, low, strict: bool = False):
         return value
     parse.__name__ = cast.__name__  # keeps argparse's "invalid int value" wording
     return parse
+
+
+def _parse_pair(parse, ordered: bool = False):
+    """argparse ``type=``: two comma-separated values read by ``parse``, lo <= hi if ordered."""
+    def pair(text: str) -> tuple:
+        try:
+            first, second = text.split(",")
+            value = parse(first.strip()), parse(second.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise argparse.ArgumentTypeError(
+                f"want two comma-separated values, got {text!r} ({exc})") from None
+        if ordered and value[0] > value[1]:
+            raise argparse.ArgumentTypeError(f"want lo <= hi, got {text!r}")
+        return value
+    return pair
 
 
 def _map(fn, items, jobs: int) -> list:
@@ -197,6 +211,8 @@ def cmd_filter(args) -> int:
     if args.dump_stages is not None:
         stages = {os.path.join(args.dump_stages, f"{name}.grid"): stage
                   for name, stage in filter_stages(fields[0], fspec).items()}
+        if not stages:
+            raise ValueError(f"--dump-stages takes a spectral filter, not {fspec.filter_id}")
     outputs = [(path, f"the {what} of {src}") for src, dst in pairs
                for path, what in ((dst, "filter"), (dst + ".json", "sidecar"))]
     _plan_writes(inputs, outputs + [(path, "--dump-stages") for path in stages],
@@ -247,9 +263,7 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, str]]:
 def cmd_score(args) -> int:
     from .evaluation import write_csv
     from .losses import check_filter_input, metric_tables
-    if not (args.all_336 or args.specs):
-        raise ValueError("give --specs or --all-336")
-    specs = _select_specs(None if args.all_336 else args.specs)
+    specs = _select_specs(args.specs)  # None under --all-336, which the parser keeps apart
     models = _parse_model_args(args.pred)
     obs_paths = _expand_paths(args.obs, "--obs")
     obs, sides = _read_sides(obs_paths, {f"--pred of model {name!r}": text
@@ -422,25 +436,8 @@ def cmd_gradcheck(args) -> int:
 # ---------------------------------------------------------------------------
 # synth
 
-def _parse_pair(text: str, parse, what: str, ordered: bool = False) -> tuple:
-    """Two comma-separated values read by ``parse``; if ``ordered``, lo <= hi."""
-    try:
-        first, second = text.split(",")
-        pair = parse(first.strip()), parse(second.strip())
-    except (ValueError, argparse.ArgumentTypeError) as exc:
-        raise ValueError(f"{what}: want two comma-separated values, got {text!r} ({exc})") from None
-    if ordered and pair[0] > pair[1]:
-        raise ValueError(f"{what}: want lo <= hi, got {text!r}")
-    return pair
-
-
 def cmd_synth(args) -> int:
     from .synthetic import SynthSpec, synth_mask, synth_prob
-    radius = _parse_pair(args.radius_range, _bounded(float, 0.0, strict=True),
-                         "--radius-range", ordered=True)
-    elong = _parse_pair(args.elongation_range, _bounded(float, 1.0), "--elongation-range",
-                        ordered=True)
-    offset = _parse_pair(args.offset, int, "--offset")
     if args.count == 1 and (args.out_mask is None or args.out_dir is not None):
         raise ValueError("a single step takes --out-mask (and --out-prob), not --out-dir")
     if args.count > 1 and (args.out_dir is None or (args.out_mask, args.out_prob) != (None, None)):
@@ -454,14 +451,13 @@ def cmd_synth(args) -> int:
                  [args.out_dir] if args.count > 1 else [])
     for i, (mask_path, prob_path) in enumerate(steps):
         spec = SynthSpec(rows=args.rows, cols=args.cols, spacing_deg=args.spacing,
-                         n_cells=args.n_cells, radius_range=radius,
-                         elongation_range=elong, seed=args.seed + i)
+                         n_cells=args.n_cells, radius_range=args.radius_range,
+                         elongation_range=args.elongation_range, seed=args.seed + i)
         mask = synth_mask(spec)
         write_grid(mask_path, mask)
-        fraction = float(mask.values.mean())
-        print(f"{mask_path}: event_fraction={fraction:.6f}")
+        print(f"{mask_path}: event_fraction={float(mask.values.mean()):.6f}")
         if prob_path is not None:
-            prob = synth_prob(mask, blur_r=args.blur_r, offset_px=offset,
+            prob = synth_prob(mask, blur_r=args.blur_r, offset_px=args.offset,
                               noise_sd=args.noise_sd, seed=spec.seed + 1)
             write_grid(prob_path, prob)
     return 0
@@ -500,9 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", action="append", required=True, metavar="NAME=PATHS",
                    help="prediction files/globs for one model (repeatable)")
     p.add_argument("--obs", required=True, help="observation mask files/globs")
-    p.add_argument("--specs", default=None, help="comma-separated spec ids")
-    p.add_argument("--all-336", action="store_true", dest="all_336",
-                   help="use the full 336-config census")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--specs", default=None, help="comma-separated spec ids")
+    which.add_argument("--all-336", action="store_true", dest="all_336",
+                       help="use the full 336-config census")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--jobs", type=_bounded(int, 1), default=1,
                    help="parallel workers over time steps")
@@ -521,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bootstrap resamples for confidence intervals")
     p.add_argument("--n-boot-bars", type=_bounded(int, 1), default=100, dest="n_boot_bars",
                    help="resamples for reliability consistency bars")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--compare", default=None, metavar="PATHS",
                    help="second model's prediction files: paired bootstrap test on "
                         "the pooled Brier score")
@@ -547,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cols", type=_bounded(int, 1), default=16)
     p.add_argument("--spacing", type=_bounded(float, 0.0, strict=True), default=0.02,
                    help="grid spacing in degrees")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
     p.add_argument("--step", type=_bounded(float, 0.0, strict=True), default=1e-5,
                    help="finite-difference step")
     p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-5, help="relative tolerance")
@@ -563,9 +560,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spacing", type=_bounded(float, 0.0, strict=True), default=0.02,
                    help="grid spacing in degrees")
     p.add_argument("--n-cells", type=_bounded(int, 0), default=12, dest="n_cells")
-    p.add_argument("--radius-range", default="2,6", dest="radius_range")
-    p.add_argument("--elongation-range", default="1,3", dest="elongation_range")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--radius-range", default="2,6",
+                   type=_parse_pair(_bounded(float, 0.0, strict=True), ordered=True))
+    p.add_argument("--elongation-range", default="1,3",
+                   type=_parse_pair(_bounded(float, 1.0), ordered=True))
+    p.add_argument("--seed", type=_bounded(int, 0), default=0,
                    help="mask seed; step i uses seed+i, noise uses seed+i+1")
     p.add_argument("--count", type=_bounded(int, 1), default=1,
                    help="generate this many time steps into --out-dir")
@@ -574,7 +573,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=None, help="output directory (count>1)")
     p.add_argument("--blur-r", type=_bounded(int, 0), default=0, dest="blur_r",
                    help="mean-filter half-width for the forecast")
-    p.add_argument("--offset", default="0,0", help="forecast translation, pixels: dr,dc")
+    p.add_argument("--offset", type=_parse_pair(int), default="0,0",
+                   help="forecast translation, pixels: dr,dc")
     p.add_argument("--noise-sd", type=_bounded(float, 0.0), default=0.0, dest="noise_sd")
     p.set_defaults(func=cmd_synth)
     return parser
@@ -585,9 +585,9 @@ def main(argv: list[str] | None = None) -> int:
     # of an ASCII locale cannot encode: escape them, as stderr does.
     if hasattr(sys.stdout, "reconfigure"):
         sys.stdout.reconfigure(errors="backslashreplace")
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = argparse.Namespace(command="selfscore")  # names a MemoryError raised while parsing
     try:
+        args = build_parser().parse_args(argv)  # a usage error is a ValueError (_Parser)
         return args.func(args)
     except (ValueError, OSError, KeyError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

@@ -114,7 +114,7 @@ DUMPED_STAGES = {
     "F0.1-0.4": ["filtered_mag", "full", "gain", "spectrum_mag", "tapered", "window",
                  "windowed"],
     "W0-0.1": ["full", "padded"],
-    "nbhd_max_r1": [],  # a neighbourhood filter has no stages
+    "nbhd_max_r1": None,  # a neighbourhood filter has no stages, so it is refused
 }
 
 
@@ -124,8 +124,11 @@ def test_filter_dump_stages(tmp_path, spec):
     dst = tmp_path / "out.grid"
     stages = tmp_path / "stages"
     assert run(*synth_args(src)) == 0
-    assert run("filter", "--spec", spec, src, dst,
-               "--dump-stages", stages) == 0
+    code = run("filter", "--spec", spec, src, dst, "--dump-stages", stages)
+    if DUMPED_STAGES[spec] is None:
+        assert code == 1 and os.listdir(tmp_path) == ["in.grid"]
+        return
+    assert code == 0
     names = [f"{name}.grid" for name in DUMPED_STAGES[spec]]
     assert sorted(os.listdir(stages)) == names
     for name in names:
@@ -615,12 +618,17 @@ def test_gradcheck_unknown_spec():
 # parser behaviour
 
 def test_unknown_subcommand_exits_1():
-    with pytest.raises(SystemExit) as exc:
-        run("frobnicate")
-    assert exc.value.code == 1
+    assert run("frobnicate") == 1
 
 
 def test_missing_required_argument_exits_1():
-    with pytest.raises(SystemExit) as exc:
-        run("score", "--obs", "x.grid", "--out", "y.csv")  # no --pred
-    assert exc.value.code == 1
+    assert run("score", "--obs", "x.grid", "--out", "y.csv") == 1  # no --pred
+
+
+def test_help_exits_0_and_shows_specs_and_all_336_as_exclusive():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-m", "selfscore.cli", "score", "-h"],
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    assert "(--specs SPECS | --all-336)" in proc.stdout, proc.stdout

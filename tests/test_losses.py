@@ -92,6 +92,8 @@ def test_loss_spec_validation():
         LossSpec("fss", "F")
     with pytest.raises(ValueError, match="filter_kind"):
         LossSpec("fss", "nbhd_max", half_width=1)
+    with pytest.raises(ValueError, match="unknown score 'nope'"):
+        LossSpec("nope", "nbhd", half_width=1)
     spec = LossSpec("fss", "W", band=WavelengthBand(0.1, math.inf))
     assert spec.spec_id == "fss_W0.1-inf"
     assert spec.is_spectral
@@ -333,6 +335,20 @@ def test_gradient_zero_on_fallback_branch():
     t = prepare_target(spec, mask(zeros))
     g = loss_gradient(spec, prob(zeros), t)
     assert np.all(g == 0.0)
+
+
+def test_gerrity_gradient_on_an_observation_without_events():
+    # No observed event: every spectral gerrity config takes its zero-event-ratio
+    # branch, whose gradient is not zero, and must still match finite differences.
+    rng = np.random.default_rng(17)
+    p, y = prob(rng.uniform(0.05, 0.95, (7, 9))), mask(np.zeros((7, 9)))
+    specs = [s for s in enumerate_configs() if s.score == "gerrity"]
+    assert len(specs) == 32 and all(s.is_spectral for s in specs)
+    for spec in specs:
+        t = prepare_target(spec, y)
+        assert loss_detail(spec, p, t).fallbacks == ("gerrity_zero_event_ratio",), spec.spec_id
+        report = grad_check(spec, p, t)
+        assert report.passed(1e-5) and report.n_checked == 63, (spec.spec_id, report)
 
 
 def test_nbhd_gradient_reaches_unscored_pixels_through_filter():

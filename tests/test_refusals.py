@@ -2,9 +2,10 @@
 
 Each case gives ``score``, ``eval``, ``eval --compare``, ``filter`` or
 ``rank`` one broken input, one option an empty list, or any command one
-out-of-range, non-finite or ignored option, or points an output at an input,
-at another output, at a directory or into a missing one, or an output
-directory at a file, and checks the exit code, that stderr is an ``error:``
+out-of-range, non-finite or ignored option or two options that exclude each
+other, or points an output at an input (directly or through a symlink), at
+another output, at a directory or into a missing one, or an output directory
+at a file, and checks the code ``main`` returns, that stderr is an ``error:``
 line (after argparse's usage line, for options) naming the offending
 path(s), row or option, that no traceback escapes, that the output directory
 stays empty and that every input keeps its bytes.
@@ -57,6 +58,8 @@ def steps(tmp_path_factory):
         write_grid(d / name, field)
     (d / "unparsable").mkdir()
     (d / "unparsable" / "prob_001.grid").write_bytes(b"GRID1\n16 16 wide prob\n")
+    (d / "zero").mkdir()
+    (d / "zero" / "prob_001.grid").write_bytes(b"GRID1\n0 5 0.02 prob\n")
     (d / "rank").mkdir()
     for name, body in RANK_CSVS.items():
         (d / "rank" / name).write_bytes(b"model,spec_id,value\n" + body)
@@ -70,6 +73,7 @@ RANK_CSVS = {
     "bad-spec.csv": b"m,brier_nbhd_r1,0.5\nm,brier_nbhd_q1,0.5\n",
     "nan.csv": b"m,brier_nbhd_r1,nan\n",
     "undecodable.csv": b"m\xff,brier_nbhd_r1,0.5\n",
+    "header-only.csv": b"",
 }
 
 
@@ -117,9 +121,21 @@ OTHERS = {
     "eval-n-boot": (COMMANDS["eval"] + " --n-boot 0", ["--n-boot"]),
     "eval-n-boot-bars": (COMMANDS["eval"] + " --n-boot-bars 0", ["--n-boot-bars"]),
     "eval-thresholds": (COMMANDS["eval"] + " --thresholds 0", ["--thresholds"]),
+    "eval-seed": (COMMANDS["eval"] + " --seed -5", ["--seed"]),
+    "gradcheck-seed": ("gradcheck --specs brier_nbhd_r1 --rows 6 --cols 6 --seed -1", ["--seed"]),
+    "synth-seed": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid --seed -1", ["--seed"]),
     "score-jobs": (COMMANDS["score"] + " --jobs 0", ["--jobs"]),
     "filter-jobs": ("filter --spec F0.1-inf {d}/prob_000.grid --out-dir {out}/f --jobs -2",
                     ["--jobs"]),
+    "filter-glob-two-files": ("filter --spec F0.1-inf {d}/mask_*.grid {out}/f.grid",
+                              ["input glob matched more than one file"]),
+    "filter-zero-rows": ("filter --spec F0.1-inf {d}/zero/prob_001.grid {out}/f.grid",
+                         ["{d}/zero/prob_001.grid", "GRID1 dims must be positive"]),
+    "filter-dump-stages-two-inputs": ("filter --spec F0-0.1 {d}/prob_000.grid {d}/mask_000.grid "
+                                      "--out-dir {out}/f --dump-stages {out}/st",
+                                      ["--dump-stages needs exactly one input"]),
+    "filter-dump-stages-nbhd": ("filter --spec nbhd_max_r1 {d}/prob_000.grid {out}/n.grid "
+                                "--dump-stages {out}/st", ["--dump-stages", "nbhd_max_r1"]),
     "filter-dump-stages-over-input": ("filter --spec F0-0.1 {d}/stages/window.grid {out}/o.grid "
                                       "--dump-stages {d}/stages",
                                       ["{d}/stages/window.grid", "input"]),
@@ -180,6 +196,11 @@ OTHERS = {
                                "--out-mask {out}/x.grid", ["--out-mask"]),
     "synth-ignored-out-dir": ("synth --rows 8 --cols 8 --out-mask {out}/m.grid "
                               "--out-dir {out}/s", ["--out-dir"]),
+    "score-specs-and-all-336": (COMMANDS["score"] + " --all-336", ["--specs", "--all-336"]),
+    "score-neither-specs-nor-all-336": (COMMANDS["score"].replace(" --specs brier_nbhd_r1", ""),
+                                        ["--specs", "--all-336", "required"]),
+    "score-empty-model-name": ("score --pred ={d}/prob_000.grid --obs {obs} --specs brier_nbhd_r1 "
+                               "--out {out}/s.csv", ["empty model name in --pred"]),
     "score-empty-pred": ("score --pred m=, --obs {obs} --specs brier_nbhd_r1 --out {out}/s.csv",
                          ["--pred"]),
     "score-empty-specs": ("score --pred m={preds} --obs {obs} --specs , --out {out}/s.csv",
@@ -197,6 +218,8 @@ OTHERS = {
                  ["{d}/rank/nan.csv", "line 2"]),
     "rank-undecodable": ("rank --scores {d}/rank/undecodable.csv --out-dir {out}/r",
                          ["{d}/rank/undecodable.csv"]),
+    "rank-header-only": ("rank --scores {d}/rank/header-only.csv --out-dir {out}/r",
+                         ["{d}/rank/header-only.csv", "scores CSV is empty"]),
 }
 CASES = {f"{cmd}-{case}": (COMMANDS[cmd].replace("{preds}", "{d}/prob_000.grid,{d}/" + pred)
                            .replace("{obs}", "{d}/mask_000.grid,{d}/" + obs),
@@ -214,11 +237,7 @@ def test_every_refusal_exits_1_and_names_its_path(steps, tmp_path, capsys, case)
     argv = template.format(d=steps, out=out).split()
     inputs = {p: p.read_bytes() for p in steps.rglob("*") if p.is_file()}
     capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse refusals
-        code = exc.code
-    assert code == 1
+    assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") or (err.startswith("usage: ") and "\nerror: " in err), err
     assert "Traceback" not in err
@@ -249,7 +268,8 @@ def test_filter_refuses_to_write_over_its_input(tmp_path, capsys, spec, outputs)
 
 
 SCORE = "score --pred m={t}/prob.grid --obs {t}/mask.grid --specs brier_nbhd_r1 --out "
-# A command whose output is one of its inputs: (argv, the output, the input).
+# A command whose output is one of its inputs: (argv, the output, the input).  ``{l}`` is a
+# symlink to the directory ``{t}``, so that only the resolved paths are the same.
 OVERWRITES = {
     "score-over-obs": (SCORE + "{t}/mask.grid", "{t}/mask.grid", "{t}/mask.grid"),
     "score-over-pred": (SCORE + "{t}/./prob.grid", "{t}/./prob.grid", "{t}/prob.grid"),
@@ -258,26 +278,37 @@ OVERWRITES = {
     "eval-over-pred": ("eval --pred {t}/out/report.csv --obs {t}/mask.grid --n-boot 20 "
                        "--n-boot-bars 10 --out-dir {t}/out", "{t}/out/report.csv",
                        "{t}/out/report.csv"),
+    "score-over-obs-via-symlink": (SCORE + "{l}/mask.grid", "{l}/mask.grid", "{t}/mask.grid"),
+    "score-over-pred-via-symlink": (SCORE + "{l}/prob.grid", "{l}/prob.grid", "{t}/prob.grid"),
+    "rank-over-scores-via-symlink": ("rank --scores {t}/out/ranks.csv --out-dir {l}/out",
+                                     "{l}/out/ranks.csv", "{t}/out/ranks.csv"),
+    "eval-over-pred-via-symlink": ("eval --pred {t}/out/report.csv --obs {t}/mask.grid "
+                                   "--n-boot 20 --n-boot-bars 10 --out-dir {l}/out",
+                                   "{l}/out/report.csv", "{t}/out/report.csv"),
+    "filter-out-dir-via-symlink": ("filter --spec nbhd_max_r1 {t}/prob.grid --out-dir {l}",
+                                   "{l}/prob.grid", "{t}/prob.grid"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(OVERWRITES))
 def test_no_command_writes_over_its_input(tmp_path, capsys, case):
-    (tmp_path / "out").mkdir()
+    t, link = tmp_path / "t", tmp_path / "link"
+    (t / "out").mkdir(parents=True)
+    link.symlink_to(t, target_is_directory=True)
     m = synth_mask(SynthSpec(rows=16, cols=16, spacing_deg=0.05, n_cells=2, seed=60))
-    write_grid(tmp_path / "mask.grid", m)
-    write_grid(tmp_path / "prob.grid", synth_prob(m, blur_r=1))
-    write_grid(tmp_path / "out" / "report.csv", synth_prob(m, blur_r=2))
-    (tmp_path / "out" / "ranks.csv").write_bytes(
+    write_grid(t / "mask.grid", m)
+    write_grid(t / "prob.grid", synth_prob(m, blur_r=1))
+    write_grid(t / "out" / "report.csv", synth_prob(m, blur_r=2))
+    (t / "out" / "ranks.csv").write_bytes(
         b"model,spec_id,value\na,brier_nbhd_r1,0.1\nb,brier_nbhd_r1,0.2\n")
-    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
-    argv, output, source = (text.format(t=tmp_path) for text in OVERWRITES[case])
+    before = {p: p.read_bytes() for p in t.rglob("*") if p.is_file()}
+    argv, output, source = (text.format(t=t, l=link) for text in OVERWRITES[case])
     capsys.readouterr()
     assert main(argv.split()) == 1
     err = capsys.readouterr().err
     assert err == (f"error: output {output} would be written over the input {source}; "
                    f"nothing was written\n"), err
-    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert {p: p.read_bytes() for p in t.rglob("*") if p.is_file()} == before
 
 
 OUT_OF_MEMORY_CHILD = """

@@ -52,6 +52,13 @@ def test_haar_rejects_odd_dims():
         haar_forward(np.zeros((4, 7)))
 
 
+def test_haar_inverse_rejects_mismatched_subbands():
+    ll, lh, hl, hh = haar_forward(np.zeros((4, 6)))
+    for bands in ((ll, lh, hl, hh[:, :2]), (ll.T, lh, hl, hh), (ll, lh[:1], hl, hh)):
+        with pytest.raises(ValueError, match="subband shapes must match"):
+            haar_inverse(*bands)
+
+
 # ---------------------------------------------------------------------------
 # pyramid
 
