@@ -157,8 +157,8 @@ def _select_specs(text: str | None) -> list:
 def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> None:
     """Before any write, refuse a non-directory in ``dirs``, and an output that is an input,
     a directory to be made, another output (all as resolved paths) or a directory, or whose
-    directory neither exists nor is in ``dirs``; then make ``dirs``.  ``outputs`` holds
-    ``(path, what writes it)`` pairs."""
+    directory neither exists nor is in ``dirs``.  ``dirs`` are not made here: each appears with
+    its first file (``atomic_write``).  ``outputs`` holds ``(path, what writes it)`` pairs."""
     for d in dirs:
         if os.path.exists(d) and not os.path.isdir(d):
             raise ValueError(f"directory {d} exists and is not a directory; nothing was written")
@@ -179,8 +179,6 @@ def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> Non
             writers[real] = what
             continue
         raise ValueError(f"output {path} {clash}; nothing was written")
-    for d in dirs:
-        os.makedirs(d, exist_ok=True)
 
 
 # ---------------------------------------------------------------------------
@@ -294,11 +292,11 @@ def cmd_score(args) -> int:
 # eval
 
 def cmd_eval(args) -> int:
-    from .evaluation import (attributes_diagram, bootstrap_ci, brier_parts,
+    from .evaluation import (_REPORT_FILES, attributes_diagram, bootstrap_ci, brier_parts,
                              consistency_bars, emit_report, paired_bootstrap_test,
                              performance_diagram, pooled_bs, pooled_bss)
     texts = {"--pred": args.pred, "--compare": args.compare}
-    report = [os.path.join(args.out_dir, f"report.{ext}") for ext in ("json", "csv")]
+    report = [os.path.join(args.out_dir, name) for name in _REPORT_FILES]
     obs, sides = _read_sides(_expand_paths(args.obs, "--obs"),
                              {k: v for k, v in texts.items() if v is not None},
                              [(path, "--out-dir") for path in report], (args.out_dir,))

@@ -45,6 +45,7 @@ N_PROB_BINS = 20
 PROB_BIN_EDGES = np.linspace(0.0, 1.0, N_PROB_BINS + 1)
 SUMMARY_KEYS = ("rel", "bss", "bs", "bs_clim", "base_rate", "n_scored", "aupd")
 _TAIL_PCT = 100.0 * (1.0 - 0.95) / 2.0  # each tail of a 95 % interval, in %; not 2.5 exactly
+_REPORT_FILES = ("report.json", "report.csv")  # what emit_report writes under its out_dir
 
 
 def _scored_steps(pred_fields, obs_fields) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -355,12 +356,10 @@ def emit_report(attr: AttributesData, perf: PerformanceData, out_dir: str | os.P
     (e.g. bootstrap intervals) are merged into the JSON document only.
     Returns the two paths.
     """
-    out_dir = os.fspath(out_dir)
-    os.makedirs(out_dir, exist_ok=True)
+    json_path, csv_path = (os.path.join(out_dir, name) for name in _REPORT_FILES)
     data = report_dict(attr, perf)
     if extra_sections:
         data.update(extra_sections)
-    json_path = os.path.join(out_dir, "report.json")
     text = json.dumps(data, indent=2, allow_nan=False) + "\n"
     atomic_write(json_path, text.encode("utf-8"))
 
@@ -371,7 +370,6 @@ def emit_report(attr: AttributesData, perf: PerformanceData, out_dir: str | os.P
     rows += [["threshold", tau, *[None] * 5, *curve, None]
              for tau, *curve in zip(perf.thresholds, perf.pod, perf.sr, perf.csi, perf.bias)]
     rows += [["summary", key, *[None] * 9, data["summary"][key]] for key in SUMMARY_KEYS]
-    csv_path = os.path.join(out_dir, "report.csv")
     write_csv(csv_path, ["row_type", "label", "count", "mean_forecast", "event_freq",
                          "ci_lo", "ci_hi", "pod", "sr", "csi", "bias", "value"], rows)
     return json_path, csv_path

@@ -154,10 +154,11 @@ def _format_header(field: GridField) -> bytes:
 
 
 def atomic_write(path: str | os.PathLike, data: bytes) -> None:
-    """Write bytes to a file via a temp file in its directory + rename, so
-    the file holds either its old content or all of ``data``.  The temp file
+    """Write bytes to a file via a temp file in its directory (made if missing) + rename,
+    so the file holds either its old content or all of ``data``.  The temp file
     is created as ``open`` creates a file, so its mode follows the umask."""
     path = os.fspath(path)
+    os.makedirs(os.path.dirname(path) or os.curdir, exist_ok=True)
     tmp = os.path.join(os.path.dirname(path), f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:

@@ -287,6 +287,31 @@ def test_bootstrap_ci_deterministic_and_contains_point():
     assert lo <= point <= hi
 
 
+def test_bootstrap_and_consistency_bounds_are_the_central_95_percent():
+    """Both intervals equal an in-test reference: the same resamples, then the
+    2.5th and 97.5th percentiles, so a 90 % interval in their place fails."""
+    rng = np.random.default_rng(8)
+    samples = list(rng.normal(size=15))
+    stat = lambda s: float(np.mean(s))  # noqa: E731
+    draw = np.random.default_rng(4)
+    boots = [stat([samples[j] for j in draw.integers(0, 15, size=15)]) for _ in range(400)]
+    point, lo, hi = bootstrap_ci(stat, samples, n_boot=400, seed=4)
+    assert point == stat(samples)
+    np.testing.assert_allclose([lo, hi], np.percentile(boots, [2.5, 97.5]), rtol=1e-12)
+
+    pv = rng.random(3000)
+    attr = attributes_diagram(prob(pv), mask((rng.random(3000) < pv).astype(float)))
+    assert np.count_nonzero(attr.bin_counts) == N_PROB_BINS
+    bars = consistency_bars(attr, n_boot=200, seed=6)
+    draw = np.random.default_rng(6)
+    want = np.full((2, N_PROB_BINS), np.nan)
+    for k in np.flatnonzero(attr.bin_counts):
+        n_k = int(attr.bin_counts[k])
+        draws = draw.binomial(n_k, attr.bin_mean_forecast[k], size=200) / n_k
+        want[:, k] = np.percentile(draws, [2.5, 97.5])
+    np.testing.assert_allclose(bars, want, rtol=1e-12)
+
+
 def test_bootstrap_ci_degenerate_single_sample():
     point, lo, hi = bootstrap_ci(lambda s: float(np.mean(s)), [7.0], n_boot=50)
     assert point == lo == hi == 7.0

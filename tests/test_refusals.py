@@ -328,27 +328,29 @@ def test_input_too_large_for_memory_exits_1_naming_the_command(tmp_path):
     """A child process limits its own address space to 128 MiB above what it
     holds after import; a 1000x1000 Fourier filter or score needs about
     twice that, and a 6000x6000 synth more.  Each command exits 1 with one
-    ``error:`` line, the file and its shape named where there is one."""
+    ``error:`` line, the file and its shape named where there is one, and
+    leaves nothing behind: no file, and no ``--out-dir``."""
     rng = np.random.default_rng(0)
     write_grid(tmp_path / "prob.grid", GridField(rng.uniform(size=(1000, 1000)), 0.02, "prob"))
     write_grid(tmp_path / "mask.grid",
                GridField((rng.uniform(size=(1000, 1000)) < 0.1).astype(float), 0.02, "mask"))
     d = tmp_path
-    commands = {
-        "filter": (f"filter --spec F0-0.1 {d}/prob.grid {d}/out.grid", f"{d}/prob.grid (1000x1000)"),
-        "score": (f"score --pred {d}/prob.grid --obs {d}/mask.grid --specs brier_F0-0.1 "
-                  f"--out {d}/scores.csv", f"{d}/mask.grid (1000x1000)"),
-        "synth": (f"synth --rows 6000 --cols 6000 --out-mask {d}/big.grid", ""),
-    }
+    commands = [
+        (f"filter --spec F0-0.1 {d}/prob.grid {d}/out.grid", f"{d}/prob.grid (1000x1000)"),
+        (f"filter --spec F0-0.1 {d}/prob.grid --out-dir {d}/fo", f"{d}/prob.grid (1000x1000)"),
+        (f"score --pred {d}/prob.grid --obs {d}/mask.grid --specs brier_F0-0.1 "
+         f"--out {d}/scores.csv", f"{d}/mask.grid (1000x1000)"),
+        (f"synth --rows 6000 --cols 6000 --out-mask {d}/big.grid", ""),
+    ]
     proc = subprocess.run([sys.executable, "-c", OUT_OF_MEMORY_CHILD, str(128 << 20),
-                           *(argv for argv, _ in commands.values())],
+                           *(argv for argv, _ in commands)],
                           env=dict(os.environ, PYTHONPATH=SRC), capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
     assert proc.stdout.split() == ["1"] * len(commands), proc.stdout
     lines = proc.stderr.splitlines()
     assert len(lines) == len(commands), proc.stderr
-    for line, (name, (_, named)) in zip(lines, commands.items()):
-        assert line.startswith(f"error: {name}: {named}"), line
+    for line, (argv, named) in zip(lines, commands):
+        assert line.startswith(f"error: {argv.split()[0]}: {named}"), line
         assert "does not fit in memory" in line or not named, line
     assert sorted(os.listdir(d)) == ["mask.grid", "prob.grid"]
