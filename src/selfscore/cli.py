@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 # Each command imports the modules it runs: ``synth`` loads no scoring layer.
-from .grid import GridField, atomic_write, read_grid, write_grid
+from .grid import GridField, read_grid, write_csv, write_grid, write_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,7 +185,6 @@ def _plan_writes(inputs: list[str], outputs: list[tuple[str, str]], dirs) -> Non
 # filter
 
 def cmd_filter(args) -> int:
-    import json
     from .losses import apply_filter, check_filter_input, filter_stages, parse_filter_id
     fspec = parse_filter_id(args.spec)
     if args.out_dir is None:
@@ -230,7 +229,7 @@ def cmd_filter(args) -> int:
             "spacing_deg": out.spacing_deg,
             "pixel_sum": float(out.values.sum()),
         }
-        atomic_write(dst + ".json", (json.dumps(sidecar, indent=2) + "\n").encode("utf-8"))
+        write_json(dst + ".json", sidecar)
 
     _map(run_one, list(zip(pairs, fields)), args.jobs)
     print(f"filtered {len(pairs)} field(s) with {fspec.filter_id}")
@@ -259,7 +258,6 @@ def _parse_model_args(pred_args: list[str]) -> list[tuple[str, str]]:
 
 
 def cmd_score(args) -> int:
-    from .evaluation import write_csv
     from .losses import check_filter_input, metric_tables
     specs = _select_specs(args.specs)  # None under --all-336, which the parser keeps apart
     models = _parse_model_args(args.pred)
@@ -348,32 +346,30 @@ def _read_scores(path: str) -> MetricMatrix:
         if reader.fieldnames is None or not needed.issubset(reader.fieldnames):
             raise ValueError(f"scores CSV must have columns {sorted(needed)}")
         cells: dict[tuple[str, str], float] = {}
-        specs = {}
-        for rec in reader:
-            line, key, value = reader.line_num, (rec["model"], rec["spec_id"]), rec["value"]
+        for rec in reader:  # a config is keyed by its canonical id, however it is spelled
+            line, short = reader.line_num, [k for k in sorted(needed) if rec[k] is None]
+            if short:
+                raise ValueError(f"row has no {short[0]} cell")
+            key, value = (rec["model"], parse_spec_id(rec["spec_id"]).spec_id), rec["value"]
             if key in cells:
                 raise ValueError(f"duplicate row for model={key[0]!r} spec={key[1]!r}")
-            if value is None:
-                raise ValueError("row has no value cell")
             cells[key] = float(value)
             if not np.isfinite(cells[key]):
                 raise ValueError(f"value {value!r} is not finite")
-            specs[key[1]] = parse_spec_id(key[1])
         line = 0
         if not cells:
             raise ValueError("scores CSV is empty")
-        models, spec_ids = sorted({m for m, _ in cells}), sorted(specs)
+        models, spec_ids = sorted({m for m, _ in cells}), sorted({s for _, s in cells})
         missing = [(m, s) for m in models for s in spec_ids if (m, s) not in cells]
         if missing:
             raise ValueError(f"missing value for model={missing[0][0]!r} spec={missing[0][1]!r}")
-        return MetricMatrix(models, [specs[s] for s in spec_ids],
+        return MetricMatrix(models, [parse_spec_id(s) for s in spec_ids],
                             [[cells[m, s] for s in spec_ids] for m in models])
     except (ValueError, csv.Error) as exc:
         raise ValueError(f"{path}: {f'line {line}: ' if line else ''}{exc}") from None
 
 
 def cmd_rank(args) -> int:
-    from .evaluation import write_csv
     from .ranking import best_per_filter, filter_mean_ranks, rank_models
     matrix = _read_scores(args.scores)
     ranks = rank_models(matrix)

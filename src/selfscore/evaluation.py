@@ -28,9 +28,6 @@ diagnostic counts the pixels of ``scores.scored_weights``, the scores' rule.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 import os
 from dataclasses import dataclass, field
@@ -38,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .grid import GridField, atomic_write
+from .grid import GridField, write_csv, write_json
 from .scores import scored_weights
 
 N_PROB_BINS = 20
@@ -290,26 +287,6 @@ def paired_bootstrap_test(stat_a: Callable[[list], float],
 # ---------------------------------------------------------------------------
 # Report serialisation.
 
-def write_csv(path: str | os.PathLike, header: list[str], rows: list[list]) -> None:
-    """Write a CSV atomically in UTF-8, quoting cells that hold a comma or a
-    quote.  A float cell, numpy's included, is written as ``repr(float(x))``,
-    which reads back to the same bits; a NaN or ``None`` cell is written
-    empty, meaning "undefined here"; any other cell as ``str(x)``.  Text that
-    came from undecodable command-line bytes is written back as those bytes
-    (``surrogateescape``), as ``os.fsencode`` does."""
-
-    def text(x) -> str:
-        if isinstance(x, (float, np.floating)):
-            return "" if math.isnan(x) else repr(float(x))
-        return "" if x is None else str(x)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([text(x) for x in row] for row in rows)
-    atomic_write(path, buf.getvalue().encode("utf-8", "surrogateescape"))
-
-
 def _listify(arr) -> list:
     """ndarray -> list with NaN mapped to None (JSON null)."""
     out = []
@@ -360,8 +337,7 @@ def emit_report(attr: AttributesData, perf: PerformanceData, out_dir: str | os.P
     data = report_dict(attr, perf)
     if extra_sections:
         data.update(extra_sections)
-    text = json.dumps(data, indent=2, allow_nan=False) + "\n"
-    atomic_write(json_path, text.encode("utf-8"))
+    write_json(json_path, data)
 
     lo, hi = ([None] * N_PROB_BINS if bounds is None else bounds
               for bounds in (attr.consistency_lo, attr.consistency_hi))

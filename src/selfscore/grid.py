@@ -1,4 +1,4 @@
-"""Gridded fields on a regular lat/lon patch, plus GRID1 file I/O.
+"""Gridded fields on a regular lat/lon patch, GRID1 file I/O, and every file writer.
 
 A field is a rectangular array of float values with a uniform grid spacing
 in degrees.  Three kinds are distinguished:
@@ -26,6 +26,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, replace
 
@@ -182,6 +183,34 @@ def write_grid(path: str | os.PathLike, field: GridField) -> None:
     if field.eval_mask is not None:
         blob += np.ascontiguousarray(field.eval_mask, dtype=np.uint8).tobytes()
     atomic_write(path, blob)
+
+
+def write_csv(path: str | os.PathLike, header: list[str], rows: list[list]) -> None:
+    """Write a CSV atomically in UTF-8, quoting cells that hold a comma or a
+    quote.  A float cell, numpy's included, is written as ``repr(float(x))``,
+    which reads back to the same bits; a NaN or ``None`` cell is written
+    empty, meaning "undefined here"; any other cell as ``str(x)``.  Text that
+    came from undecodable command-line bytes is written back as those bytes
+    (``surrogateescape``), as ``os.fsencode`` does."""
+    import csv
+    import io
+
+    def text(x) -> str:
+        if isinstance(x, (float, np.floating)):
+            return "" if math.isnan(x) else repr(float(x))
+        return "" if x is None else str(x)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([text(x) for x in row] for row in rows)
+    atomic_write(path, buf.getvalue().encode("utf-8", "surrogateescape"))
+
+
+def write_json(path: str | os.PathLike, data) -> None:
+    """Write ``data`` atomically as UTF-8 JSON, indented by 2, refusing NaN and infinity."""
+    import json
+    atomic_write(path, (json.dumps(data, indent=2, allow_nan=False) + "\n").encode("utf-8"))
 
 
 def read_grid(path: str | os.PathLike) -> GridField:

@@ -336,6 +336,30 @@ def test_rank_rejects_malformed_csv(tmp_path):
     assert run("rank", "--scores", dup, "--out-dir", tmp_path / "r") == 1
 
 
+def test_rank_refuses_a_short_row_naming_its_missing_cell(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("model,value,spec_id\na,0.5\n")
+    assert run("rank", "--scores", short, "--out-dir", tmp_path / "r") == 1
+    assert capsys.readouterr().err == f"error: {short}: line 2: row has no spec_id cell\n"
+    assert not (tmp_path / "r").exists()
+
+
+def test_rank_reads_each_config_by_its_canonical_id(tmp_path):
+    """A scores CSV that spells its configs otherwise ranks byte for byte as
+    its canonical twin, the one ``score`` would write."""
+    spellings = {"brier_nbhd_r0": "brier_NBHD_R0", "brier_nbhd_r1": "BRIER_nbhd_r1",
+                 "fss_F0.1-inf": " Fss_f0.10-INF"}
+    values = {"a": (0.1, 0.3, 0.7), "b": (0.2, 0.2, 0.9), "c": (0.3, 0.1, 0.8)}
+    for twin, ids in (("canonical", list(spellings)), ("spelled", list(spellings.values()))):
+        rows = [f"{m},{s},{v}" for m, vs in values.items() for s, v in zip(ids, vs)]
+        (tmp_path / f"{twin}.csv").write_text("model,spec_id,value\n" + "\n".join(rows) + "\n")
+        assert run("rank", "--scores", tmp_path / f"{twin}.csv", "--out-dir", tmp_path / twin) == 0
+    for name in ("ranks.csv", "filter_summary.csv", "winners.csv"):
+        assert read_bytes(tmp_path / "spelled" / name) == read_bytes(tmp_path / "canonical" / name)
+    assert read_bytes(tmp_path / "canonical" / "ranks.csv").startswith(
+        b"model,brier_nbhd_r0,brier_nbhd_r1,fss_F0.1-inf\n")
+
+
 def test_score_model_name_with_comma_is_read_back_by_rank(scored_pipeline, tmp_path):
     scores = tmp_path / "scores.csv"
     rank_dir = tmp_path / "ranks"

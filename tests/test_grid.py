@@ -12,9 +12,8 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_array_equal
 
 from selfscore.fourier import fourier_stages
-from selfscore.evaluation import write_csv
 from selfscore.grid import (GridField, WavelengthBand, _centred, atomic_write, next_pow2_dims,
-                           read_grid, write_grid)
+                           read_grid, write_csv, write_grid, write_json)
 from selfscore.wavelet import wavelet_stages
 
 
@@ -204,21 +203,32 @@ def test_write_is_atomic_no_temp_left_behind(tmp_path):
 
 
 def test_writes_make_a_missing_directory(tmp_path, monkeypatch):
-    """``write_grid``, ``write_csv`` and ``atomic_write`` make their file's directory,
-    nested ones included, so a directory appears with its first file; a bare file
-    name is written in the working directory.  No temp file is left."""
+    """``write_grid``, ``write_csv``, ``write_json`` and ``atomic_write`` make their
+    file's directory, nested ones included, so a directory appears with its first
+    file; a bare file name is written in the working directory.  No temp file is left."""
     f = _field(np.ones((2, 3)))
     write_grid(tmp_path / "a" / "b" / "f.grid", f)
     write_csv(tmp_path / "c" / "t.csv", ["x", "y"], [[1, 0.5]])
+    write_json(tmp_path / "e" / "f" / "j.json", {"x": [1, 0.5], "y": None})
     atomic_write(tmp_path / "d" / "raw.bin", b"xyz")
     monkeypatch.chdir(tmp_path)
     atomic_write("here.bin", b"abc")
     assert_array_equal(read_grid(tmp_path / "a" / "b" / "f.grid").values, f.values)
     assert (tmp_path / "c" / "t.csv").read_text() == "x,y\n1,0.5\n"
+    assert (tmp_path / "e" / "f" / "j.json").read_bytes() == (
+        b'{\n  "x": [\n    1,\n    0.5\n  ],\n  "y": null\n}\n')
     assert (tmp_path / "d" / "raw.bin").read_bytes() == b"xyz"
     assert (tmp_path / "here.bin").read_bytes() == b"abc"
     assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")) == [
-        "a", "a/b", "a/b/f.grid", "c", "c/t.csv", "d", "d/raw.bin", "here.bin"]
+        "a", "a/b", "a/b/f.grid", "c", "c/t.csv", "d", "d/raw.bin", "e", "e/f", "e/f/j.json",
+        "here.bin"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_write_json_refuses_what_json_cannot_hold_and_writes_nothing(tmp_path, value):
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_json(tmp_path / "d" / "j.json", {"x": [1.0, value]})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_write_refuses_values_beyond_float32(tmp_path):

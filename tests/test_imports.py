@@ -4,7 +4,9 @@ A static check over ``src/selfscore/*.py``: a name a module imports at top
 level must appear in its code or in an annotation (the modules use
 ``from __future__ import annotations``, and some annotations are strings).
 A run of every command with scipy blocked: the package needs numpy only.
-And the modules a command loads: each imports only those it runs.
+And the modules a command loads: each imports only those it runs.  Only
+``grid`` formats and writes a file: no other module calls the atomic
+writer, ``json.dumps`` or ``csv.writer``.
 """
 
 import ast
@@ -133,3 +135,28 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path):
     assert "selfscore.evaluation" in evaluated
     assert evaluated.isdisjoint({f"selfscore.{m}" for m in
                                  ("losses", "fourier", "wavelet", "ranking", "synthetic")})
+    # The CSV writer is grid's: neither score nor rank loads the diagnostics.
+    scored = loaded_by(["score", "--pred", "d/prob_*.grid", "--obs", "d/mask_*.grid",
+                        "--specs", "brier_nbhd_r1,fss_F0.1-inf", "--out", "s.csv"], tmp_path)
+    ranked = loaded_by(["rank", "--scores", "s.csv", "--out-dir", "k"], tmp_path)
+    assert "selfscore.losses" in scored and "selfscore.ranking" in ranked
+    assert "selfscore.evaluation" not in scored | ranked
+
+
+WRITERS = {"atomic_write", "json.dumps", "csv.writer"}
+
+
+def called_name(node: ast.Call) -> str:
+    """``f`` for a call of ``f(...)``, ``m.f`` for ``m.f(...)``, else empty."""
+    func = node.func
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        return f"{func.value.id}.{func.attr}"
+    return func.id if isinstance(func, ast.Name) else ""
+
+
+def test_only_grid_formats_and_writes_a_file():
+    calls = {(path.name, name) for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and (name := called_name(node)) in WRITERS}
+    assert {module for module, _ in calls} == {"grid.py"}, sorted(calls)
+    assert {name for _, name in calls} == WRITERS

@@ -74,6 +74,7 @@ RANK_CSVS = {
     "nan.csv": b"m,brier_nbhd_r1,nan\n",
     "undecodable.csv": b"m\xff,brier_nbhd_r1,0.5\n",
     "header-only.csv": b"",
+    "two-spellings.csv": b"m,brier_F0.10-inf,0.5\nm,brier_F0.1-inf,0.6\n",
 }
 
 
@@ -220,6 +221,8 @@ OTHERS = {
                          ["{d}/rank/undecodable.csv"]),
     "rank-header-only": ("rank --scores {d}/rank/header-only.csv --out-dir {out}/r",
                          ["{d}/rank/header-only.csv", "scores CSV is empty"]),
+    "rank-two-spellings": ("rank --scores {d}/rank/two-spellings.csv --out-dir {out}/r",
+                           ["{d}/rank/two-spellings.csv", "line 3", "'brier_F0.1-inf'"]),
 }
 CASES = {f"{cmd}-{case}": (COMMANDS[cmd].replace("{preds}", "{d}/prob_000.grid,{d}/" + pred)
                            .replace("{obs}", "{d}/mask_000.grid,{d}/" + obs),
