@@ -430,8 +430,8 @@ def _excluded_pixels(spec: LossSpec, record: NbhdPair | PairSums, step: float) -
         target = record.obs.dilated if spec.filter_kind == "nbhd" else record.yv
         excluded |= np.abs(pv - target) <= margin
     if spec.filter_kind == "nbhd" and spec.score == "csi":
-        for k, (i, j), n in _near_window_max(record, margin):
-            excluded[i[n[k] > 1], j[n[k] > 1]] = True  # argmax may move
+        events, pixels, counts = _near_window_max(record, margin)
+        excluded.flat[pixels[counts[events] > 1]] = True  # argmax may move
     return excluded
 
 

@@ -32,7 +32,9 @@ same fallback tests as ``PairSums.score``, so a loss and its gradient
 cannot take different branches.  ``NbhdPair.gradient`` does the same for
 the neighbourhood scores: csi reads its branch from the fallbacks of its
 score and routes each observed event's hit to the argmax of the window
-maximum the score read; fss chains its sums' gradient through the
+maximum the score read, gathering windows around only the pixels that can
+be some event's argmax, which one window minimum of the event maxima
+finds; fss chains its sums' gradient through the
 prediction's window mean, which is its own adjoint; the other four
 differentiate their sums against the dilation.
 
@@ -49,7 +51,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import OBS_KINDS, PRED_KINDS, GridField
-from .neighbourhood import max_filter_array, mean_filter_array
+from .neighbourhood import _padded, _separable, _window_max, max_filter_array, mean_filter_array
 
 SCORE_KINDS = ("brier", "fss", "iou", "dice", "csi", "xent",
                "heidke", "peirce", "gerrity")
@@ -264,33 +266,45 @@ _WINDOW_VALUES = 2 ** 17
 
 
 def _near_window_max(pair: NbhdPair, margin: float):
-    """Pixels within ``margin`` of each scored observed event's (2r+1)^2
-    window maximum, the zero-padded one ``pair``'s contingency reads (for a
-    prediction >= 0, the in-grid maximum).  The windows of a block of events
-    are gathered from the prediction padded with -inf, so no pixel beyond
-    the edge is near.  Yields ``(k, (rows, cols), count)`` per block: each
-    near pixel's event and place, event-major and row-major, and each
-    event's count."""
-    (pmax, events), r = pair._obs_pass(), pair.obs.r
-    view = sliding_window_view(np.pad(pair.pv, r, constant_values=-np.inf), (2 * r + 1,) * 2)
-    rows, cols = np.nonzero(events)
-    block = max(1, _WINDOW_VALUES // (2 * r + 1) ** 2)
-    for s in range(0, rows.size, block):
-        i, j = rows[s:s + block], cols[s:s + block]
-        windows = view[i, j]  # a copy, overwritten with the distance to the max
-        near = np.subtract(pmax[i, j][:, None, None], windows, out=windows) <= margin
-        k, a, b = np.unravel_index(np.flatnonzero(near), near.shape)
-        yield k, (i[k] - r + a, j[k] - r + b), np.count_nonzero(near, axis=(1, 2))
+    """Each (event, pixel) pair where the pixel lies within ``margin`` of the
+    scored observed event's (2r+1)^2 window maximum m, the zero-padded one
+    ``pair``'s contingency reads (for a prediction >= 0, the in-grid
+    maximum), by the test ``m - p <= margin``.  Since ``fl(m - p)`` grows
+    with m, a pixel is near some event exactly when it is near the least
+    event maximum in its reach: one window minimum of the event maxima (+inf
+    at non-events and beyond the edge) finds these candidate pixels, and
+    only the candidates' windows of event maxima are gathered, in blocks of
+    ``_WINDOW_VALUES``.  Returns ``(events, pixels, counts)``: the flat
+    indices of each pair, ordered by pixel and then by window row, so each
+    pixel's events come in event order; and, per flat index, the number of
+    pixels near it as an event."""
+    (pmax, is_event), r, pv = pair._obs_pass(), pair.obs.r, pair.pv
+    emax = np.where(is_event, pmax, np.inf)
+    least = -_separable(-emax, r, _window_max, -np.inf)
+    candidates = np.flatnonzero(least - pv <= margin)
+    view = sliding_window_view(_padded(emax, r, np.inf), (2 * r + 1,) * 2)
+    cols, size = pv.shape[1], (2 * r + 1) ** 2
+    # The flat offset of each window cell from the window's centre.
+    reach = (np.arange(-r, r + 1)[:, None] * cols + np.arange(-r, r + 1)).ravel()
+    block = max(1, _WINDOW_VALUES // size)
+    events, pixels = [np.zeros(0, dtype=np.intp)], [np.zeros(0, dtype=np.intp)]
+    for s in range(0, candidates.size, block):
+        q = candidates[s:s + block]
+        windows = view[q // cols, q % cols]  # a copy, overwritten with the distance to p
+        near = np.subtract(windows, pv.flat[q][:, None, None], out=windows) <= margin
+        k, t = np.divmod(np.flatnonzero(near), size)
+        pixels.append(q[k])
+        events.append(pixels[-1] + reach[t])
+    events, pixels = np.concatenate(events), np.concatenate(pixels)
+    return events, pixels, np.bincount(events, minlength=pv.size)
 
 
 def _obs_window_max_grad(pair: NbhdPair) -> np.ndarray:
     """d(a_obs)/dp: each scored observed event routes weight to its window
     argmax.  Exact ties within a window split the unit weight equally."""
-    pv, blocks = pair.pv, list(_near_window_max(pair, 0.0))
-    flat = [np.zeros(0, dtype=np.intp)] + [i * pv.shape[1] + j for _, (i, j), _ in blocks]
-    share = [np.zeros(0)] + [(1.0 / ties)[k] for k, _, ties in blocks]
-    # bincount adds in input order: in event order, as a loop adds.
-    return np.bincount(np.concatenate(flat), np.concatenate(share), pv.size).reshape(pv.shape)
+    events, pixels, counts = _near_window_max(pair, 0.0)
+    # bincount adds in input order: each pixel's shares in event order, as a loop adds.
+    return np.bincount(pixels, 1.0 / counts[events], pair.pv.size).reshape(pair.pv.shape)
 
 
 class NbhdPair:
@@ -308,17 +322,20 @@ class NbhdPair:
         return _kept(self, "_pmax_events", lambda: (max_filter_array(self.pv, self.obs.r),
                                                     self.w & (self.obs.yv == 1.0)))
 
+    def _near_far(self) -> tuple[np.ndarray, np.ndarray]:
+        """The scored pixels with an observed event in reach, and the rest."""
+        return _kept(self, "_near_far_masks", lambda: (self.w & self.obs.event_near,
+                                                       self.w & ~self.obs.event_near))
+
     def contingency(self) -> tuple[float, float, float, float]:
         """(a_obs, a_pred, b, c) of the two-sided contingency, reduced on each
         call; csi's score and gradient read one reduction, kept."""
-        pv, w = self.pv, self.w
         pmax, events = self._obs_pass()
-        a_obs = float(np.sum(pmax[events]))
-        c = float(np.sum(1.0 - pmax[events]))
-        near = w & self.obs.event_near
-        far = w & ~self.obs.event_near
-        a_pred = float(np.sum(pv[near]))
-        b = float(np.sum(1.0 - pv[near]) + np.sum(pv[far]))
+        near, far = self._near_far()
+        q, p = pmax[events], self.pv[near]
+        a_obs, c = float(np.sum(q)), float(np.sum(1.0 - q))
+        a_pred = float(np.sum(p))
+        b = float(np.sum(1.0 - p) + np.sum(self.pv[far]))
         return a_obs, a_pred, b, c
 
     def sums(self, kind: str) -> PairSums:
@@ -351,8 +368,7 @@ class NbhdPair:
             return np.zeros_like(self.pv)  # a constant branch
         a_obs, a_pred, b, c = _kept(self, "_counts", self.contingency)
         pod_den, sr_den = a_obs + c, a_pred + b
-        e = (self.w & self.obs.event_near).astype(np.float64)
-        not_e = (self.w & ~self.obs.event_near).astype(np.float64)
+        e, not_e = (mask.astype(np.float64) for mask in self._near_far())
         if fallbacks:  # CSI == SR = a_pred / sr_den;  d a_pred = e,  d sr_den = not_e
             return (e * sr_den - a_pred * not_e) / sr_den ** 2
         da_obs = _obs_window_max_grad(self)

@@ -3,17 +3,20 @@
 Each observed event routes its unit weight to the maximum of its
 (2r+1) x (2r+1) window of the prediction, clipped to the grid, and exact
 ties split it equally.  ``_obs_window_max_grad`` and ``_excluded_pixels``
-gather the windows of many events at once and read each window's maximum
-from the zero-padded one that the record's contingency keeps, which equals
-the in-grid maximum of a prediction >= 0, -0.0 included.  These tests check
-them by hand on small grids, against the per-event loops they replaced
-(kept here as the reference) bit for bit, and for a bounded working set on
-a large grid.
+read each window's maximum from the zero-padded one that the record's
+contingency keeps, which equals the in-grid maximum of a prediction >= 0,
+-0.0 included.  They find the few pixels that can lie near some event's
+maximum (candidates), then gather the windows of event maxima around many
+candidates at once.  These tests check them by hand on small grids,
+against the per-event loops they replaced (kept here as the reference) bit
+for bit, on a tie-heavy field like the training loop's, and for a bounded
+working set on a large grid.
 """
 
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
@@ -171,15 +174,50 @@ def test_gather_matches_the_per_event_loops(case):
 
 def test_gather_matches_the_loops_across_blocks():
     rng = np.random.default_rng(7)
-    pv = np.round(rng.uniform(size=(200, 240)) * 4) / 4
+    pv = np.round(rng.uniform(size=(240, 280)) * 4) / 4
     yv = (rng.uniform(size=pv.shape) < 0.4).astype(float)
     w = rng.uniform(size=pv.shape) < 0.9
     for r in (1, 4):
-        # More events than one block of the gather holds.
-        assert np.count_nonzero(w & (yv == 1.0)) > _WINDOW_VALUES // (2 * r + 1) ** 2
+        block = _WINDOW_VALUES // (2 * r + 1) ** 2
+        want = window_max_grad_loop(pv, yv, w, r)
+        # More events, and more candidates (a superset of the argmax pixels),
+        # than one block of the gather holds.
+        assert np.count_nonzero(w & (yv == 1.0)) > block
+        assert np.count_nonzero(want) > block
+        assert window_max_grad(pv, yv, w, r).tobytes() == want.tobytes()
+        assert_array_equal(excluded(pv, yv, w, r), excluded_loop(pv, yv, w, r, 2.0 * STEP))
+
+
+def train_like_case():
+    """An odd, non-square grid valued like the training loop's prediction:
+    in [0.02, 0.98], with plateaus at exactly 0.02 and 0.98 and values moved
+    off 0.98 by less and more than each margin below; events on every edge
+    and corner; an eval mask scoring about 90 % of the pixels."""
+    rng = np.random.default_rng(11)
+    shape = (23, 41)
+    pv = 0.02 + 0.96 * rng.uniform(size=shape)
+    pv[rng.uniform(size=shape) < 0.2] = 0.98
+    pv[rng.uniform(size=shape) < 0.2] = 0.02
+    pv[2:9, 4:17] = 0.98
+    pv[12:23, 25:41] = 0.02
+    nudged = rng.uniform(size=shape) < 0.15
+    pv[nudged] = 0.98 - rng.choice([1e-5, 3e-5, 5e-4, 2e-3, 0.03, 0.07], size=nudged.sum())
+    yv = rng.uniform(size=shape) < 0.1
+    yv[[0, -1], :] |= rng.uniform(size=(2, shape[1])) < 0.5
+    yv[:, [0, -1]] |= rng.uniform(size=(shape[0], 2)) < 0.5
+    yv[[0, 0, -1, -1], [0, -1, 0, -1]] = True
+    return pv, yv.astype(float), rng.uniform(size=shape) < 0.9
+
+
+@pytest.mark.parametrize("r", NBHD_HALF_WIDTHS)
+def test_tie_heavy_field_matches_the_loops(r):
+    pv, yv, scored = train_like_case()
+    for w in (np.ones(pv.shape, dtype=bool), scored):
         assert (window_max_grad(pv, yv, w, r).tobytes()
                 == window_max_grad_loop(pv, yv, w, r).tobytes())
-        assert_array_equal(excluded(pv, yv, w, r), excluded_loop(pv, yv, w, r, 2.0 * STEP))
+        for margin in (0.0, 2e-5, 1e-3, 0.05):
+            assert (excluded(pv, yv, w, r, margin / 2.0).tobytes()
+                    == excluded_loop(pv, yv, w, r, margin).tobytes())
 
 
 # ---------------------------------------------------------------------------
