@@ -1,5 +1,6 @@
-"""One kind rule guards every scored pair, and the neighbourhood CSI record
-reduces its contingency once.
+"""One kind rule guards every scored pair, the neighbourhood CSI record
+reduces its contingency once, and each pixelwise gradient takes the branch
+its score takes.
 
 ``scores.scored_weights`` takes a ``prob`` or ``mask`` prediction against a
 ``mask`` observation and refuses any other kind, naming it.  Every entry
@@ -8,7 +9,10 @@ filter's output, say) never reaches a score: a negative one would put the
 neighbourhood CSI outside [0, 1] and break the reliability bins.  The CLI's
 ``score`` and ``eval`` check no kind of their own: they print its text.  The
 ``NbhdPair`` record keeps its (a_obs, a_pred, b, c) contingency, so one
-loss value and its gradient reduce it once.
+loss value and its gradient reduce it once.  Fills that drive every
+``PairSums`` fallback, on a whole grid and a masked one, check that each
+gradient is finite, zero off the scored pixels and on a constant branch,
+and gerrity's derivative on its zero-event-ratio branch.
 """
 
 import contextlib
@@ -25,7 +29,7 @@ from selfscore.evaluation import (attributes_diagram, brier_parts,
 from selfscore.grid import GridField, write_grid
 from selfscore.losses import (grad_check, loss_gradient, loss_value, metric_tables,
                               parse_spec_id, prepare_target)
-from selfscore.scores import NbhdPair
+from selfscore.scores import SCORE_KINDS, NbhdPair, PairSums
 from selfscore.synthetic import SynthSpec, synth_mask, synth_prob
 
 SPACING = 0.05
@@ -121,3 +125,39 @@ def test_a_csi_value_and_gradient_reduce_the_contingency_once(monkeypatch):
     # A new prediction gets a new record, and one more reduction.
     loss_gradient(CSI, p.with_values(p.values.copy()), target)
     assert len(calls) == 2
+
+
+#: (prediction, observation) on the scored pixels: a constant, or "prob"
+#: for a probability field, or "events" for a sparse mask.
+FILLS = {"zero-zero": (0.0, 0.0), "one-one": (1.0, 1.0), "prob-none": ("prob", 0.0),
+         "prob-all": ("prob", 1.0), "prob-events": ("prob", "events")}
+#: The fallbacks the fills drive, per kind: every one ``PairSums.score`` names.
+FALLBACKS = {
+    "brier": set(), "dice": set(), "xent": set(),
+    "csi": {"csi_zero_denominator"}, "fss": {"fss_zero_reference"}, "iou": {"iou_zero_union"},
+    "heidke": {"heidke_zero_denominator"}, "peirce": {"peirce_empty_class"},
+    "gerrity": {"gerrity_zero_denominator", "gerrity_zero_event_ratio"},
+}
+
+
+@pytest.mark.parametrize("masked", [False, True], ids=["whole", "masked"])
+@pytest.mark.parametrize("kind", SCORE_KINDS)
+def test_every_pixelwise_gradient_follows_its_scores_fallback(kind, masked):
+    rng = np.random.default_rng(7)
+    w = rng.random((9, 11)) < 0.6 if masked else np.ones((9, 11), dtype=bool)
+    seen = set()
+    for p_fill, y_fill in FILLS.values():
+        # Unscored pixels hold noise, which neither the branch nor the gradient may read.
+        pv, yv = rng.uniform(size=w.shape), (rng.random(w.shape) < 0.5).astype(float)
+        pv[w] = rng.uniform(size=w.sum()) if p_fill == "prob" else p_fill
+        yv[w] = rng.random(w.sum()) < 0.2 if y_fill == "events" else y_fill
+        sums = PairSums(pv, yv, w)
+        fallbacks, grad = sums.score(kind).fallbacks, sums.gradient(kind)
+        seen.update(fallbacks)
+        assert np.isfinite(grad).all()
+        assert not grad[~w].any()
+        if fallbacks == ("gerrity_zero_event_ratio",):  # no events: d gerrity/dp = (2y - 1)/n
+            assert (grad[w] == -1.0 / w.sum()).all()
+        elif fallbacks:  # a constant branch
+            assert not grad.any()
+    assert seen == FALLBACKS[kind]
