@@ -99,17 +99,12 @@ def attributes_diagram(pred_fields, obs_fields) -> AttributesData:
     bs = float(np.mean((pv - yv) ** 2))
     base_rate = float(np.mean(yv))
     bs_clim = float(np.mean((base_rate - yv) ** 2))
-    fallbacks: list[str] = []
-    if bs_clim == 0.0:
-        bss = 0.0
-        fallbacks.append("bss_zero_climatology")
-    else:
-        bss = 1.0 - bs / bs_clim
+    bss = 0.0 if bs_clim == 0.0 else 1.0 - bs / bs_clim
     return AttributesData(
         bin_edges=PROB_BIN_EDGES.copy(), bin_counts=counts.astype(np.int64),
         bin_mean_forecast=mean_p, bin_event_freq=freq, rel=rel, bss=bss,
         bs=bs, bs_clim=bs_clim, base_rate=base_rate, n_scored=int(n),
-        fallbacks=tuple(fallbacks))
+        fallbacks=("bss_zero_climatology",) if bs_clim == 0.0 else ())
 
 
 def brier_parts(pred_fields, obs_fields) -> list[tuple[float, float, float]]:
@@ -200,14 +195,12 @@ def performance_diagram(pred_fields, obs_fields,
     pv, yv = _stack_scored(pred_fields, obs_fields)
     events = yv == 1.0
     n1 = int(events.sum())
-    fallbacks: list[str] = []
     pod = np.full(thresholds.size, np.nan)
     sr = np.full(thresholds.size, np.nan)
     csi = np.full(thresholds.size, np.nan)
     bias = np.full(thresholds.size, np.nan)
     if n1 == 0:
-        fallbacks.append("no_events")
-        return PerformanceData(thresholds, pod, sr, csi, bias, 0.0, 0, tuple(fallbacks))
+        return PerformanceData(thresholds, pod, sr, csi, bias, 0.0, 0, ("no_events",))
     a, b = (float(x.size) - np.searchsorted(np.sort(x), thresholds).astype(np.float64)
             for x in (pv[events], pv[~events]))
     c = float(n1) - a
@@ -218,7 +211,7 @@ def performance_diagram(pred_fields, obs_fields,
     bias[biased] = pod[biased] / sr[biased]
     csi[scored] = a[scored] / (a + b + c)[scored]
     aupd = aupd_from_curve(sr, pod)
-    return PerformanceData(thresholds, pod, sr, csi, bias, aupd, n1, tuple(fallbacks))
+    return PerformanceData(thresholds, pod, sr, csi, bias, aupd, n1)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +309,7 @@ def report_dict(attr: AttributesData, perf: PerformanceData) -> dict:
             "n_events": perf.n_events,
             "fallbacks": list(perf.fallbacks),
         },
-        "summary": {
-            "rel": attr.rel, "bss": attr.bss, "bs": attr.bs,
-            "bs_clim": attr.bs_clim, "base_rate": attr.base_rate,
-            "n_scored": attr.n_scored, "aupd": perf.aupd,
-        },
+        "summary": {key: getattr(perf if key == "aupd" else attr, key) for key in SUMMARY_KEYS},
     }
 
 

@@ -27,14 +27,18 @@ of a (prediction, target) pair once, for all its scores, and ``NbhdPair``
 pairs a prediction with an ``NbhdObs``, which filters an observation once
 per half-width, and keeps its contingency as ``PairSums`` keeps its sums.
 Each sum is the reduction its score would run alone, so no bit changes.
-Each record's ``gradient`` reads the same sums and fallback tests as its
-``score``, so a loss and its gradient cannot take different branches.  Per
-pixel, d(a, b, c, d)/dp = (y, 1-y, -y, y-1), so a contingency score's
-gradient is alpha*y + beta, its scalars made from the kept sums.  The
-neighbourhood csi routes each observed event's hit to the argmax of the
-window maximum its score read (``_near_window_max`` finds the candidates);
-fss chains its sums' gradient through the prediction's window mean, its own
-adjoint; the other four differentiate their sums against the dilation.
+``PairSums.gradient`` differentiates each score from the same sums and the
+same fallback tests as ``PairSums.score``, so a loss and its gradient
+cannot take different branches.  ``NbhdPair.gradient`` does the same for
+the neighbourhood scores: csi reads its branch from the fallbacks of its
+score and routes each observed event's hit to the argmax of the window
+maximum the score read, gathering windows around only the pixels that can
+be some event's argmax, which one window minimum of the event maxima
+finds; fss chains its sums' gradient through the
+prediction's window mean, which is its own adjoint; the other four
+differentiate their sums against the dilation.  A pixelwise contingency
+score's gradient is alpha*y + beta, as d(a, b, c, d)/dp = (y, 1-y, -y, y-1)
+per pixel, with scalars alpha and beta made from the kept sums.
 
 Degenerate denominators never return NaN; each defined fallback is recorded
 by name in the returned ``ScoreResult``.
@@ -121,6 +125,7 @@ def _xent_sum(pv: np.ndarray, yv: np.ndarray) -> float:
     return np.sum(yv * np.log2(ph) + (1.0 - yv) * np.log2(1.0 - ph))
 
 
+# Each sum is the reduction its score would run alone, so sharing changes no bit.
 _SUMS = {
     "sse": lambda pv, yv: np.sum((pv - yv) ** 2),
     "ref": lambda pv, yv: np.sum(pv ** 2 + yv ** 2),
@@ -191,18 +196,23 @@ class PairSums:
         if b + d == 0.0:
             return ScoreResult(0.0, ("gerrity_zero_denominator",))
         r = (a + c) / (b + d)
-        if r == 0.0:  # no observed events: a == 0 exactly, so a/r is taken as 0
+        if r == 0.0:
+            # No observed events: a == 0 exactly, so a/r is taken as 0.
             return ScoreResult((d * r - b - c) / n, ("gerrity_zero_event_ratio",))
         return ScoreResult((a / r + d * r - b - c) / n)
 
     def gradient(self, kind: str) -> np.ndarray:
-        """d(score kind)/d``pv`` on the whole grid, zero on unscored pixels, on the branch
-        ``score`` takes: every fallback but gerrity's zero event ratio is a constant.  As
-        d(a, b, c, d)/dp = (y, 1-y, -y, y-1), a contingency score's is alpha*y + beta: dice 2/n,
-        -1/n; csi (a+D)/D^2, -a/D^2 with D = a+b+c; heidke 2/den, -(1 + kappa(b+c)/den)/den;
-        peirce 1/(a+c) + 1/(b+d), -1/(b+d); gerrity (2+r+1/r)/n, or 2/n at r = (a+c)/(b+d) = 0,
-        -(1+r)/n.  fss is p(2 sse/ref^2 - 2/ref) + y(2/ref), iou y/U - (a/U^2) dmax(p, y)/dp,
-        xent (ph-y)/(ph(1-ph))/(n ln 2), and 0 where p is clipped."""
+        """d(score kind)/d``pv`` on the whole grid, zero on unscored pixels.
+        It follows the branch ``score`` takes: every fallback but gerrity's
+        zero event ratio is a constant, with gradient zero.  Per pixel,
+        d(a, b, c, d)/dp = (y, 1 - y, -y, y - 1); a + c and b + d are fixed.
+        So a contingency score's gradient is alpha*y + beta, its scalars
+        made from the kept sums: dice 2/n, -1/n; csi (a + D)/D^2, -a/D^2
+        with D = a + b + c; heidke 2/den, -(1 + kappa(b + c)/den)/den;
+        peirce 1/(a + c) + 1/(b + d), -1/(b + d); gerrity (2 + r + 1/r)/n,
+        or 2/n at r = (a + c)/(b + d) = 0, and -(1 + r)/n.  fss is
+        p(2 sse/ref^2 - 2/ref) + y(2/ref), iou y/U - (a/U^2) dmax(p, y)/dp,
+        and xent (ph - y)/(ph(1 - ph))/(n ln 2), 0 where p is clipped."""
         s, g, p, y = self._sum, self.g, self.pv, self.yv
         if kind == "brier":
             grad = (2.0 / g) * (p - y)
@@ -225,15 +235,16 @@ class PairSums:
         else:
             a, b, c, d, n = s("a"), s("b"), s("c"), s("d"), g
             if kind == "heidke":  # den = n - n_rand, as in score; kappa = d(n_rand)/dp
-                den, kappa = ((a + b) * (b + d) + (a + c) * (c + d)) / n, ((a + c) - (b + d)) / n
+                den = ((a + b) * (b + d) + (a + c) * (c + d)) / n
+                kappa = ((a + c) - (b + d)) / n
                 grad = 2.0 / den * y - (1.0 + kappa * (b + c) / den) / den
             elif kind == "peirce":
                 grad = (1.0 / (a + c) + 1.0 / (b + d)) * y - 1.0 / (b + d)
             else:  # gerrity
                 r = (a + c) / (b + d)
                 grad = ((2.0 + r + 1.0 / r) / n if r else 2.0 / n) * y - (1.0 + r) / n
-        if g < self.w.size:  # a masked grid, whose float weights the record keeps
-            grad *= _kept(self, "_weights", lambda: self.w.astype(np.float64))
+        if g < self.w.size:  # a masked grid: zero off the scored pixels
+            grad *= self.w
         return grad
 
 

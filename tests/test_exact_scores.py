@@ -11,10 +11,12 @@ A gradient must lie within ``K[kind] * eps`` of the oracle, relative to the
 oracle's largest pixel.  Measured on these cases (``k_max`` below), the
 affine forms reach k = 4.6 for heidke and at most 1.5 for the rest; the
 quotient-rule forms they replaced reached 7.5 (heidke) and 3.7 (fss), and
-only csi's k grew, from 0.99 to 1.25.  peirce and gerrity are checked pixel by pixel
-against the size of the terms each pixel's derivative adds, y/(a+c) and
-(1-y)/(b+d) and their gerrity twins, and their scores against a/(a+c) and
-b/(b+d): the honest measure near zero skill, where the difference cancels.
+only csi's k grew, from 0.99 to 1.25.  peirce and gerrity are checked pixel
+by pixel against the size of the terms each pixel's derivative adds,
+y/(a+c) and (1-y)/(b+d) and their gerrity twins, and their scores against
+a/(a+c) and b/(b+d): the honest measure near zero skill, where the
+difference cancels.  The oracle makes each case's sums and each kind's
+constants once, and keeps every gradient it computes.
 
 The heidke cases include the one that exposed the old form n - ((a+b)(a+c)
 + (b+d)(c+d))/n of the denominator: an all-zero prediction against the
@@ -61,8 +63,9 @@ def exact_sums(name):
 
 def heidke_parts(s):
     """(a + d - n_rand, n - n_rand) of heidke, in the textbook form."""
-    n_rand = ((s["a"] + s["b"]) * (s["a"] + s["c"]) + (s["b"] + s["d"]) * (s["c"] + s["d"])) / s["n"]
-    return s["a"] + s["d"] - n_rand, s["n"] - n_rand
+    a, b, c, d, n = s["a"], s["b"], s["c"], s["d"], s["n"]
+    n_rand = ((a + b) * (a + c) + (b + d) * (c + d)) / n
+    return a + d - n_rand, n - n_rand
 
 
 def constant_branch(kind, s):
@@ -73,43 +76,47 @@ def constant_branch(kind, s):
             "gerrity": b + d == 0}.get(kind, False)
 
 
-def exact_derivative(kind, s, p, y):
+def exact_derivative(kind, s):
     """d(score kind)/dp at one scored pixel (p, y), with d(a, b, c, d)/dp =
-    (y, 1 - y, -y, y - 1), off a constant branch."""
+    (y, 1 - y, -y, y - 1), off a constant branch: a function of (p, y) whose
+    constants are made from the sums ``s`` once."""
     a, b, c, d, n = s["a"], s["b"], s["c"], s["d"], s["n"]
     if kind == "brier":
-        return 2 * (p - y) / n
+        return lambda p, y: 2 * (p - y) / n
     if kind == "fss":  # 1 - sse/ref
-        return -(2 * (p - y) * s["ref"] - s["sse"] * 2 * p) / s["ref"] ** 2
+        ref, sse, ref2 = s["ref"], s["sse"], s["ref"] ** 2
+        return lambda p, y: -(2 * (p - y) * ref - sse * 2 * p) / ref2
     if kind == "iou":  # a/union, with d max(p, y)/dp = 1, 1/2 or 0
-        sigma = 1 if p > y else Fraction(1, 2) if p == y else 0
-        return (y * s["union"] - a * sigma) / s["union"] ** 2
+        union, union2, half = s["union"], s["union"] ** 2, Fraction(1, 2)
+        return lambda p, y: (y * union - a * (1 if p > y else half if p == y else 0)) / union2
     if kind == "dice":  # (a + d)/n
-        return (y + (y - 1)) / n
+        return lambda p, y: (y + (y - 1)) / n
     if kind == "xent":  # the clip is the identity inside, and flat outside
-        if not Fraction(XENT_EPS) < p < Fraction(1.0 - XENT_EPS):
-            return 0
-        return -(y / p - (1 - y) / (1 - p)) / (n * Fraction(_LN2))
+        lo, hi, scale = Fraction(XENT_EPS), Fraction(1.0 - XENT_EPS), n * Fraction(_LN2)
+        return lambda p, y: -(y / p - (1 - y) / (1 - p)) / scale if lo < p < hi else 0
     if kind == "csi":
-        return (y * (a + b + c) - a * (1 - y)) / (a + b + c) ** 2
+        den, den2 = a + b + c, (a + b + c) ** 2
+        return lambda p, y: (y * den - a * (1 - y)) / den2
     if kind == "heidke":
         num, den = heidke_parts(s)
-        kappa = ((a + c) - (b + d)) / n  # d(n_rand)/dp
-        return ((2 * y - 1 - kappa) * den + num * kappa) / den ** 2
+        kappa, den2 = ((a + c) - (b + d)) / n, den ** 2  # kappa = d(n_rand)/dp
+        return lambda p, y: ((2 * y - 1 - kappa) * den + num * kappa) / den2
     if kind == "peirce":
-        return y / (a + c) - (1 - y) / (b + d)
+        return lambda p, y: y / (a + c) - (1 - y) / (b + d)
     # gerrity: (a/r + d*r - b - c)/n with r = (a+c)/(b+d) fixed; a/r is 0 at r = 0.
     r = (a + c) / (b + d)
-    return ((y / r if r else 0) + (y - 1) * r - (1 - y) + y) / n
+    return lambda p, y: ((y / r if r else 0) + (y - 1) * r - (1 - y) + y) / n
 
 
+@functools.lru_cache(maxsize=None)
 def exact_gradient(name, kind):
     """The gradient of ``kind`` on case ``name``, exact, then rounded to float."""
     pv, _, w = case(name)
     ps, ys, s = exact_sums(name)
     grad = np.zeros(pv.shape)
     if not constant_branch(kind, s):
-        grad[w] = [float(exact_derivative(kind, s, p, y)) for p, y in zip(ps, ys)]
+        derivative = exact_derivative(kind, s)
+        grad[w] = [float(derivative(p, y)) for p, y in zip(ps, ys)]
     return grad
 
 
